@@ -24,6 +24,7 @@
 // committed acceptance bar is >= 2x small-message round-trip throughput
 // for hybrid over socket.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>

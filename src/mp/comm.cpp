@@ -1,6 +1,7 @@
 #include "mp/comm.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <ostream>
 
 #include "mp/transport/transport.hpp"
@@ -30,7 +31,8 @@ namespace detail {
 void RankState::init_instrumentation(std::size_t ring_capacity) {
   recorder = std::make_unique<trace::Recorder>(world_rank, ring_capacity);
   // The rank's virtual clock is the trace time base (deterministic across
-  // runs); `this` is stable for the run — RunContext::ranks never resizes.
+  // runs); `this` is stable for the run — World keeps each rank's state in
+  // place until the run ends.
   recorder->set_clock([this] { return clock; });
   metrics::Registry& reg = recorder->metrics();
   std::string name;
@@ -51,34 +53,6 @@ void RankState::init_instrumentation(std::size_t ring_capacity) {
   mp.recv_seconds = &reg.histogram("mp.recv.seconds");
   mp.wait_calls = &reg.counter("mp.wait.calls");
   mp.wait_seconds = &reg.histogram("mp.wait.seconds");
-}
-
-RunContext::RunContext(int world_size)
-    : world_engine(world_size), ranks(world_size) {
-  for (int r = 0; r < world_size; ++r) ranks[r].world_rank = r;
-}
-
-std::pair<int, std::shared_ptr<CollectiveEngine>> RunContext::engine_for(
-    int parent_context, int seq, int color, int group_size) {
-  std::lock_guard<std::mutex> lock(registry_mutex);
-  const auto key = std::make_tuple(parent_context, seq, color);
-  auto it = registry.find(key);
-  if (it == registry.end()) {
-    const int context = next_context.fetch_add(1);
-    it = registry
-             .emplace(key, std::make_pair(
-                               context,
-                               std::make_shared<CollectiveEngine>(group_size)))
-             .first;
-  }
-  PAC_CHECK(it->second.second->size() == group_size);
-  return it->second;
-}
-
-void RunContext::abort_all() {
-  world_engine.abort();
-  std::lock_guard<std::mutex> lock(registry_mutex);
-  for (auto& [key, entry] : registry) entry.second->abort();
 }
 
 std::byte* scratch_buffer(std::size_t slot, std::size_t bytes) {
@@ -104,39 +78,6 @@ double RunStats::max_comm() const {
   return m;
 }
 
-void Comm::run_collective(net::CollectiveKind kind, std::size_t bytes,
-                          const void* in, void* out, const FoldFn& fold) {
-  const double cost =
-      network_->collective_time(kind, bytes, static_cast<int>(group_.size()));
-  const double arrival = state_->clock;
-  const double done =
-      engine_->run(group_rank_, in, out, arrival, cost, fold);
-  state_->comm_time += cost;
-  const double wait = done - arrival - cost;
-  if (wait > 0.0) state_->idle_time += wait;
-  state_->clock = done;
-  ++state_->collectives;
-  const auto kind_index = static_cast<std::size_t>(kind);
-  ++state_->collective_calls[kind_index];
-  state_->collective_seconds[kind_index] += cost;
-  if constexpr (trace::compiled_in()) {
-    if (trace::Recorder* rec = state_->recorder.get()) {
-      const detail::MpMetricHandles::PerCollective& h =
-          state_->mp.collective[kind_index];
-      h.calls->add(1);
-      h.bytes->add(bytes);
-      h.seconds->observe(cost);
-      h.wait_seconds->observe(wait > 0.0 ? wait : 0.0);
-      rec->record_span("mp", net::to_string(kind), arrival, done);
-    }
-  }
-  if (trace_) {
-    state_->trace.push_back(TraceEvent{state_->world_rank,
-                                       TraceEvent::Op::kCollective, kind,
-                                       bytes, arrival, done});
-  }
-}
-
 const char* Comm::backend_name() const noexcept {
   return transport_ != nullptr ? transport_->name() : "in-process";
 }
@@ -146,140 +87,111 @@ transport::TransportStats Comm::transport_stats() const noexcept {
                                : transport::TransportStats{};
 }
 
+int Comm::group_rank_of(int world_rank) const noexcept {
+  for (std::size_t r = 0; r < group_.size(); ++r)
+    if (group_[r] == world_rank) return static_cast<int>(r);
+  return 0;
+}
+
+double Comm::op_begin() {
+  if (distributed_) {
+    const double t = time_->now();
+    if (t > state_->clock) {
+      state_->compute_time += t - state_->clock;
+      state_->clock = t;
+    }
+  }
+  return state_->clock;
+}
+
+Comm::Charged Comm::op_end(double start, double ready, double cost,
+                           double wait) {
+  if (distributed_) {
+    // Wall mode cannot split waiting from transfer: all of it is comm.
+    const double end = time_->now();
+    const double elapsed = end > start ? end - start : 0.0;
+    if (end > state_->clock) state_->clock = end;
+    state_->comm_time += elapsed;
+    return {elapsed, 0.0};
+  }
+  if (ready > state_->clock) state_->clock = ready;
+  state_->comm_time += cost;
+  if (wait > 0.0) state_->idle_time += wait;
+  return {cost, wait > 0.0 ? wait : 0.0};
+}
+
 void Comm::deliver(int dest_group_rank, int tag, const void* bytes,
                    std::size_t nbytes) {
-  if (distributed_) {
-    const double start = dist_op_begin();
-    Message msg;
-    msg.context = context_;
-    msg.source = state_->world_rank;
-    msg.tag = tag;
-    msg.send_time = start;
-    msg.payload.resize(nbytes);
-    if (nbytes > 0) std::memcpy(msg.payload.data(), bytes, nbytes);
-    transport_->send(group_[dest_group_rank], std::move(msg));
-    dist_op_end(start);
-    ++state_->messages_sent;
-    state_->bytes_sent += nbytes;
-    if constexpr (trace::compiled_in()) {
-      if (trace::Recorder* rec = state_->recorder.get()) {
-        state_->mp.send_calls->add(1);
-        state_->mp.send_bytes->add(nbytes);
-        state_->mp.send_seconds->observe(state_->clock - start);
-        rec->record_span("mp", "send", start, state_->clock);
-      }
-    }
-    if (trace_) {
-      state_->trace.push_back(
-          TraceEvent{state_->world_rank, TraceEvent::Op::kSend,
-                     net::CollectiveKind::kBarrier, nbytes, start,
-                     state_->clock});
-    }
-    return;
-  }
-  // Charge the sender-side software overhead before the message departs.
+  const double start = op_begin();
+  // The message departs once the sender's software overhead is paid.
   const double overhead = network_->send_overhead();
-  state_->clock += overhead;
-  state_->comm_time += overhead;
+  const double departs = start + overhead;
   Message msg;
   msg.context = context_;
   msg.source = state_->world_rank;
   msg.tag = tag;
-  msg.send_time = state_->clock;
+  msg.send_time = departs;
   msg.payload.resize(nbytes);
   if (nbytes > 0) std::memcpy(msg.payload.data(), bytes, nbytes);
+  transport_->send(group_[dest_group_rank], std::move(msg));
+  const Charged charged = op_end(start, departs, overhead, 0.0);
   ++state_->messages_sent;
   state_->bytes_sent += nbytes;
   if constexpr (trace::compiled_in()) {
     if (trace::Recorder* rec = state_->recorder.get()) {
       state_->mp.send_calls->add(1);
       state_->mp.send_bytes->add(nbytes);
-      state_->mp.send_seconds->observe(overhead);
-      rec->record_span("mp", "send", state_->clock - overhead, state_->clock);
+      state_->mp.send_seconds->observe(charged.comm);
+      rec->record_span("mp", "send", start, state_->clock);
     }
   }
   if (trace_) {
-    state_->trace.push_back(
-        TraceEvent{state_->world_rank, TraceEvent::Op::kSend,
-                   net::CollectiveKind::kBarrier, nbytes,
-                   state_->clock - overhead, state_->clock});
+    state_->trace.push_back(TraceEvent{state_->world_rank,
+                                       TraceEvent::Op::kSend,
+                                       net::CollectiveKind::kBarrier, nbytes,
+                                       start, state_->clock});
   }
-  transport_->send(group_[dest_group_rank], std::move(msg));
 }
 
-Status Comm::absorb(Message&& msg, void* buffer, std::size_t capacity) {
-  PAC_REQUIRE_MSG(msg.payload.size() <= capacity,
-                  "recv buffer too small: " << capacity
-                                            << " bytes < message of "
-                                            << msg.payload.size());
-  if (distributed_) {
-    const double start = dist_op_begin();
-    if (!msg.payload.empty())
-      std::memcpy(buffer, msg.payload.data(), msg.payload.size());
-    dist_op_end(start);
-    Status st;
-    for (std::size_t r = 0; r < group_.size(); ++r)
-      if (group_[r] == msg.source) st.source = static_cast<int>(r);
-    st.tag = msg.tag;
-    st.bytes = msg.payload.size();
-    if constexpr (trace::compiled_in()) {
-      if (trace::Recorder* rec = state_->recorder.get()) {
-        state_->mp.recv_calls->add(1);
-        state_->mp.recv_bytes->add(msg.payload.size());
-        state_->mp.recv_seconds->observe(state_->clock - start);
-        rec->record_span("mp", "recv", start, state_->clock);
-      }
-    }
-    if (trace_) {
-      state_->trace.push_back(
-          TraceEvent{state_->world_rank, TraceEvent::Op::kRecv,
-                     net::CollectiveKind::kBarrier, msg.payload.size(), start,
-                     state_->clock});
-    }
-    return st;
-  }
-  const double recv_start = state_->clock;
-  if (!msg.payload.empty())
-    std::memcpy(buffer, msg.payload.data(), msg.payload.size());
-  // Advance virtual time: the message is available at send_time + transfer.
-  int group_source = 0;
-  for (std::size_t r = 0; r < group_.size(); ++r)
-    if (group_[r] == msg.source) group_source = static_cast<int>(r);
-  const double transfer = network_->pt2pt_time(
-      msg.payload.size(), group_source, group_rank_, size());
+Status Comm::absorb(Message&& msg, void* buffer, std::size_t capacity,
+                    double start) {
+  const std::size_t nbytes = msg.payload.size();
+  PAC_REQUIRE_MSG(nbytes <= capacity, "recv buffer too small: "
+                                          << capacity
+                                          << " bytes < message of " << nbytes);
+  if (nbytes > 0) std::memcpy(buffer, msg.payload.data(), nbytes);
+  Status st;
+  st.source = group_rank_of(msg.source);
+  st.tag = msg.tag;
+  st.bytes = nbytes;
+  // Modeled: the message is available at send_time + transfer.
+  const double transfer =
+      network_->pt2pt_time(nbytes, st.source, group_rank_, size());
   const double available = msg.send_time + transfer;
-  if (available > state_->clock) {
-    state_->idle_time += available - state_->clock;
-    state_->clock = available;
-  }
-  state_->comm_time += transfer;
+  op_end(start, available, transfer, available - start);
   if constexpr (trace::compiled_in()) {
     if (trace::Recorder* rec = state_->recorder.get()) {
       state_->mp.recv_calls->add(1);
-      state_->mp.recv_bytes->add(msg.payload.size());
-      state_->mp.recv_seconds->observe(state_->clock - recv_start);
-      rec->record_span("mp", "recv", recv_start, state_->clock);
+      state_->mp.recv_bytes->add(nbytes);
+      state_->mp.recv_seconds->observe(state_->clock - start);
+      rec->record_span("mp", "recv", start, state_->clock);
     }
   }
   if (trace_) {
-    state_->trace.push_back(
-        TraceEvent{state_->world_rank, TraceEvent::Op::kRecv,
-                   net::CollectiveKind::kBarrier, msg.payload.size(),
-                   recv_start, state_->clock});
+    state_->trace.push_back(TraceEvent{state_->world_rank,
+                                       TraceEvent::Op::kRecv,
+                                       net::CollectiveKind::kBarrier, nbytes,
+                                       start, state_->clock});
   }
-  Status st;
-  st.source = group_source;
-  st.tag = msg.tag;
-  st.bytes = msg.payload.size();
   return st;
 }
 
 Status Comm::recv_bytes(int source, int tag, void* buffer,
                         std::size_t capacity) {
-  if (distributed_) return dist_recv_bytes(source, tag, buffer, capacity);
   const int world_source = source == kAnySource ? kAnySource : group_[source];
+  const double start = op_begin();
   Message msg = transport_->recv(context_, world_source, tag);
-  return absorb(std::move(msg), buffer, capacity);
+  return absorb(std::move(msg), buffer, capacity, start);
 }
 
 void Comm::wait(Request& request) {
@@ -312,7 +224,7 @@ bool Comm::test(Request& request) {
   if (!transport_->try_recv(context_, world_source, request.tag_, msg))
     return false;
   request.status_ =
-      absorb(std::move(msg), request.buffer_, request.capacity_);
+      absorb(std::move(msg), request.buffer_, request.capacity_, op_begin());
   request.done_ = true;
   return true;
 }
@@ -323,19 +235,14 @@ Status Comm::probe(int source, int tag) {
   const int world_source = source == kAnySource ? kAnySource : group_[source];
   int matched_source = 0, matched_tag = 0;
   std::size_t matched_bytes = 0;
-  if (distributed_) {
-    // Blocked-probe time is communication time on the wall clock.
-    const double start = dist_op_begin();
-    transport_->peek(context_, world_source, tag, matched_source, matched_tag,
-                     matched_bytes);
-    dist_op_end(start);
-  } else {
-    transport_->peek(context_, world_source, tag, matched_source, matched_tag,
-                     matched_bytes);
-  }
+  // Blocked-probe time is communication time on the wall clock; the
+  // modeled clock does not move.
+  const double start = op_begin();
+  transport_->peek(context_, world_source, tag, matched_source, matched_tag,
+                   matched_bytes);
+  op_end(start, start, 0.0, 0.0);
   Status st;
-  for (std::size_t r = 0; r < group_.size(); ++r)
-    if (group_[r] == matched_source) st.source = static_cast<int>(r);
+  st.source = group_rank_of(matched_source);
   st.tag = matched_tag;
   st.bytes = matched_bytes;
   return st;
@@ -350,20 +257,10 @@ bool Comm::iprobe(int source, int tag, Status& status) {
   if (!transport_->try_peek(context_, world_source, tag, matched_source,
                             matched_tag, matched_bytes))
     return false;
-  for (std::size_t r = 0; r < group_.size(); ++r)
-    if (group_[r] == matched_source) status.source = static_cast<int>(r);
+  status.source = group_rank_of(matched_source);
   status.tag = matched_tag;
   status.bytes = matched_bytes;
   return true;
-}
-
-void Comm::barrier() {
-  PAC_REQUIRE(valid());
-  if (distributed_) {
-    dist_barrier();
-    return;
-  }
-  run_collective(net::CollectiveKind::kBarrier, 0, nullptr, nullptr, FoldFn{});
 }
 
 Comm Comm::split(int color, int key) {
@@ -389,8 +286,6 @@ Comm Comm::split(int color, int key) {
   });
 
   Comm sub;
-  sub.world_ = world_;
-  sub.run_ = run_;
   sub.state_ = state_;
   sub.network_ = network_;
   sub.costs_ = costs_;
@@ -405,26 +300,19 @@ Comm Comm::split(int color, int key) {
     if (members[i].rank == group_rank_)
       sub.group_rank_ = static_cast<int>(i);
   }
-  if (distributed_) {
-    // No cross-process registry exists, so every member derives the same
-    // context deterministically from (parent context, split seq, color).
-    // The result stays below 1 << 28: the collective plane (coll_context)
-    // lives above that offset and must not collide with user contexts.
-    std::uint32_t h = 0x9e3779b9u;
-    for (std::uint32_t v : {static_cast<std::uint32_t>(context_),
-                            static_cast<std::uint32_t>(seq),
-                            static_cast<std::uint32_t>(color)})
-      h ^= v + 0x9e3779b9u + (h << 6) + (h >> 2);
-    int derived = static_cast<int>(h & ((1u << 28) - 1));
-    if (derived == 0) derived = 1;  // 0 is the world context
-    sub.context_ = derived;
-    return sub;
-  }
-  auto [context, engine] = run_->engine_for(
-      context_, seq, color, static_cast<int>(members.size()));
-  sub.context_ = context;
-  sub.engine_owner_ = engine;
-  sub.engine_ = engine.get();
+  // Every member derives the same context deterministically from (parent
+  // context, split seq, color), with no registry to consult: ranks may be
+  // separate processes.  The result stays below 1 << 28: the collective
+  // plane (coll_context) lives above that offset and must not collide
+  // with user contexts.
+  std::uint32_t h = 0x9e3779b9u;
+  for (std::uint32_t v : {static_cast<std::uint32_t>(context_),
+                          static_cast<std::uint32_t>(seq),
+                          static_cast<std::uint32_t>(color)})
+    h ^= v + 0x9e3779b9u + (h << 6) + (h >> 2);
+  int derived = static_cast<int>(h & ((1u << 28) - 1));
+  if (derived == 0) derived = 1;  // 0 is the world context
+  sub.context_ = derived;
   return sub;
 }
 

@@ -7,36 +7,39 @@
 //
 //   * tagged point-to-point send/recv with MPI matching semantics,
 //   * deterministic collectives (Barrier, Bcast, Reduce, Allreduce, Gather,
-//     Allgather, Scatter, Scan, Alltoall) that combine contributions in rank
-//     order, and
+//     Allgather, Scatter, Scan, Alltoall, ReduceScatter, Exscan) that
+//     combine contributions in rank order, and
 //   * communicator splitting (Comm::split) for subgroup algorithms.
 //
-// Each rank carries a virtual clock.  Compute sections advance it through
-// Comm::charge() using the Machine's cost book; communication advances it by
-// the Machine's network model.  Collectives synchronize clocks the way a real
-// blocking collective does: everyone leaves at max(arrivals) + network cost.
-// RunStats reports per-rank compute/communication/idle breakdowns — that is
-// the data from which the paper's Figures 6-8 are rebuilt.
+// Every collective has one implementation for every backend: a leader-based
+// algorithm over point-to-point frames on the communicator's private
+// collective context (comm_dist.cpp), so the in-process, socket and hybrid
+// backends fold the same bytes in the same order.  What differs is the
+// clock, and only the time-accounting helpers (now, charge, op_begin,
+// op_end) look at it.
+//
+// On the default in-process backend each rank carries a virtual clock.
+// Compute sections advance it through Comm::charge() using the Machine's
+// cost book; communication advances it by the Machine's network model.
+// Collectives synchronize clocks the way a real blocking collective does:
+// everyone leaves at max(arrivals) + network cost.  RunStats reports
+// per-rank compute/communication/idle breakdowns — that is the data from
+// which the paper's Figures 6-8 are rebuilt.
 //
 // Thread-safety contract: a Comm belongs to its rank's thread.  A rank must
 // never touch another rank's Comm or data; all sharing is via messages.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
-#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "mp/engine.hpp"
 #include "mp/mailbox.hpp"
 #include "mp/status.hpp"
 #include "mp/transport/time_source.hpp"
@@ -143,26 +146,6 @@ struct RankState {
   void init_instrumentation(std::size_t ring_capacity);
 };
 
-/// Per-run shared state: the collective-engine registry for split comms.
-struct RunContext {
-  explicit RunContext(int world_size);
-
-  CollectiveEngine world_engine;
-  std::vector<RankState> ranks;
-
-  // Registry of engines for split communicators, keyed by
-  // (parent context, split sequence, color).
-  std::mutex registry_mutex;
-  std::map<std::tuple<int, int, int>, std::pair<int, std::shared_ptr<CollectiveEngine>>>
-      registry;
-  std::atomic<int> next_context{1};
-
-  std::pair<int, std::shared_ptr<CollectiveEngine>> engine_for(
-      int parent_context, int seq, int color, int group_size);
-
-  void abort_all();
-};
-
 template <class T>
 T apply_op(ReduceOp op, T a, T b) noexcept {
   switch (op) {
@@ -174,9 +157,9 @@ T apply_op(ReduceOp op, T a, T b) noexcept {
   return a;
 }
 
-/// Type-erased elementwise reduction used by the distributed (socket)
-/// collectives: fold `n` elements of `src` into `acc` with `op`.  One
-/// instantiation per element type, selected by the Comm templates.
+/// Type-erased elementwise fold used by the collectives: combine `n`
+/// elements of `src` into `acc` with `op`.  One instantiation per element
+/// type, selected by the Comm templates.
 using CombineFn = void (*)(ReduceOp, void* acc, const void* src,
                            std::size_t n);
 
@@ -188,11 +171,26 @@ void combine_elems(ReduceOp op, void* acc, const void* src,
   for (std::size_t i = 0; i < n; ++i) a[i] = apply_op(op, a[i], s[i]);
 }
 
+/// How a reducing collective folds its contributions.
+struct Reduction {
+  ReduceOp op = ReduceOp::kSum;
+  CombineFn combine = nullptr;
+  std::size_t elem_size = 1;
+  /// Compensated (Kahan) summation; only ever set for double sums.
+  bool kahan = false;
+};
+
+template <class T>
+Reduction reduction_for(ReduceOp op, bool kahan) noexcept {
+  return Reduction{op, &combine_elems<T>, sizeof(T),
+                   kahan && op == ReduceOp::kSum && std::is_same_v<T, double>};
+}
+
 /// Thread-local grow-only scratch arenas.  The EM hot path runs thousands
-/// of small allreduces per search; collective folds and the distributed
-/// staging buffers borrow these instead of allocating per call.  Slots let
-/// one operation use several disjoint buffers; alignment is operator-new's
-/// (sufficient for every trivially copyable element type minimpi moves).
+/// of small allreduces per search; the leaders' folds borrow these instead
+/// of allocating per call.  Slots let one operation use several disjoint
+/// buffers; alignment is operator-new's (sufficient for every trivially
+/// copyable element type minimpi moves).  May return nullptr for 0 bytes.
 std::byte* scratch_buffer(std::size_t slot, std::size_t bytes);
 
 }  // namespace detail
@@ -449,70 +447,99 @@ class Comm {
 
   Comm() = default;
 
-  /// Type-erased collective: charges time and runs the fold via the engine.
-  void run_collective(net::CollectiveKind kind, std::size_t bytes,
-                      const void* in, void* out, const FoldFn& fold);
-
   void deliver(int dest_group_rank, int tag, const void* bytes,
                std::size_t nbytes);
 
   /// Blocking type-erased receive core (shared by recv and wait).
   Status recv_bytes(int source, int tag, void* buffer, std::size_t capacity);
 
-  /// Copy a matched message into `buffer`, advance the virtual clock by the
-  /// modeled transfer, and build the Status.
-  Status absorb(Message&& msg, void* buffer, std::size_t capacity);
+  /// Copy a matched message into `buffer`, close the receive begun at
+  /// `start` (op_end: modeled transfer or measured wall time), and build the
+  /// Status.  The single completion path of recv, wait and test.
+  Status absorb(Message&& msg, void* buffer, std::size_t capacity,
+                double start);
 
-  // ---- distributed (socket-backend) engine: collectives layered on
-  //      pt2pt frames over a private context (comm_dist.cpp) ----
+  /// Group rank of member `world_rank`.
+  int group_rank_of(int world_rank) const noexcept;
+
+  // ---- time accounting: the only code that tells the backends apart ----
+
+  /// Communication and idle seconds one operation was charged.
+  struct Charged {
+    double comm = 0.0;
+    double idle = 0.0;
+  };
+
+  /// Start an operation and return its start time.  On the wall clock the
+  /// gap since the previous operation is first booked as compute time.
+  double op_begin();
+
+  /// Close an operation begun at `start`.  Modeled clock: the rank moves to
+  /// `ready` (never backwards), `cost` is communication time and a positive
+  /// `wait` idle time.  Wall clock: the measured span is communication time
+  /// and the modeled figures are ignored.
+  Charged op_end(double start, double ready, double cost, double wait);
+
+  // ---- collectives (comm_dist.cpp): one leader-based algorithm per kind
+  //      over pt2pt frames on coll_context(), for every backend ----
 
   /// Context reserved for this comm's internal collective traffic, so user
   /// wildcard receives/probes never observe collective frames.
   int coll_context() const noexcept { return context_ + (1 << 28); }
 
-  /// Mark an operation boundary: credit the wall-clock gap since the last
-  /// boundary as compute time and return the operation start time.
-  double dist_op_begin();
-  /// Close a pt2pt operation: elapsed wall time is communication time.
-  void dist_op_end(double start);
-  /// Close a collective: bookkeeping + metrics/trace for `kind`.
-  void dist_coll_end(net::CollectiveKind kind, std::size_t bytes,
-                     double start);
+  /// One collective call in flight: what it is charged for, when this rank
+  /// arrived, and the tag of its frames.
+  struct Round {
+    net::CollectiveKind kind;
+    std::size_t bytes;
+    double arrival;
+    double cost;  // modeled network time of the whole collective
+    int tag;
+  };
 
-  /// Raw collective-plane frame helpers (no per-message metrics: the
-  /// enclosing collective records itself, matching the modeled backend).
-  void dist_send_raw(int dest_group_rank, int tag, const void* bytes,
+  Round coll_begin(net::CollectiveKind kind, std::size_t bytes);
+  /// Leave the collective at completion time `done` (modeled) and book it.
+  void coll_end(const Round& round, double done);
+
+  /// Frame helpers.  Internal hops are neither charged nor counted as
+  /// messages: the enclosing collective books itself.  `stamp` travels in
+  /// Message::send_time (an arrival or a completion time).
+  void coll_send(int dest, int tag, const void* bytes, std::size_t nbytes,
+                 double stamp);
+  /// Receive exactly `nbytes` from `source`; returns the frame's stamp.
+  double coll_recv(int source, int tag, void* buffer, std::size_t nbytes);
+
+  /// Leader side: land every rank's `nbytes` contribution in block r of
+  /// `all` (the leader's own copied from `in`) and return the latest
+  /// arrival.
+  double coll_gather(const Round& round, const void* in, void* all,
                      std::size_t nbytes);
-  void dist_recv_raw(int source_group_rank, int tag, void* buffer,
-                     std::size_t nbytes);
+  /// Leader side: send every other rank r `nbytes` from `blocks + r *
+  /// stride` (stride 0: the same bytes to all), stamped `done`.
+  void coll_release(const Round& round, const void* blocks,
+                    std::size_t stride, std::size_t nbytes, double done);
+  /// Non-leader side: send `up` stamped with the arrival, receive `down`
+  /// from `leader`, and return the completion time it carries.
+  double coll_exchange(const Round& round, int leader, const void* up,
+                       std::size_t up_bytes, void* down,
+                       std::size_t down_bytes);
 
-  Status dist_recv_bytes(int source, int tag, void* buffer,
-                         std::size_t capacity);
+  void broadcast_bytes(void* data, std::size_t nbytes, int root);
+  void reduce_bytes(const void* in, void* out, std::size_t nbytes,
+                    const detail::Reduction& reduction, int root);
+  void allreduce_bytes(const void* in, void* out, std::size_t nbytes,
+                       const detail::Reduction& reduction);
+  void gather_bytes(const void* in, void* out, std::size_t nbytes, int root);
+  void allgather_bytes(const void* in, void* out, std::size_t nbytes);
+  void scatter_bytes(const void* in, void* out, std::size_t nbytes, int root);
+  void scan_bytes(const void* in, void* out, std::size_t nbytes,
+                  const detail::Reduction& reduction, bool exclusive);
+  void alltoall_bytes(const void* in, void* out, std::size_t block_bytes);
+  void reduce_scatter_bytes(const void* in, void* out,
+                            std::size_t block_bytes,
+                            const detail::Reduction& reduction);
 
-  void dist_barrier();
-  void dist_broadcast(void* data, std::size_t nbytes, int root);
-  void dist_reduce(const void* in, void* out, std::size_t nbytes,
-                   ReduceOp op, detail::CombineFn combine,
-                   std::size_t elem_size, int root, bool kahan);
-  void dist_allreduce(const void* in, void* out, std::size_t nbytes,
-                      ReduceOp op, detail::CombineFn combine,
-                      std::size_t elem_size, bool kahan);
-  void dist_gather(const void* in, void* out, std::size_t nbytes, int root);
-  void dist_allgather(const void* in, void* out, std::size_t nbytes);
-  void dist_scatter(const void* in, void* out, std::size_t nbytes, int root);
-  void dist_scan(const void* in, void* out, std::size_t nbytes, ReduceOp op,
-                 detail::CombineFn combine, std::size_t elem_size,
-                 bool exclusive);
-  void dist_alltoall(const void* in, void* out, std::size_t block_bytes);
-  void dist_reduce_scatter(const void* in, void* out,
-                           std::size_t block_bytes, ReduceOp op,
-                           detail::CombineFn combine, std::size_t elem_size);
-
-  World* world_ = nullptr;
-  detail::RunContext* run_ = nullptr;
   detail::RankState* state_ = nullptr;
-  CollectiveEngine* engine_ = nullptr;
-  std::shared_ptr<CollectiveEngine> engine_owner_;  // for split comms
   const net::NetworkModel* network_ = nullptr;
   const net::CostBook* costs_ = nullptr;
   transport::Transport* transport_ = nullptr;
@@ -521,7 +548,7 @@ class Comm {
   int group_rank_ = 0;
   int context_ = 0;
   int split_seq_ = 0;  // per-comm counter for deterministic split keys
-  std::uint32_t coll_seq_ = 0;  // tag counter for distributed collectives
+  std::uint32_t coll_seq_ = 0;  // tag counter for collective frames
   bool kahan_ = false;
   bool trace_ = false;
   bool distributed_ = false;
@@ -631,21 +658,7 @@ void Comm::broadcast(std::span<T> data, int root) {
   static_assert(std::is_trivially_copyable_v<T>);
   PAC_REQUIRE(valid());
   PAC_REQUIRE(root >= 0 && root < size());
-  const std::size_t n = data.size();
-  if (distributed_) {
-    dist_broadcast(data.data(), n * sizeof(T), root);
-    return;
-  }
-  const int p = size();
-  auto fold = [n, root, p](std::span<const CollectiveSlot> slots) {
-    const void* src = slots[root].in;
-    for (int r = 0; r < p; ++r) {
-      if (r == root) continue;
-      std::memcpy(slots[r].out, src, n * sizeof(T));
-    }
-  };
-  run_collective(net::CollectiveKind::kBcast, n * sizeof(T), data.data(),
-                 data.data(), fold);
+  broadcast_bytes(data.data(), data.size_bytes(), root);
 }
 
 template <class T>
@@ -655,23 +668,8 @@ void Comm::reduce(std::span<const T> in, std::span<T> out, ReduceOp op,
   PAC_REQUIRE(valid());
   PAC_REQUIRE(root >= 0 && root < size());
   if (rank() == root) PAC_REQUIRE(out.size() == in.size());
-  const std::size_t n = in.size();
-  if (distributed_) {
-    dist_reduce(in.data(), rank() == root ? out.data() : nullptr,
-                n * sizeof(T), op, &detail::combine_elems<T>, sizeof(T),
-                root, /*kahan=*/false);
-    return;
-  }
-  const int p = size();
-  auto fold = [n, op, root, p](std::span<const CollectiveSlot> slots) {
-    T* tmp = reinterpret_cast<T*>(detail::scratch_buffer(0, n * sizeof(T)));
-    std::memcpy(tmp, slots[0].in, n * sizeof(T));
-    for (int r = 1; r < p; ++r)
-      detail::combine_elems<T>(op, tmp, slots[r].in, n);
-    std::memcpy(slots[root].out, tmp, n * sizeof(T));
-  };
-  run_collective(net::CollectiveKind::kReduce, n * sizeof(T), in.data(),
-                 rank() == root ? out.data() : nullptr, fold);
+  reduce_bytes(in.data(), out.data(), in.size_bytes(),
+               detail::reduction_for<T>(op, /*kahan=*/false), root);
 }
 
 template <class T>
@@ -679,35 +677,8 @@ void Comm::allreduce(std::span<const T> in, std::span<T> out, ReduceOp op) {
   static_assert(std::is_trivially_copyable_v<T>);
   PAC_REQUIRE(valid());
   PAC_REQUIRE(out.size() == in.size());
-  const std::size_t n = in.size();
-  const int p = size();
-  const bool kahan =
-      kahan_ && op == ReduceOp::kSum && std::is_same_v<T, double>;
-  if (distributed_) {
-    dist_allreduce(in.data(), out.data(), n * sizeof(T), op,
-                   &detail::combine_elems<T>, sizeof(T), kahan);
-    return;
-  }
-  auto fold = [n, op, p, kahan](std::span<const CollectiveSlot> slots) {
-    T* tmp = reinterpret_cast<T*>(detail::scratch_buffer(0, n * sizeof(T)));
-    if (kahan) {
-      // Compensated rank-ordered fold (double sums only).
-      for (std::size_t i = 0; i < n; ++i) {
-        KahanSum k;
-        for (int r = 0; r < p; ++r)
-          k.add(static_cast<double>(static_cast<const T*>(slots[r].in)[i]));
-        tmp[i] = static_cast<T>(k.value());
-      }
-    } else {
-      std::memcpy(tmp, slots[0].in, n * sizeof(T));
-      for (int r = 1; r < p; ++r)
-        detail::combine_elems<T>(op, tmp, slots[r].in, n);
-    }
-    for (int r = 0; r < p; ++r)
-      std::memcpy(slots[r].out, tmp, n * sizeof(T));
-  };
-  run_collective(net::CollectiveKind::kAllreduce, n * sizeof(T), in.data(),
-                 out.data(), fold);
+  allreduce_bytes(in.data(), out.data(), in.size_bytes(),
+                  detail::reduction_for<T>(op, kahan_));
 }
 
 template <class T>
@@ -715,46 +686,17 @@ void Comm::gather(std::span<const T> in, std::span<T> out, int root) {
   static_assert(std::is_trivially_copyable_v<T>);
   PAC_REQUIRE(valid());
   PAC_REQUIRE(root >= 0 && root < size());
-  const std::size_t n = in.size();
-  const int p = size();
   if (rank() == root)
-    PAC_REQUIRE(out.size() == n * static_cast<std::size_t>(p));
-  if (distributed_) {
-    dist_gather(in.data(), rank() == root ? out.data() : nullptr,
-                n * sizeof(T), root);
-    return;
-  }
-  auto fold = [n, root, p](std::span<const CollectiveSlot> slots) {
-    T* dst = static_cast<T*>(slots[root].out);
-    for (int r = 0; r < p; ++r)
-      std::memcpy(dst + static_cast<std::size_t>(r) * n, slots[r].in,
-                  n * sizeof(T));
-  };
-  run_collective(net::CollectiveKind::kGather, n * sizeof(T), in.data(),
-                 rank() == root ? out.data() : nullptr, fold);
+    PAC_REQUIRE(out.size() == in.size() * static_cast<std::size_t>(size()));
+  gather_bytes(in.data(), out.data(), in.size_bytes(), root);
 }
 
 template <class T>
 void Comm::allgather(std::span<const T> in, std::span<T> out) {
   static_assert(std::is_trivially_copyable_v<T>);
   PAC_REQUIRE(valid());
-  const std::size_t n = in.size();
-  const int p = size();
-  PAC_REQUIRE(out.size() == n * static_cast<std::size_t>(p));
-  if (distributed_) {
-    dist_allgather(in.data(), out.data(), n * sizeof(T));
-    return;
-  }
-  auto fold = [n, p](std::span<const CollectiveSlot> slots) {
-    for (int d = 0; d < p; ++d) {
-      T* dst = static_cast<T*>(slots[d].out);
-      for (int r = 0; r < p; ++r)
-        std::memcpy(dst + static_cast<std::size_t>(r) * n, slots[r].in,
-                    n * sizeof(T));
-    }
-  };
-  run_collective(net::CollectiveKind::kAllgather, n * sizeof(T), in.data(),
-                 out.data(), fold);
+  PAC_REQUIRE(out.size() == in.size() * static_cast<std::size_t>(size()));
+  allgather_bytes(in.data(), out.data(), in.size_bytes());
 }
 
 template <class T>
@@ -762,23 +704,9 @@ void Comm::scatter(std::span<const T> in, std::span<T> out, int root) {
   static_assert(std::is_trivially_copyable_v<T>);
   PAC_REQUIRE(valid());
   PAC_REQUIRE(root >= 0 && root < size());
-  const std::size_t n = out.size();
-  const int p = size();
   if (rank() == root)
-    PAC_REQUIRE(in.size() == n * static_cast<std::size_t>(p));
-  if (distributed_) {
-    dist_scatter(rank() == root ? in.data() : nullptr, out.data(),
-                 n * sizeof(T), root);
-    return;
-  }
-  auto fold = [n, root, p](std::span<const CollectiveSlot> slots) {
-    const T* src = static_cast<const T*>(slots[root].in);
-    for (int r = 0; r < p; ++r)
-      std::memcpy(slots[r].out, src + static_cast<std::size_t>(r) * n,
-                  n * sizeof(T));
-  };
-  run_collective(net::CollectiveKind::kScatter, n * sizeof(T),
-                 rank() == root ? in.data() : nullptr, out.data(), fold);
+    PAC_REQUIRE(in.size() == out.size() * static_cast<std::size_t>(size()));
+  scatter_bytes(in.data(), out.data(), out.size_bytes(), root);
 }
 
 template <class T>
@@ -786,25 +714,9 @@ void Comm::scan(std::span<const T> in, std::span<T> out, ReduceOp op) {
   static_assert(std::is_trivially_copyable_v<T>);
   PAC_REQUIRE(valid());
   PAC_REQUIRE(out.size() == in.size());
-  const std::size_t n = in.size();
-  if (distributed_) {
-    dist_scan(in.data(), out.data(), n * sizeof(T), op,
-              &detail::combine_elems<T>, sizeof(T), /*exclusive=*/false);
-    return;
-  }
-  const int p = size();
-  auto fold = [n, op, p](std::span<const CollectiveSlot> slots) {
-    T* running =
-        reinterpret_cast<T*>(detail::scratch_buffer(0, n * sizeof(T)));
-    std::memcpy(running, slots[0].in, n * sizeof(T));
-    std::memcpy(slots[0].out, running, n * sizeof(T));
-    for (int r = 1; r < p; ++r) {
-      detail::combine_elems<T>(op, running, slots[r].in, n);
-      std::memcpy(slots[r].out, running, n * sizeof(T));
-    }
-  };
-  run_collective(net::CollectiveKind::kScan, n * sizeof(T), in.data(),
-                 out.data(), fold);
+  scan_bytes(in.data(), out.data(), in.size_bytes(),
+             detail::reduction_for<T>(op, /*kahan=*/false),
+             /*exclusive=*/false);
 }
 
 template <class T>
@@ -812,26 +724,10 @@ void Comm::alltoall(std::span<const T> in, std::span<T> out,
                     std::size_t block) {
   static_assert(std::is_trivially_copyable_v<T>);
   PAC_REQUIRE(valid());
-  const int p = size();
-  PAC_REQUIRE(in.size() == block * static_cast<std::size_t>(p));
-  PAC_REQUIRE(out.size() == block * static_cast<std::size_t>(p));
-  if (distributed_) {
-    dist_alltoall(in.data(), out.data(), block * sizeof(T));
-    return;
-  }
-  auto fold = [block, p](std::span<const CollectiveSlot> slots) {
-    for (int d = 0; d < p; ++d) {
-      T* dst = static_cast<T*>(slots[d].out);
-      for (int s = 0; s < p; ++s) {
-        const T* src = static_cast<const T*>(slots[s].in);
-        std::memcpy(dst + static_cast<std::size_t>(s) * block,
-                    src + static_cast<std::size_t>(d) * block,
-                    block * sizeof(T));
-      }
-    }
-  };
-  run_collective(net::CollectiveKind::kAlltoall, block * sizeof(T), in.data(),
-                 out.data(), fold);
+  const auto p = static_cast<std::size_t>(size());
+  PAC_REQUIRE(in.size() == block * p);
+  PAC_REQUIRE(out.size() == block * p);
+  alltoall_bytes(in.data(), out.data(), block * sizeof(T));
 }
 
 template <class T>
@@ -839,27 +735,9 @@ void Comm::reduce_scatter(std::span<const T> in, std::span<T> out,
                           ReduceOp op) {
   static_assert(std::is_trivially_copyable_v<T>);
   PAC_REQUIRE(valid());
-  const int p = size();
-  const std::size_t block = out.size();
-  PAC_REQUIRE(in.size() == block * static_cast<std::size_t>(p));
-  if (distributed_) {
-    dist_reduce_scatter(in.data(), out.data(), block * sizeof(T), op,
-                        &detail::combine_elems<T>, sizeof(T));
-    return;
-  }
-  auto fold = [block, op, p](std::span<const CollectiveSlot> slots) {
-    const std::size_t total = block * static_cast<std::size_t>(p);
-    T* tmp =
-        reinterpret_cast<T*>(detail::scratch_buffer(0, total * sizeof(T)));
-    std::memcpy(tmp, slots[0].in, total * sizeof(T));
-    for (int r = 1; r < p; ++r)
-      detail::combine_elems<T>(op, tmp, slots[r].in, total);
-    for (int r = 0; r < p; ++r)
-      std::memcpy(slots[r].out, tmp + static_cast<std::size_t>(r) * block,
-                  block * sizeof(T));
-  };
-  run_collective(net::CollectiveKind::kReduceScatter, block * sizeof(T),
-                 in.data(), out.data(), fold);
+  PAC_REQUIRE(in.size() == out.size() * static_cast<std::size_t>(size()));
+  reduce_scatter_bytes(in.data(), out.data(), out.size_bytes(),
+                       detail::reduction_for<T>(op, /*kahan=*/false));
 }
 
 template <class T>
@@ -867,29 +745,9 @@ void Comm::exscan(std::span<const T> in, std::span<T> out, ReduceOp op) {
   static_assert(std::is_trivially_copyable_v<T>);
   PAC_REQUIRE(valid());
   PAC_REQUIRE(out.size() == in.size());
-  const std::size_t n = in.size();
-  if (distributed_) {
-    dist_scan(in.data(), out.data(), n * sizeof(T), op,
-              &detail::combine_elems<T>, sizeof(T), /*exclusive=*/true);
-    return;
-  }
-  const int p = size();
-  auto fold = [n, op, p](std::span<const CollectiveSlot> slots) {
-    T* running =
-        reinterpret_cast<T*>(detail::scratch_buffer(0, n * sizeof(T)));
-    T* contribution =
-        reinterpret_cast<T*>(detail::scratch_buffer(1, n * sizeof(T)));
-    std::memcpy(running, slots[0].in, n * sizeof(T));
-    // Rank 0's output is left untouched by MPI_Exscan semantics.
-    for (int r = 1; r < p; ++r) {
-      // Read the contribution before writing: in/out may alias in-place.
-      std::memcpy(contribution, slots[r].in, n * sizeof(T));
-      std::memcpy(slots[r].out, running, n * sizeof(T));
-      detail::combine_elems<T>(op, running, contribution, n);
-    }
-  };
-  run_collective(net::CollectiveKind::kExscan, n * sizeof(T), in.data(),
-                 out.data(), fold);
+  scan_bytes(in.data(), out.data(), in.size_bytes(),
+             detail::reduction_for<T>(op, /*kahan=*/false),
+             /*exclusive=*/true);
 }
 
 }  // namespace pac::mp

@@ -21,7 +21,9 @@ namespace pac::mp {
 
 /// One in-flight message.  `send_time` is the sender's virtual clock at the
 /// moment the message left (after the send-overhead charge); the receiver
-/// uses it to advance its own clock by the modeled transfer time.
+/// uses it to advance its own clock by the modeled transfer time.  On the
+/// collective plane it carries the sender's arrival time or the leader's
+/// completion time instead (comm_dist.cpp).
 struct Message {
   int context = 0;
   int source = 0;

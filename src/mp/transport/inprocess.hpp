@@ -1,10 +1,11 @@
 // The default pacnet backend: ranks are threads of one process and a send
-// is a push into the destination rank's Mailbox.  This is exactly the
-// pre-transport minimpi data path, factored behind the Transport interface;
-// it stays deterministic and virtual-time so every modeled figure remains
+// is a push into the destination rank's Mailbox.  Point-to-point messages
+// and the frames of every collective (comm_dist.cpp) travel this path; it
+// stays deterministic and virtual-time so every modeled figure remains
 // byte-identical.
 #pragma once
 
+#include <thread>
 #include <vector>
 
 #include "mp/transport/transport.hpp"
@@ -29,6 +30,16 @@ class InProcessTransport final : public Transport {
   }
 
   Message recv(int context, int source_world_rank, int tag) override {
+    // Poll briefly before parking.  Collectives are leader-based over these
+    // mailboxes, so a parked leader would put a second thread wake-up on
+    // every collective's critical path, while the frames it waits for
+    // usually arrive within microseconds.  Yielding keeps worlds with more
+    // ranks than cores fair.
+    Message msg;
+    for (int i = 0; i < kPollsBeforePark; ++i) {
+      if (inbox().try_pop(context, source_world_rank, tag, msg)) return msg;
+      std::this_thread::yield();
+    }
     return inbox().pop(context, source_world_rank, tag);
   }
 
@@ -51,6 +62,8 @@ class InProcessTransport final : public Transport {
   }
 
  private:
+  static constexpr int kPollsBeforePark = 64;
+
   Mailbox& inbox() { return *boxes_[static_cast<std::size_t>(rank_)]; }
 
   std::vector<Mailbox*> boxes_;

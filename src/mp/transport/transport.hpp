@@ -14,9 +14,9 @@
 //     host tokens from the rendezvous) exchange data frames over shared-
 //     memory SPSC rings instead of the socket (hybrid_transport.hpp).
 //
-// Comm's pt2pt core is written against this interface only; collectives on
-// the socket backend are layered on pt2pt (comm_dist.cpp) while the
-// modeled backend keeps its rendezvous CollectiveEngine.
+// Comm is written against this interface only: its pt2pt core and, on
+// every backend, its collectives, which are layered on pt2pt frames in a
+// reserved context (comm_dist.cpp).
 #pragma once
 
 #include <cstddef>

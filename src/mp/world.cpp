@@ -33,12 +33,13 @@ RunStats World::run(const std::function<void(Comm&)>& fn) {
 
 RunStats World::run_modeled(const std::function<void(Comm&)>& fn) {
   const int p = config_.num_ranks;
-  detail::RunContext context(p);
+  // One state per rank, in place for the whole run (never resized).
+  std::vector<detail::RankState> ranks(static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r) ranks[r].world_rank = r;
   for (auto& box : mailboxes_) box->reset();
   if constexpr (trace::compiled_in()) {
     if (config_.instrument)
-      for (auto& rs : context.ranks)
-        rs.init_instrumentation(config_.instrument_ring);
+      for (auto& rs : ranks) rs.init_instrumentation(config_.instrument_ring);
   }
 
   std::vector<std::exception_ptr> errors(p);
@@ -56,10 +57,7 @@ RunStats World::run_modeled(const std::function<void(Comm&)>& fn) {
   const auto start = std::chrono::steady_clock::now();
   auto body = [&](int rank) {
     Comm comm;
-    comm.world_ = this;
-    comm.run_ = &context;
-    comm.state_ = &context.ranks[rank];
-    comm.engine_ = &context.world_engine;
+    comm.state_ = &ranks[rank];
     comm.network_ = config_.machine.network.get();
     comm.costs_ = &config_.machine.costs;
     comm.transport_ = &transports[rank];
@@ -75,7 +73,7 @@ RunStats World::run_modeled(const std::function<void(Comm&)>& fn) {
       aborted[rank] = 1;
     } catch (...) {
       errors[rank] = std::current_exception();
-      context.abort_all();
+      // Every blocked rank, in a collective or not, waits in a mailbox.
       for (auto& box : mailboxes_) box->abort();
     }
   };
@@ -102,7 +100,7 @@ RunStats World::run_modeled(const std::function<void(Comm&)>& fn) {
   stats.rank_comm.resize(p);
   stats.rank_idle.resize(p);
   for (int r = 0; r < p; ++r) {
-    const auto& rs = context.ranks[r];
+    const auto& rs = ranks[r];
     stats.rank_finish[r] = rs.clock;
     stats.rank_compute[r] = rs.compute_time;
     stats.rank_comm[r] = rs.comm_time;
@@ -117,7 +115,7 @@ RunStats World::run_modeled(const std::function<void(Comm&)>& fn) {
     }
   }
   if (config_.trace) {
-    for (auto& rs : context.ranks) {
+    for (auto& rs : ranks) {
       stats.trace.insert(stats.trace.end(), rs.trace.begin(),
                          rs.trace.end());
       rs.trace.clear();
@@ -134,7 +132,7 @@ RunStats World::run_modeled(const std::function<void(Comm&)>& fn) {
   if constexpr (trace::compiled_in()) {
     if (config_.instrument) {
       stats.instrumented = true;
-      for (auto& rs : context.ranks) {
+      for (auto& rs : ranks) {
         if (rs.recorder == nullptr) continue;
         stats.metrics.merge_from(rs.recorder->metrics());
         const std::vector<trace::Event> events = rs.recorder->events().snapshot();
@@ -210,18 +208,14 @@ RunStats World::run_distributed(const std::function<void(Comm&)>& fn) {
   const int me = sock.rank;
 
   // This process hosts exactly one rank; peers run in their own processes.
-  detail::RunContext context(1);
-  context.ranks[0].world_rank = me;
+  detail::RankState rs;
+  rs.world_rank = me;
   if constexpr (trace::compiled_in()) {
-    if (config_.instrument)
-      context.ranks[0].init_instrumentation(config_.instrument_ring);
+    if (config_.instrument) rs.init_instrumentation(config_.instrument_ring);
   }
 
   Comm comm;
-  comm.world_ = this;
-  comm.run_ = &context;
-  comm.state_ = &context.ranks[0];
-  comm.engine_ = nullptr;  // collectives run on pt2pt (comm_dist.cpp)
+  comm.state_ = &rs;
   comm.network_ = config_.machine.network.get();
   comm.costs_ = &config_.machine.costs;
   comm.transport_ = socket_transport_.get();
@@ -240,7 +234,6 @@ RunStats World::run_distributed(const std::function<void(Comm&)>& fn) {
 
   // Snapshot local stats, then allgather so every rank reports the whole
   // world (the exchange itself is excluded from the snapshot).
-  const detail::RankState& rs = context.ranks[0];
   StatBlock mine;
   mine.finish = rs.clock;
   mine.compute = rs.compute_time;
@@ -281,16 +274,16 @@ RunStats World::run_distributed(const std::function<void(Comm&)>& fn) {
   // Trace / instrumentation views are per-process: only this rank's events
   // and metrics are available locally (peers live in other address spaces).
   if (config_.trace) {
-    stats.trace = std::move(context.ranks[0].trace);
+    stats.trace = std::move(rs.trace);
     std::stable_sort(stats.trace.begin(), stats.trace.end(),
                      [](const TraceEvent& a, const TraceEvent& b) {
                        return a.start < b.start;
                      });
   }
   if constexpr (trace::compiled_in()) {
-    if (config_.instrument && context.ranks[0].recorder != nullptr) {
+    if (config_.instrument && rs.recorder != nullptr) {
       stats.instrumented = true;
-      trace::Recorder& rec = *context.ranks[0].recorder;
+      trace::Recorder& rec = *rs.recorder;
       // Wire-level route breakdown from the transport (cumulative since
       // world formation — the recorder is fresh per run, so these read as
       // totals at the end of this run).

@@ -247,6 +247,10 @@ TEST(GroupSearch, TwoGroupsFinishTheTrySweepFasterThanOne) {
   g1.try_groups = 1;
   ParallelConfig g2;
   g2.try_groups = 2;
+  // No advisory exchange inside the sweep: whether a summary has arrived by
+  // the next drain depends on host scheduling, and draining one costs
+  // modeled broadcasts, which would make the virtual time nondeterministic.
+  g2.exchange_period = config.max_tries;
   const ParallelOutcome one = run_parallel_search(world, model, config, g1);
   const ParallelOutcome two = run_parallel_search(world, model, config, g2);
   EXPECT_EQ(one.search.tries, two.search.tries);

@@ -1,14 +1,15 @@
-// Direct unit tests for the minimpi internals: Mailbox matching/abort
-// semantics and the CollectiveEngine rendezvous, exercised without a World.
+// Direct unit tests for the minimpi Mailbox, exercised without a World:
+// matching, wildcard and abort semantics.  Every message, collective
+// frames included, passes through a Mailbox on the in-process backend;
+// collective behaviour and timing are covered through Comm in
+// test_mp_collectives and test_mp_time.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
-#include "mp/engine.hpp"
 #include "mp/mailbox.hpp"
-#include "util/error.hpp"
 
 namespace pac::mp {
 namespace {
@@ -102,96 +103,6 @@ TEST(Mailbox, PeekDoesNotConsume) {
   EXPECT_EQ(tag, 8);
   EXPECT_EQ(bytes, 16u);
   EXPECT_EQ(box.pending(), 1u);
-}
-
-TEST(Engine, FoldRunsExactlyOncePerPhase) {
-  constexpr int kRanks = 4;
-  CollectiveEngine engine(kRanks);
-  std::atomic<int> folds{0};
-  std::vector<std::thread> threads;
-  for (int r = 0; r < kRanks; ++r) {
-    threads.emplace_back([&, r] {
-      for (int phase = 0; phase < 10; ++phase) {
-        engine.run(r, nullptr, nullptr, /*arrival=*/0.0, /*cost=*/0.0,
-                   [&](std::span<const CollectiveSlot>) { ++folds; });
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(folds.load(), 10);
-}
-
-TEST(Engine, CompletionTimeIsMaxArrivalPlusCost) {
-  constexpr int kRanks = 3;
-  CollectiveEngine engine(kRanks);
-  std::vector<double> done(kRanks, 0.0);
-  std::vector<std::thread> threads;
-  for (int r = 0; r < kRanks; ++r) {
-    threads.emplace_back([&, r] {
-      done[r] = engine.run(r, nullptr, nullptr, /*arrival=*/r * 1.0,
-                           /*cost=*/0.5, FoldFn{});
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (int r = 0; r < kRanks; ++r) EXPECT_DOUBLE_EQ(done[r], 2.5);
-}
-
-TEST(Engine, FoldSeesEveryRanksSlots) {
-  constexpr int kRanks = 5;
-  CollectiveEngine engine(kRanks);
-  std::vector<double> inputs(kRanks);
-  std::vector<double> outputs(kRanks, 0.0);
-  for (int r = 0; r < kRanks; ++r) inputs[r] = r * 10.0;
-  std::vector<std::thread> threads;
-  for (int r = 0; r < kRanks; ++r) {
-    threads.emplace_back([&, r] {
-      engine.run(r, &inputs[r], &outputs[r], 0.0, 0.0,
-                 [](std::span<const CollectiveSlot> slots) {
-                   double sum = 0.0;
-                   for (const auto& s : slots)
-                     sum += *static_cast<const double*>(s.in);
-                   for (const auto& s : slots)
-                     *static_cast<double*>(s.out) = sum;
-                 });
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (int r = 0; r < kRanks; ++r) EXPECT_DOUBLE_EQ(outputs[r], 100.0);
-}
-
-TEST(Engine, AbortReleasesWaiters) {
-  CollectiveEngine engine(2);
-  std::atomic<bool> threw{false};
-  std::thread waiter([&] {
-    try {
-      engine.run(0, nullptr, nullptr, 0.0, 0.0, FoldFn{});
-    } catch (const Aborted&) {
-      threw = true;
-    }
-  });
-  engine.abort();
-  waiter.join();
-  EXPECT_TRUE(threw.load());
-  // Later arrivals also throw.
-  EXPECT_THROW(engine.run(1, nullptr, nullptr, 0.0, 0.0, FoldFn{}), Aborted);
-}
-
-TEST(Engine, SingleRankCompletesImmediately) {
-  CollectiveEngine engine(1);
-  int folds = 0;
-  const double done =
-      engine.run(0, nullptr, nullptr, 3.0, 0.25,
-                 [&](std::span<const CollectiveSlot>) { ++folds; });
-  EXPECT_DOUBLE_EQ(done, 3.25);
-  EXPECT_EQ(folds, 1);
-}
-
-TEST(Engine, RejectsOutOfRangeRank) {
-  CollectiveEngine engine(2);
-  EXPECT_THROW(engine.run(2, nullptr, nullptr, 0.0, 0.0, FoldFn{}),
-               pac::Error);
-  EXPECT_THROW(engine.run(-1, nullptr, nullptr, 0.0, 0.0, FoldFn{}),
-               pac::Error);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // oracle computes from the same per-rank inputs.
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 #include "mp/comm.hpp"

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "mp/comm.hpp"
+#include "transport_test_util.hpp"
 
 namespace pac::mp {
 namespace {
@@ -89,6 +91,113 @@ TEST(VirtualTime, MessageTransferChargesReceiver) {
       EXPECT_NEAR(comm.now(), expected, 1e-12);
     }
   });
+}
+
+TEST(VirtualTime, EveryCollectiveKindLeavesAtLatestArrivalPlusCost) {
+  // Rank r arrives at t = r; every rank, root or not, must leave at the
+  // latest arrival plus the kind's modeled cost, with the difference
+  // booked as idle time (evaluated as done - arrival - cost).
+  const net::Machine machine = flat_machine();
+  constexpr int kRanks = 4;
+  for (std::size_t k = 0; k < net::kNumCollectiveKinds; ++k) {
+    const auto kind = static_cast<net::CollectiveKind>(k);
+    SCOPED_TRACE(net::to_string(kind));
+    std::vector<std::size_t> bytes(kRanks);
+    std::vector<double> left(kRanks);
+    World world(config_with(machine, kRanks));
+    const RunStats stats = world.run([&](Comm& comm) {
+      const auto r = static_cast<std::size_t>(comm.rank());
+      comm.charge(static_cast<double>(comm.rank()));
+      bytes[r] = testutil::call_collective(comm, kind, 3);
+      left[r] = comm.now();
+    });
+    const double cost =
+        machine.network->collective_time(kind, bytes[0], kRanks);
+    const double done = 3.0 + cost;
+    double seconds = 0.0;
+    for (int r = 0; r < kRanks; ++r) {
+      const auto ur = static_cast<std::size_t>(r);
+      EXPECT_EQ(left[ur], done) << "rank " << r;
+      EXPECT_EQ(stats.rank_comm[ur], cost) << "rank " << r;
+      const double wait = done - static_cast<double>(r) - cost;
+      EXPECT_EQ(stats.rank_idle[ur], wait > 0.0 ? wait : 0.0) << "rank " << r;
+      seconds += cost;
+    }
+    EXPECT_EQ(stats.total_collectives, static_cast<std::uint64_t>(kRanks));
+    EXPECT_EQ(stats.collective_calls[k], static_cast<std::uint64_t>(kRanks));
+    EXPECT_EQ(stats.collective_seconds[k], seconds);
+  }
+}
+
+TEST(VirtualTime, EveryCollectiveKindOnSplitLeavesAtLatestArrivalPlusCost) {
+  const net::Machine machine = flat_machine();
+  constexpr int kRanks = 4;
+  for (std::size_t k = 0; k < net::kNumCollectiveKinds; ++k) {
+    const auto kind = static_cast<net::CollectiveKind>(k);
+    SCOPED_TRACE(net::to_string(kind));
+    std::vector<double> left(kRanks), done(kRanks), comm_time(kRanks),
+        idle(kRanks), kind_seconds(kRanks);
+    World world(config_with(machine, kRanks));
+    const RunStats stats = world.run([&](Comm& comm) {
+      const int r = comm.rank();
+      const auto ur = static_cast<std::size_t>(r);
+      // Pairs {0,2} and {1,3}, each ordered latest-arriving rank first, so
+      // the pair's leader is its last arrival and root 1 its first.
+      Comm pair = comm.split(r % 2, -r);
+      // The split's allgather leaves every rank at t0 with t0 of comm time.
+      const double t0 = comm.now();
+      comm.charge(static_cast<double>(r));
+      const std::size_t bytes = testutil::call_collective(pair, kind, 3);
+      left[ur] = comm.now();
+      const double cost = machine.network->collective_time(kind, bytes, 2);
+      done[ur] = (t0 + static_cast<double>(r % 2 + 2)) + cost;
+      const double wait = done[ur] - (t0 + static_cast<double>(r)) - cost;
+      comm_time[ur] = t0 + cost;
+      idle[ur] = wait > 0.0 ? wait : 0.0;
+      kind_seconds[ur] =
+          kind == net::CollectiveKind::kAllgather ? t0 + cost : cost;
+    });
+    double seconds = 0.0;
+    for (int r = 0; r < kRanks; ++r) {
+      const auto ur = static_cast<std::size_t>(r);
+      EXPECT_EQ(left[ur], done[ur]) << "rank " << r;
+      EXPECT_EQ(stats.rank_comm[ur], comm_time[ur]) << "rank " << r;
+      EXPECT_EQ(stats.rank_idle[ur], idle[ur]) << "rank " << r;
+      seconds += kind_seconds[ur];
+    }
+    const std::uint64_t calls =
+        kind == net::CollectiveKind::kAllgather ? 2 * kRanks : kRanks;
+    EXPECT_EQ(stats.total_collectives, static_cast<std::uint64_t>(2 * kRanks));
+    EXPECT_EQ(stats.collective_calls[k], calls);
+    EXPECT_EQ(stats.collective_seconds[k], seconds);
+  }
+}
+
+TEST(VirtualTime, EmptyCollectivesChargeZeroByteCost) {
+  // Each kind with empty spans as the first collective of a fresh run:
+  // still one collective per rank, charged the zero-byte cost.
+  const net::Machine machine = flat_machine();
+  for (const int p : {1, 2, 4}) {
+    for (std::size_t k = 0; k < net::kNumCollectiveKinds; ++k) {
+      const auto kind = static_cast<net::CollectiveKind>(k);
+      SCOPED_TRACE(std::string(net::to_string(kind)) + " on " +
+                   std::to_string(p) + " ranks");
+      World world(config_with(machine, p));
+      const RunStats stats = world.run([&](Comm& comm) {
+        EXPECT_EQ(testutil::call_collective(comm, kind, 0), 0u);
+      });
+      const double cost = machine.network->collective_time(kind, 0, p);
+      double seconds = 0.0;
+      for (int r = 0; r < p; ++r) {
+        EXPECT_EQ(stats.rank_comm[static_cast<std::size_t>(r)], cost);
+        seconds += cost;
+      }
+      EXPECT_EQ(stats.virtual_time, cost);
+      EXPECT_EQ(stats.total_collectives, static_cast<std::uint64_t>(p));
+      EXPECT_EQ(stats.collective_calls[k], static_cast<std::uint64_t>(p));
+      EXPECT_EQ(stats.collective_seconds[k], seconds);
+    }
+  }
 }
 
 TEST(VirtualTime, LateReceiverDoesNotWait) {

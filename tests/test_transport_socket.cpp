@@ -235,6 +235,26 @@ TEST(TransportSocket, RunStatsIdenticalOnEveryRank) {
   EXPECT_GE(stats[0].total_collectives, 3u * 2u);  // allreduce + barrier
 }
 
+TEST(TransportSocket, EmptyCollectivesCountOncePerRank) {
+  // Each kind with empty spans as the first collective of a fresh world.
+  constexpr int kRanks = 3;
+  for (std::size_t k = 0; k < net::kNumCollectiveKinds; ++k) {
+    const auto kind = static_cast<net::CollectiveKind>(k);
+    SCOPED_TRACE(net::to_string(kind));
+    const std::vector<RunStats> stats =
+        run_socket_world(kRanks, [&](Comm& comm) {
+          EXPECT_EQ(testutil::call_collective(comm, kind, 0), 0u);
+        });
+    // The world's start-up barrier adds one barrier per rank.
+    const std::uint64_t calls =
+        kind == net::CollectiveKind::kBarrier ? 2 * kRanks : kRanks;
+    for (const RunStats& s : stats) {
+      EXPECT_EQ(s.total_collectives, static_cast<std::uint64_t>(2 * kRanks));
+      EXPECT_EQ(s.collective_calls[k], calls);
+    }
+  }
+}
+
 TEST(TransportSocket, WorldIsReusableAcrossRuns) {
   // The socket mesh forms once and serves several run() calls.
   const std::string address = unique_address();

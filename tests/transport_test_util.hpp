@@ -221,6 +221,56 @@ inline void collective_suite(Comm& comm, std::vector<double>& sink) {
   comm.barrier();
 }
 
+/// Call collective `kind` once with `n`-element blocks of doubles and
+/// return the byte count it is charged for.  Rooted kinds use root 1 (when
+/// the group has one), which is neither the reduction leader nor, in the
+/// timing tests, the last rank to arrive.  n = 0 passes empty spans.
+inline std::size_t call_collective(Comm& comm, net::CollectiveKind kind,
+                                   std::size_t n) {
+  const int p = comm.size();
+  const int root = p > 1 ? 1 : 0;
+  const std::size_t total = n * static_cast<std::size_t>(p);
+  std::vector<double> in(total, 1.5), out(total, 0.0);
+  const std::span<const double> block(in.data(), n);
+  const std::span<double> out_block(out.data(), n);
+  switch (kind) {
+    case net::CollectiveKind::kBarrier:
+      comm.barrier();
+      return 0;
+    case net::CollectiveKind::kBcast:
+      comm.broadcast<double>(out_block, root);
+      break;
+    case net::CollectiveKind::kReduce:
+      comm.reduce<double>(block, out_block, ReduceOp::kSum, root);
+      break;
+    case net::CollectiveKind::kAllreduce:
+      comm.allreduce<double>(block, out_block, ReduceOp::kSum);
+      break;
+    case net::CollectiveKind::kGather:
+      comm.gather<double>(block, out, root);
+      break;
+    case net::CollectiveKind::kAllgather:
+      comm.allgather<double>(block, out);
+      break;
+    case net::CollectiveKind::kScatter:
+      comm.scatter<double>(in, out_block, root);
+      break;
+    case net::CollectiveKind::kScan:
+      comm.scan<double>(block, out_block, ReduceOp::kSum);
+      break;
+    case net::CollectiveKind::kAlltoall:
+      comm.alltoall<double>(in, out, n);
+      break;
+    case net::CollectiveKind::kReduceScatter:
+      comm.reduce_scatter<double>(in, out_block, ReduceOp::kSum);
+      break;
+    case net::CollectiveKind::kExscan:
+      comm.exscan<double>(block, out_block, ReduceOp::kSum);
+      break;
+  }
+  return n * sizeof(double);
+}
+
 inline void expect_bit_identical(
     const std::vector<std::vector<double>>& actual,
     const std::vector<std::vector<double>>& reference) {
