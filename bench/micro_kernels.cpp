@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "autoclass/em.hpp"
+#include "autoclass/report.hpp"
 #include "data/synth.hpp"
 #include "mp/comm.hpp"
 #include "util/math.hpp"
@@ -31,16 +32,55 @@ void BM_LogSumExp(benchmark::State& state) {
 }
 BENCHMARK(BM_LogSumExp)->Arg(8)->Arg(64)->Arg(512);
 
-void BM_LogSumExpFast(benchmark::State& state) {
-  // The reassociated 4-lane fold of the PAC_FAST_MATH tier.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Xoshiro256ss rng(1);
-  std::vector<double> v(n);
-  for (double& x : v) x = uniform_in(rng, -30.0, 0.0);
-  for (auto _ : state) benchmark::DoNotOptimize(logsumexp_fast(v));
-  state.SetItemsProcessed(state.iterations() * n);
+// ---- E-step row normalization: per-row oracle vs lanes = items ----
+
+/// One 256-item E-step block of log joints at J classes (range(0)), spread
+/// like a fitted mixture's rows: the max class near 0, the rest tens below.
+std::vector<double> normalize_bench_block(std::size_t n, std::size_t j) {
+  Xoshiro256ss rng(8);
+  std::vector<double> lj(n * j);
+  for (double& x : lj) x = uniform_in(rng, -40.0, -1.0);
+  return lj;
 }
-BENCHMARK(BM_LogSumExpFast)->Arg(8)->Arg(64)->Arg(512);
+
+void BM_NormalizeRowsScalar(benchmark::State& state) {
+  // The scalar oracle: item-major rows, logsumexp + pac::exp per row (what
+  // EmWorker::normalize_row runs per item).
+  constexpr std::size_t n = 256;
+  const auto j = static_cast<std::size_t>(state.range(0));
+  const std::vector<double> rows = normalize_bench_block(n, j);
+  std::vector<double> out(n * j);
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < n; ++r) {
+      const double* row = rows.data() + r * j;
+      const double lse = logsumexp(std::span<const double>(row, j));
+      for (std::size_t k = 0; k < j; ++k)
+        out[r * j + k] = pac::exp(row[k] - lse);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n * j);
+}
+BENCHMARK(BM_NormalizeRowsScalar)->Arg(4)->Arg(16);
+
+void BM_NormalizeRowsLanes(benchmark::State& state) {
+  // The same block class-major through the lane normalizer the E-step
+  // runs (bit-identical output), at the host's best dispatch level.
+  constexpr std::size_t n = 256;
+  const auto j = static_cast<std::size_t>(state.range(0));
+  const simd::ScopedForceLevel pin(simd::Level::kAvx2);
+  const std::vector<double> lj = normalize_bench_block(n, j);
+  std::vector<double> out(n * j), lse(n), scratch(2 * n);
+  for (auto _ : state) {
+    ac::normalize_log_joint(lj.data(), n, j, out.data(), lse.data(),
+                            scratch.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n * j);
+}
+BENCHMARK(BM_NormalizeRowsLanes)->Arg(4)->Arg(16);
 
 void BM_KahanSum(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -92,7 +92,7 @@ PERF_JSON="$BUILD_DIR/BENCH_micro_kernels.json"
 echo "== perf smoke: bench/micro_kernels $SMOKE -> $PERF_JSON =="
 if ! "$BUILD_DIR"/bench/micro_kernels $SMOKE \
     --benchmark_out="$PERF_JSON" --benchmark_out_format=json \
-    --benchmark_filter='UpdateWts|UpdateParams' >/dev/null; then
+    --benchmark_filter='UpdateWts|UpdateParams|NormalizeRows' >/dev/null; then
   echo "!! FAILED: perf smoke (bench/micro_kernels)" >&2
   failures=$((failures + 1))
 else

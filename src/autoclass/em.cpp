@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "autoclass/report.hpp"
 #include "util/error.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
@@ -122,13 +123,14 @@ EmWorker::EmWorker(const Model& model, data::ItemRange range,
 
 EmWorker::~EmWorker() = default;
 
-void EmWorker::run_blocks(std::size_t blocks,
-                          const std::function<void(std::size_t)>& fn) {
+void EmWorker::run_blocks(
+    std::size_t blocks,
+    const std::function<void(std::size_t, std::size_t)>& fn) {
   if (pool_ != nullptr) {
-    pool_->run(blocks, fn);
+    pool_->run_slotted(blocks, fn);
     return;
   }
-  for (std::size_t b = 0; b < blocks; ++b) fn(b);
+  for (std::size_t b = 0; b < blocks; ++b) fn(b, 0);
 }
 
 void EmWorker::random_init(Classification& c, std::uint64_t seed,
@@ -175,7 +177,7 @@ void EmWorker::random_init(Classification& c, std::uint64_t seed,
   // the E-step, a pure function of kEStepBlock, never of the thread count.
   const std::size_t blocks = block_count(range_.begin, range_.end);
   std::vector<std::exception_ptr> block_error(blocks);
-  run_blocks(blocks, [&](std::size_t b) {
+  run_blocks(blocks, [&](std::size_t b, std::size_t) {
     const data::ItemRange block = block_range(range_.begin, range_.end, b);
     try {
       std::vector<double> dist(block.size() * j, 0.0);
@@ -225,31 +227,35 @@ void EmWorker::random_init(Classification& c, std::uint64_t seed,
   c.log_likelihood = 0.0;
 }
 
+namespace {
+
+/// Fail loudly on an item whose row is -inf (or NaN) under every class:
+/// exp-normalizing it would turn the whole row into NaNs that silently
+/// poison the weight reduction.  Names the item and its least-impossible
+/// class; the row's class k value is row[k * stride].
+[[noreturn]] void throw_degenerate_row(std::size_t item, double lse,
+                                       const double* row, std::size_t j,
+                                       std::size_t stride) {
+  std::size_t best = 0;
+  for (std::size_t k = 1; k < j; ++k)
+    if (row[k * stride] > row[best * stride]) best = k;
+  std::ostringstream os;
+  os << "update_wts: item " << item << " has log-likelihood " << lse
+     << " under every class (J=" << j << ", best class " << best << " at "
+     << row[best * stride] << ") — zero-support value or emptied class; "
+     << "widen the priors or drop the offending attribute";
+  throw DegenerateRowError(os.str(), item, j);
+}
+
+}  // namespace
+
 void EmWorker::normalize_row(std::size_t item, double* row, std::size_t j,
                              std::span<double> wj, KahanSum& loglike) {
-  // The fast tier swaps in the reassociated 4-lane row reduction; the exact
-  // tier keeps the sequential oracle fold.
-  const std::span<const double> row_span(row, j);
-  const double lse =
-      fast_math_ ? logsumexp_fast(row_span) : logsumexp(row_span);
-  if (!std::isfinite(lse)) {
-    // Every class is at -inf (or a NaN crept in): exp-normalizing would
-    // turn the whole row into NaNs that silently poison the weight
-    // reduction.  Fail loudly, naming the item and its least-impossible
-    // class.
-    std::size_t best = 0;
-    for (std::size_t k = 1; k < j; ++k)
-      if (row[k] > row[best]) best = k;
-    std::ostringstream os;
-    os << "update_wts: item " << item << " has log-likelihood " << lse
-       << " under every class (J=" << j << ", best class " << best << " at "
-       << row[best] << ") — zero-support value or emptied class; widen the "
-       << "priors or drop the offending attribute";
-    throw DegenerateRowError(os.str(), item, j);
-  }
+  const double lse = logsumexp(std::span<const double>(row, j));
+  if (!std::isfinite(lse)) throw_degenerate_row(item, lse, row, j, 1);
   loglike.add(lse);
   for (std::size_t k = 0; k < j; ++k) {
-    row[k] = std::exp(row[k] - lse);
+    row[k] = pac::exp(row[k] - lse);
     wj[k] += row[k];
   }
 }
@@ -277,26 +283,57 @@ double EmWorker::finish_update_wts(Classification& c,
 }
 
 template <typename FillBlock>
-double EmWorker::update_wts_blocked(Classification& c, FillBlock&& fill) {
+double EmWorker::update_wts_blocked(Classification& c, FillBlock&& fill,
+                                    bool lanes) {
   const std::size_t j = c.num_classes();
   PAC_CHECK_MSG(j == num_classes_, "call random_init before update_wts");
   const std::size_t blocks = block_count(range_.begin, range_.end);
 
+  // One scratch slot per pool thread: the class-major log-joint block, the
+  // per-item lse, the normalizer's scratch, and the block's W_j partial.
+  const std::size_t slot_size = (j + 3) * kEStepBlock + j;
+  scratch_.resize(threads_ * slot_size);
+
   // Per-block partials: one W_j row and one compensated log-likelihood per
-  // block, plus the block's deferred error.  Blocks are claimed by whatever
-  // thread is free; determinism comes from the block-ordered fold below.
+  // block, plus the block's deferred error.  Each block folds in locals and
+  // stores its partials once, so blocks on different threads never write
+  // one cache line item by item.  Blocks are claimed by whatever thread is
+  // free; determinism comes from the block-ordered fold below.
   std::vector<double> block_wj(blocks * j, 0.0);
-  std::vector<KahanSum> block_loglike(blocks);
+  std::vector<double> block_loglike(blocks, 0.0);
   std::vector<std::exception_ptr> block_error(blocks);
-  run_blocks(blocks, [&](std::size_t b) {
+  run_blocks(blocks, [&](std::size_t b, std::size_t slot) {
     const data::ItemRange block = block_range(range_.begin, range_.end, b);
+    const std::size_t n = block.size();
+    double* lj = scratch_.data() + slot * slot_size;
+    double* lse = lj + j * kEStepBlock;
+    double* norm_scratch = lse + kEStepBlock;
+    const std::span<double> wj(norm_scratch + 2 * kEStepBlock, j);
     double* rows = weights_.data() + (block.begin - range_.begin) * j;
     try {
-      fill(block, rows);
-      const std::span<double> wj(block_wj.data() + b * j, j);
-      for (std::size_t r = 0; r < block.size(); ++r)
-        normalize_row(block.begin + r, rows + r * j, j, wj,
-                      block_loglike[b]);
+      fill(block, lj);
+      std::fill(wj.begin(), wj.end(), 0.0);
+      KahanSum loglike;
+      if (lanes) {
+        // Lanes = items: every item runs normalize_row's op sequence, so
+        // the weights, the lse fold and the W_j fold (item order per class)
+        // are bit-identical to the per-row oracle.
+        normalize_log_joint(lj, n, j, rows, lse, norm_scratch);
+        for (std::size_t r = 0; r < n; ++r) {
+          if (!std::isfinite(lse[r]))
+            throw_degenerate_row(block.begin + r, lse[r], lj + r, j, n);
+          loglike.add(lse[r]);
+          for (std::size_t k = 0; k < j; ++k) wj[k] += rows[r * j + k];
+        }
+      } else {
+        for (std::size_t r = 0; r < n; ++r) {
+          double* row = rows + r * j;
+          for (std::size_t k = 0; k < j; ++k) row[k] = lj[k * n + r];
+          normalize_row(block.begin + r, row, j, wj, loglike);
+        }
+      }
+      std::copy(wj.begin(), wj.end(), block_wj.begin() + b * j);
+      block_loglike[b] = loglike.value();
     } catch (...) {
       block_error[b] = std::current_exception();
     }
@@ -312,7 +349,7 @@ double EmWorker::update_wts_blocked(Classification& c, FillBlock&& fill) {
   for (std::size_t b = 0; b < blocks; ++b) {
     for (std::size_t k = 0; k < j; ++k)
       wj_and_loglike[k] += block_wj[b * j + k];
-    loglike.add(block_loglike[b].value());
+    loglike.add(block_loglike[b]);
   }
   wj_and_loglike[j] = loglike.value();
   return finish_update_wts(c, std::span<double>(wj_and_loglike));
@@ -320,40 +357,33 @@ double EmWorker::update_wts_blocked(Classification& c, FillBlock&& fill) {
 
 double EmWorker::update_wts(Classification& c) {
   PAC_TRACE_SCOPE(reducer_->recorder(), "em", "update_wts");
-  const std::size_t num_terms = model_->num_terms();
-  const std::size_t j = c.num_classes();
-  return update_wts_blocked(c, [&](data::ItemRange block, double* rows) {
-    // log L_ij = log pi_j + sum_t log p(x_i | theta_jt), assembled
-    // term-major: seed every row with the log mixing weights, then let each
-    // (term, class) kernel accumulate one class-column across the whole
-    // block.  Per item this adds log pi first and then the terms in index
-    // order — exactly the scalar oracle's order, which is what keeps the
-    // two paths bit-identical.
-    for (std::size_t r = 0; r < block.size(); ++r)
-      for (std::size_t k = 0; k < j; ++k) rows[r * j + k] = c.log_pi(k);
-    for (std::size_t t = 0; t < num_terms; ++t)
-      for (std::size_t k = 0; k < j; ++k)
-        model_->term(t).log_prob_batch(block, c.param_block(k, t), rows + k,
-                                       j);
-  });
+  return update_wts_blocked(
+      c,
+      [&](data::ItemRange block, double* lj) {
+        fill_log_joint(c, block, lj);
+      },
+      /*lanes=*/true);
 }
 
 double EmWorker::update_wts_scalar(Classification& c) {
   PAC_TRACE_SCOPE(reducer_->recorder(), "em", "update_wts_scalar");
   const std::size_t num_terms = model_->num_terms();
   const std::size_t j = c.num_classes();
-  return update_wts_blocked(c, [&](data::ItemRange block, double* rows) {
-    // log L_ij = log pi_j + sum_t log p(x_i | theta_jt), per item.
-    for (std::size_t i = block.begin; i < block.end; ++i) {
-      double* row = rows + (i - block.begin) * j;
-      for (std::size_t k = 0; k < j; ++k) {
-        double lp = c.log_pi(k);
-        for (std::size_t t = 0; t < num_terms; ++t)
-          lp += model_->term(t).log_prob(i, c.param_block(k, t));
-        row[k] = lp;
-      }
-    }
-  });
+  return update_wts_blocked(
+      c,
+      [&](data::ItemRange block, double* lj) {
+        // log L_ij = log pi_j + sum_t log p(x_i | theta_jt), per item.
+        const std::size_t n = block.size();
+        for (std::size_t i = block.begin; i < block.end; ++i) {
+          for (std::size_t k = 0; k < j; ++k) {
+            double lp = c.log_pi(k);
+            for (std::size_t t = 0; t < num_terms; ++t)
+              lp += model_->term(t).log_prob(i, c.param_block(k, t));
+            lj[k * n + (i - block.begin)] = lp;
+          }
+        }
+      },
+      /*lanes=*/false);
 }
 
 template <typename AccumulateBlock>
@@ -371,7 +401,7 @@ void EmWorker::accumulate_statistics_blocked(const Classification& c,
   // order — the same determinism structure as the E-step.
   const std::size_t blocks = block_count(begin, end);
   block_stats_.assign(blocks * j * spc, 0.0);
-  run_blocks(blocks, [&](std::size_t b) {
+  run_blocks(blocks, [&](std::size_t b, std::size_t) {
     const data::ItemRange block = block_range(begin, end, b);
     const double* block_weights = weights + (block.begin - weight_base) * j;
     accumulate(block, block_weights,

@@ -111,10 +111,10 @@ struct EmConfig {
   /// every value is bit-identical for any setting.
   int threads = 0;
   /// Opt-in fast-math tier (DESIGN.md §5): > 0 enables the reassociated
-  /// 4-lane folds in the E-step row reductions (logsumexp_fast) and the
-  /// M-step moment sums (Term::accumulate_batch_fast); < 0 forces them
-  /// off; 0 = read the PAC_FAST_MATH environment variable (unset/0/off =
-  /// exact tier).  Fast-math results are still deterministic — the lane
+  /// 4-lane folds in the M-step moment sums (Term::accumulate_batch_fast);
+  /// < 0 forces them off; 0 = read the PAC_FAST_MATH environment variable
+  /// (unset/0/off = exact tier).  The E-step is the exact one in both
+  /// tiers.  Fast-math results are still deterministic — the lane
   /// association is fixed by contract, so they are identical across SIMD
   /// levels, thread counts, and transports — but they are only
   /// tolerance-equal to the default tier, not bit-identical.
@@ -203,9 +203,10 @@ class EmWorker {
 
   /// E-step over the local partition; fills the local weight matrix, the
   /// global class weights W_j, and the global observed log-likelihood
-  /// (returned and stored in c.log_likelihood).  Runs the blocked,
-  /// term-major batch kernels (Term::log_prob_batch); per item the
-  /// accumulation order is log pi_j then terms in index order — the same as
+  /// (returned and stored in c.log_likelihood).  Each block is filled
+  /// class-major by fill_log_joint (the term-major batch kernels; per item
+  /// log pi_j then terms in index order) and normalized with lanes = items
+  /// (normalize_log_joint) — per item the same operations as
   /// update_wts_scalar, so both paths are bit-identical on every transport
   /// backend.  Blocks are work-shared across the configured thread pool and
   /// the per-block (W_j, log-likelihood) partials are folded in block-index
@@ -216,11 +217,11 @@ class EmWorker {
   double update_wts(Classification& c);
 
   /// Reference E-step: the per-item virtual log_prob chain the batch
-  /// kernels replaced, run through the identical blocked reduction
-  /// structure (per-block partials, block-ordered fold).  Kept as the
-  /// oracle the kernel-equality tests and BM_UpdateWts benches diff
-  /// against; identical reduction protocol and results (bit-for-bit) as
-  /// update_wts.
+  /// kernels replaced and the per-row normalize_row the lane normalizer
+  /// replaced, run through the identical blocked reduction structure
+  /// (per-block partials, block-ordered fold).  Kept as the oracle the
+  /// kernel-equality tests and BM_UpdateWts benches diff against; identical
+  /// reduction protocol and results (bit-for-bit) as update_wts.
   double update_wts_scalar(Classification& c);
 
   /// M-step: accumulate local statistics — blocked, (class, term)-major
@@ -271,23 +272,26 @@ class EmWorker {
   /// Common epilogue of both M-step paths: charge, reduce, MAP updates.
   void finish_update_parameters(Classification& c);
   /// Shared E-step scaffolding: block the partition, run `fill` per block
-  /// (work-shared), normalize rows into per-block partials, fold them in
-  /// block order, and finish.
+  /// (work-shared) into the slot's class-major scratch, normalize it into
+  /// the item-major weight rows — with lanes = items, or row by row through
+  /// normalize_row when `lanes` is false — fold per-block partials in block
+  /// order, and finish.
   template <typename FillBlock>
-  double update_wts_blocked(Classification& c, FillBlock&& fill);
-  /// Shared E-step tail per item: logsumexp-normalize `row` in place (with
-  /// the degenerate-row guard), fold the lse into `loglike` and the
-  /// normalized weights into `wj`.  Both update_wts paths run this with the
-  /// identical per-item call order, which is what keeps them bit-identical.
+  double update_wts_blocked(Classification& c, FillBlock&& fill, bool lanes);
+  /// The scalar oracle of the E-step tail per item: logsumexp-normalize
+  /// `row` in place with pac::exp (with the degenerate-row guard), fold the
+  /// lse into `loglike` and the normalized weights into `wj`.  The lane
+  /// normalizer of update_wts reproduces it bit for bit.
   void normalize_row(std::size_t item, double* row, std::size_t j,
                      std::span<double> wj, KahanSum& loglike);
   /// Common epilogue of both E-step paths: charge, reduce, store results.
   double finish_update_wts(Classification& c,
                            std::span<double> wj_and_loglike);
-  /// Run fn(b) for every block index in [0, blocks): through the pool when
-  /// one is configured, inline otherwise.  fn must not throw.
+  /// Run fn(b, slot) for every block index in [0, blocks): through the
+  /// pool when one is configured, inline otherwise; `slot` names the
+  /// running thread's scratch (ThreadPool::run_slotted).  fn must not throw.
   void run_blocks(std::size_t blocks,
-                  const std::function<void(std::size_t)>& fn);
+                  const std::function<void(std::size_t, std::size_t)>& fn);
 
   const Model* model_;
   const data::Dataset* data_;
@@ -300,6 +304,7 @@ class EmWorker {
   std::vector<double> full_weights_; // all items x J (WtsOnly only)
   std::vector<double> stats_;        // J x stats_per_class
   std::vector<double> block_stats_;  // per-block J x stats_per_class partials
+  std::vector<double> scratch_;      // per-thread E-step block scratch
   std::size_t threads_ = 1;          // resolved at random_init
   bool fast_math_ = false;           // resolved at random_init
   std::unique_ptr<ThreadPool> pool_; // non-null only when threads_ > 1

@@ -19,10 +19,9 @@ const char* to_string(TermKind kind) noexcept {
 }
 
 void Term::log_prob_batch(data::ItemRange range,
-                          std::span<const double> params, double* out,
-                          std::size_t stride) const {
-  for (std::size_t i = range.begin; i < range.end; ++i, out += stride)
-    *out += log_prob(i, params);
+                          std::span<const double> params, double* out) const {
+  for (std::size_t i = range.begin; i < range.end; ++i)
+    out[i - range.begin] += log_prob(i, params);
 }
 
 void Term::accumulate_batch_fast(data::ItemRange range, const double* weights,

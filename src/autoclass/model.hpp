@@ -84,10 +84,10 @@ class Term {
                           std::span<const double> params) const = 0;
 
   /// Batched E-step kernel: for every item i in `range`, *accumulate* this
-  /// term's log-probability under `params` into out[(i - range.begin) *
-  /// stride].  With `out` pointing at one class's column of a row-major
-  /// item x class buffer and `stride` = J, one call fills that column for a
-  /// whole item block.
+  /// term's log-probability under `params` into out[i - range.begin].  With
+  /// `out` pointing at one class's column of a class-major block (J
+  /// contiguous columns of range.size() items, fill_log_joint's layout),
+  /// one call fills that column for a whole item block.
   ///
   /// Contract: the value added per item must be bit-identical to
   /// log_prob(item, params).  Overrides may hoist loop-invariant work out of
@@ -97,8 +97,8 @@ class Term {
   /// tests diff against.  The default implementation loops over log_prob,
   /// so new term families are correct before they are fast.
   virtual void log_prob_batch(data::ItemRange range,
-                              std::span<const double> params, double* out,
-                              std::size_t stride) const;
+                              std::span<const double> params,
+                              double* out) const;
 
   /// M-step accumulation: absorb `item` with membership weight `w`.
   virtual void accumulate(std::size_t item, double w,
@@ -171,8 +171,8 @@ class Term {
 
   /// Batched seed-distance kernel: for every item i in `range`, *accumulate*
   /// this term's seed_distance(i, seed_item) into
-  /// out[(i - range.begin) * stride].  Same column-of-a-row-major-buffer
-  /// calling convention as log_prob_batch (stride = number of seeds).
+  /// out[(i - range.begin) * stride]: one column of a row-major item x seed
+  /// buffer (stride = number of seeds).
   ///
   /// Contract: the value added per item must be bit-identical to
   /// seed_distance(item, seed_item).  Overrides may hoist the seed item's

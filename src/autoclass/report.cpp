@@ -6,18 +6,39 @@
 
 #include "util/error.hpp"
 #include "util/math.hpp"
+#include "util/simd.hpp"
 
 namespace pac::ac {
 
 void fill_log_joint(const Classification& c, data::ItemRange block,
-                    double* rows) {
+                    double* lj) {
   const Model& model = c.model();
   const std::size_t j = c.num_classes();
-  for (std::size_t r = 0; r < block.size(); ++r)
-    for (std::size_t k = 0; k < j; ++k) rows[r * j + k] = c.log_pi(k);
+  const std::size_t n = block.size();
+  for (std::size_t k = 0; k < j; ++k)
+    std::fill_n(lj + k * n, n, c.log_pi(k));
   for (std::size_t t = 0; t < model.num_terms(); ++t)
     for (std::size_t k = 0; k < j; ++k)
-      model.term(t).log_prob_batch(block, c.param_block(k, t), rows + k, j);
+      model.term(t).log_prob_batch(block, c.param_block(k, t), lj + k * n);
+}
+
+void normalize_log_joint(const double* lj, std::size_t n, std::size_t j,
+                         double* out, double* lse, double* scratch) {
+  logsumexp_columns(lj, n, j, lse, scratch);
+  double* t = scratch;
+  for (std::size_t k = 0; k < j; ++k) {
+    for (std::size_t r = 0; r < n; ++r) t[r] = lj[k * n + r] - lse[r];
+    simd::exp_lanes(t, t, n);
+    for (std::size_t r = 0; r < n; ++r) out[r * j + k] = t[r];
+  }
+}
+
+std::size_t argmax_class(const double* lj, std::size_t n, std::size_t j,
+                         std::size_t r) {
+  std::size_t best = 0;
+  for (std::size_t k = 1; k < j; ++k)
+    if (lj[best * n + r] < lj[k * n + r]) best = k;
+  return best;
 }
 
 namespace {
@@ -56,7 +77,7 @@ std::vector<double> predict_membership(const Classification& c,
                                        std::size_t item) {
   auto row = log_joint_foreign(c, foreign, item);
   const double lse = logsumexp(row);
-  for (double& v : row) v = std::exp(v - lse);
+  for (double& v : row) v = pac::exp(v - lse);
   return row;
 }
 
@@ -83,15 +104,13 @@ std::vector<std::int32_t> assign_labels(const Classification& c) {
   const std::size_t n = c.model().dataset().num_items();
   const std::size_t j = c.num_classes();
   std::vector<std::int32_t> labels(n);
-  std::vector<double> rows(kReportBlock * j);
+  std::vector<double> lj(kReportBlock * j);
   for (std::size_t begin = 0; begin < n; begin += kReportBlock) {
     const data::ItemRange block{begin, std::min(begin + kReportBlock, n)};
-    fill_log_joint(c, block, rows.data());
-    for (std::size_t r = 0; r < block.size(); ++r) {
-      const double* row = rows.data() + r * j;
-      labels[block.begin + r] =
-          static_cast<std::int32_t>(std::max_element(row, row + j) - row);
-    }
+    fill_log_joint(c, block, lj.data());
+    for (std::size_t r = 0; r < block.size(); ++r)
+      labels[block.begin + r] = static_cast<std::int32_t>(
+          argmax_class(lj.data(), block.size(), j, r));
   }
   return labels;
 }
@@ -99,7 +118,7 @@ std::vector<std::int32_t> assign_labels(const Classification& c) {
 std::vector<double> membership(const Classification& c, std::size_t item) {
   auto row = log_joint(c, item);
   const double lse = logsumexp(row);
-  for (double& v : row) v = std::exp(v - lse);
+  for (double& v : row) v = pac::exp(v - lse);
   return row;
 }
 
@@ -145,15 +164,18 @@ double mean_max_membership(const Classification& c) {
   PAC_REQUIRE(n > 0);
   const std::size_t j = c.num_classes();
   KahanSum sum;
-  std::vector<double> rows(kReportBlock * j);
+  std::vector<double> lj(kReportBlock * j);
+  std::vector<double> lse(kReportBlock);
+  std::vector<double> scratch(2 * kReportBlock);
   for (std::size_t begin = 0; begin < n; begin += kReportBlock) {
     const data::ItemRange block{begin, std::min(begin + kReportBlock, n)};
-    fill_log_joint(c, block, rows.data());
-    for (std::size_t r = 0; r < block.size(); ++r) {
-      double* row = rows.data() + r * j;
-      const double lse = logsumexp(std::span<const double>(row, j));
+    const std::size_t bn = block.size();
+    fill_log_joint(c, block, lj.data());
+    logsumexp_columns(lj.data(), bn, j, lse.data(), scratch.data());
+    for (std::size_t r = 0; r < bn; ++r) {
       // max_j exp(row_j - lse): exp is monotone, so normalize only the max.
-      sum.add(std::exp(*std::max_element(row, row + j) - lse));
+      const double best = lj[argmax_class(lj.data(), bn, j, r) * bn + r];
+      sum.add(pac::exp(best - lse[r]));
     }
   }
   return sum.value() / static_cast<double>(n);

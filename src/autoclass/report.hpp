@@ -13,13 +13,30 @@ namespace pac::ac {
 /// Items per blocked report pass (matches the E-step's blocking).
 inline constexpr std::size_t kReportBlock = 256;
 
-/// Fill `rows` (block.size() x num_classes, row-major) with the log joint
-/// log pi_j + log p(x_i | theta_j) via the batched term kernels — the same
-/// accumulation order as the E-step, so values match the training path
-/// bit-for-bit.  This is the kernel entry every report/prediction helper
-/// and the pac_serve batch evaluator route through.
+/// Fill `lj` with the log joint log pi_j + log p(x_i | theta_j) of every
+/// item of `block` under every class via the batched term kernels,
+/// class-major: lj[k * n + r] holds class k of in-block item r, with
+/// n = block.size(), so each Term::log_prob_batch call writes one
+/// contiguous column.  Per item the additions run log pi_j first, then the
+/// terms in index order — the scalar oracle's order, so values match the
+/// training path bit-for-bit.  This is the one per-block fill: the E-step,
+/// every report/prediction helper and the pac_serve batch evaluator route
+/// through it.
 void fill_log_joint(const Classification& c, data::ItemRange block,
-                    double* rows);
+                    double* lj);
+
+/// Normalize a class-major log-joint block (fill_log_joint's layout) into
+/// item-major membership rows with lanes = items: lse[r] is logsumexp of
+/// in-block item r's row (logsumexp_columns) and out[r * j + k] =
+/// pac::exp(lj[k * n + r] - lse[r]) — bit-identical to normalizing each row
+/// with logsumexp and pac::exp.  `scratch` holds 2 * n doubles.
+void normalize_log_joint(const double* lj, std::size_t n, std::size_t j,
+                         double* out, double* lse, double* scratch);
+
+/// The class of in-block item r with the largest log joint in a class-major
+/// block, first maximum winning (std::max_element's rule).
+std::size_t argmax_class(const double* lj, std::size_t n, std::size_t j,
+                         std::size_t r);
 
 /// Hard class labels: argmax_j of the posterior membership of each item.
 std::vector<std::int32_t> assign_labels(const Classification& c);

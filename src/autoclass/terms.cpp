@@ -75,7 +75,7 @@ class SingleNormalTerm final : public Term {
   }
 
   void log_prob_batch(data::ItemRange range, std::span<const double> params,
-                      double* out, std::size_t stride) const override {
+                      double* out) const override {
     // Hoisted per class-column: the parameter loads, log(error_) — the
     // scalar path pays that transcendental per item — and the block fetch.
     // The per-item expression is log_prob's, unchanged, so the column stays
@@ -88,16 +88,16 @@ class SingleNormalTerm final : public Term {
     const double* x = view.data();
     if (simd::active()) {
       simd::gaussian_log_prob(x, view.size(), mean, sigma, log_sigma,
-                              log_error, out, stride);
+                              log_error, out);
       return;
     }
-    for (std::size_t r = 0; r < view.size(); ++r, out += stride) {
+    for (std::size_t r = 0; r < view.size(); ++r) {
       double lp = 0.0;
       if (!data::is_missing_real(x[r])) {
         const double z = (x[r] - mean) / sigma;
         lp = -0.5 * (kLog2Pi + z * z) - log_sigma + log_error;
       }
-      *out += lp;
+      out[r] += lp;
     }
   }
 
@@ -326,7 +326,7 @@ class SingleMultinomialTerm final : public Term {
   }
 
   void log_prob_batch(data::ItemRange range, std::span<const double> params,
-                      double* out, std::size_t stride) const override {
+                      double* out) const override {
     // The class's params block *is* the log-probability lookup table; the
     // batch path is a pure table walk with the missing policy and the block
     // fetch hoisted.
@@ -336,11 +336,11 @@ class SingleMultinomialTerm final : public Term {
     const std::int32_t* v = view.data();
     if (simd::active()) {
       simd::multinomial_log_prob(v, view.size(), params.data(), missing_lp,
-                                 out, stride);
+                                 out);
       return;
     }
-    for (std::size_t r = 0; r < view.size(); ++r, out += stride)
-      *out += v[r] == data::kMissingDiscrete
+    for (std::size_t r = 0; r < view.size(); ++r)
+      out[r] += v[r] == data::kMissingDiscrete
                   ? missing_lp
                   : params[static_cast<std::size_t>(v[r])];
   }
@@ -558,7 +558,7 @@ class MultiNormalTerm final : public Term {
   }
 
   void log_prob_batch(data::ItemRange range, std::span<const double> params,
-                      double* out, std::size_t stride) const override {
+                      double* out) const override {
     // The Cholesky factor lives in the params block (computed once per
     // M-step by update_params); hoist the factor/log-det loads and reuse
     // them across the whole block.
@@ -578,13 +578,13 @@ class MultiNormalTerm final : public Term {
       // whole-column call would; the kernel's lane structure depends only
       // on the in-block index, so the output is unchanged.
       simd::multinormal_log_prob(cols, d, 0, n, params.data(),
-                                 log_error_sum_, out, stride);
+                                 log_error_sum_, out);
       return;
     }
-    for (std::size_t r = 0; r < n; ++r, out += stride) {
+    for (std::size_t r = 0; r < n; ++r) {
       for (std::size_t k = 0; k < d; ++k) diff[k] = cols[k][r] - params[k];
       const double maha = spd::mahalanobis2(chol, d, diff);
-      *out += -0.5 * (dd * kLog2Pi + logdet + maha) + log_error_sum_;
+      out[r] += -0.5 * (dd * kLog2Pi + logdet + maha) + log_error_sum_;
     }
   }
 
@@ -950,7 +950,7 @@ class SingleLognormalTerm final : public Term {
   }
 
   void log_prob_batch(data::ItemRange range, std::span<const double> params,
-                      double* out, std::size_t stride) const override {
+                      double* out) const override {
     // Same hoists as the normal kernel (parameter loads, log(rel_error_));
     // log x is precomputed in log_column_ on the resident backend, or
     // recomputed into a per-call scratch block on the chunked one —
@@ -964,17 +964,17 @@ class SingleLognormalTerm final : public Term {
     const double* lx = log_block(range, scratch, heap);
     const std::size_t n = range.size();
     if (simd::active()) {
-      simd::lognormal_log_prob(lx, n, mean, sigma, log_sigma, log_error, out,
-                               stride);
+      simd::lognormal_log_prob(lx, n, mean, sigma, log_sigma, log_error,
+                               out);
       return;
     }
-    for (std::size_t r = 0; r < n; ++r, out += stride) {
+    for (std::size_t r = 0; r < n; ++r) {
       double lp = 0.0;
       if (!data::is_missing_real(lx[r])) {
         const double z = (lx[r] - mean) / sigma;
         lp = -0.5 * (kLog2Pi + z * z) - log_sigma - lx[r] + log_error;
       }
-      *out += lp;
+      out[r] += lp;
     }
   }
 
@@ -1220,9 +1220,8 @@ class IgnoreTerm final : public Term {
   // a -0.0 accumulator into +0.0, so a no-op would not be bit-identical to
   // the scalar chain on that (admittedly exotic) input.
   void log_prob_batch(data::ItemRange range, std::span<const double>,
-                      double* out, std::size_t stride) const override {
-    for (std::size_t i = range.begin; i < range.end; ++i, out += stride)
-      *out += 0.0;
+                      double* out) const override {
+    for (std::size_t r = 0; r < range.size(); ++r) out[r] += 0.0;
   }
   void accumulate(std::size_t, double, std::span<double>) const override {}
   // Zero statistics slots: there is nothing to add, so (unlike

@@ -1,12 +1,10 @@
 #include "serve/predictor.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "autoclass/report.hpp"
 #include "serve/protocol.hpp"
-#include "util/math.hpp"
 
 namespace pac::serve {
 
@@ -82,20 +80,19 @@ PredictOutput predict_batch(const ac::Classification& c,
   out.labels.resize(n);
   if (want_membership) out.membership.resize(n * j);
 
-  std::vector<double> rows(ac::kReportBlock * j);
+  std::vector<double> lj(ac::kReportBlock * j);
+  std::vector<double> lse(want_membership ? ac::kReportBlock : 0);
+  std::vector<double> scratch(want_membership ? 2 * ac::kReportBlock : 0);
   for (std::size_t begin = 0; begin < n; begin += ac::kReportBlock) {
     const data::ItemRange block{begin, std::min(begin + ac::kReportBlock, n)};
-    ac::fill_log_joint(ec, block, rows.data());
-    for (std::size_t r = 0; r < block.size(); ++r) {
-      double* row = rows.data() + r * j;
-      out.labels[block.begin + r] =
-          static_cast<std::int32_t>(std::max_element(row, row + j) - row);
-      if (want_membership) {
-        const double lse = logsumexp(std::span<const double>(row, j));
-        double* m = out.membership.data() + (block.begin + r) * j;
-        for (std::size_t k = 0; k < j; ++k) m[k] = std::exp(row[k] - lse);
-      }
-    }
+    ac::fill_log_joint(ec, block, lj.data());
+    for (std::size_t r = 0; r < block.size(); ++r)
+      out.labels[block.begin + r] = static_cast<std::int32_t>(
+          ac::argmax_class(lj.data(), block.size(), j, r));
+    if (want_membership)
+      ac::normalize_log_joint(lj.data(), block.size(), j,
+                              out.membership.data() + block.begin * j,
+                              lse.data(), scratch.data());
   }
   return out;
 }

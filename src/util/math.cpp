@@ -1,8 +1,129 @@
 #include "util/math.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+
+#include "util/exp_log_data.hpp"
+#include "util/simd.hpp"
 
 namespace pac {
+
+namespace {
+
+using namespace exp_log_data;
+
+// The bit patterns the decimal fdlibm constants must round to.
+static_assert(std::bit_cast<std::uint64_t>(kLn2Hi) == 0x3fe62e42fee00000);
+static_assert(std::bit_cast<std::uint64_t>(kLn2Lo) == 0x3dea39ef35793c76);
+static_assert(std::bit_cast<std::uint64_t>(kLg1) == 0x3fe5555555555593);
+static_assert(std::bit_cast<std::uint64_t>(kLg2) == 0x3fd999999997fa04);
+static_assert(std::bit_cast<std::uint64_t>(kLg3) == 0x3fd2492494229359);
+static_assert(std::bit_cast<std::uint64_t>(kLg4) == 0x3fcc71c51d8e78af);
+static_assert(std::bit_cast<std::uint64_t>(kLg5) == 0x3fc7466496cb03de);
+static_assert(std::bit_cast<std::uint64_t>(kLg6) == 0x3fc39a09d078c69f);
+static_assert(std::bit_cast<std::uint64_t>(kLg7) == 0x3fc2f112df3e5244);
+
+/// exp for 512 <= |x| < 1024, where 2^(k/128) leaves the normal range of
+/// the scale word: rescale by 2^1009 (overflow side) or 2^-1022, rounding
+/// subnormal results once to avoid double rounding (glibc's specialcase).
+double exp_specialcase(double tmp, std::uint64_t sbits,
+                       std::uint64_t ki) noexcept {
+  if ((ki & 0x80000000) == 0) {
+    // k > 0: the exponent of scale may have overflowed by <= 460.
+    sbits -= 1009ULL << 52;
+    const double scale = asdouble(sbits);
+    return 0x1p1009 * (scale + scale * tmp);
+  }
+  sbits += 1022ULL << 52;
+  const double scale = asdouble(sbits);
+  double y = scale + scale * tmp;
+  if (y < 1.0) {
+    double lo = scale - y + scale * tmp;
+    const double hi = 1.0 + y;
+    lo = 1.0 - hi + y + lo;
+    y = (hi + lo) - 1.0;
+    if (y == 0.0) y = 0.0;  // never -0.0
+  }
+  return 0x1p-1022 * y;
+}
+
+}  // namespace
+
+double exp(double x) noexcept {
+  std::uint32_t abstop =
+      static_cast<std::uint32_t>(asuint64(x) >> 52) & 0x7ff;
+  if (abstop - kExpTopTiny >= kExpTopBig - kExpTopTiny) {
+    if (abstop - kExpTopTiny >= 0x80000000) return 1.0 + x;  // |x| < 2^-54
+    if (abstop >= kExpTopBig + 1) {                          // |x| >= 1024
+      if (x == -std::numeric_limits<double>::infinity()) return 0.0;
+      if (abstop >= 0x7ff) return 1.0 + x;  // +inf or NaN
+      return (asuint64(x) >> 63) != 0
+                 ? 0.0
+                 : std::numeric_limits<double>::infinity();
+    }
+    abstop = 0;  // 512 <= |x| < 1024: finish in exp_specialcase
+  }
+  // x = k ln2/N + r, |r| <= ln2/2N; exp(x) = 2^(k/N) exp(r).
+  const double z = kInvLn2N * x;
+  double kd = z + kShift;
+  const std::uint64_t ki = asuint64(kd);
+  kd -= kShift;
+  const double r = x + kd * kNegLn2HiN + kd * kNegLn2LoN;
+  const std::uint64_t idx = 2 * (ki % kExpN);
+  const std::uint64_t top = ki << (52 - kExpTableBits);
+  const double tail = asdouble(kExpTable[idx]);
+  const std::uint64_t sbits = kExpTable[idx + 1] + top;
+  const double r2 = r * r;
+  const double tmp =
+      tail + r + r2 * (kExpC2 + r * kExpC3) + r2 * r2 * (kExpC4 + r * kExpC5);
+  if (abstop == 0) return exp_specialcase(tmp, sbits, ki);
+  const double scale = asdouble(sbits);
+  return scale + scale * tmp;
+}
+
+double log(double x) noexcept {
+  std::int32_t hx = static_cast<std::int32_t>(asuint64(x) >> 32);
+  const std::uint32_t lx = static_cast<std::uint32_t>(asuint64(x));
+  std::int32_t k = 0;
+  if (hx < 0x00100000) {  // x < 2^-1022, zero, or negative
+    if (((hx & 0x7fffffff) | static_cast<std::int32_t>(lx)) == 0)
+      return -std::numeric_limits<double>::infinity();
+    if (hx < 0) return std::numeric_limits<double>::quiet_NaN();
+    k -= 54;
+    x *= kTwo54;  // scale a subnormal up
+    hx = static_cast<std::int32_t>(asuint64(x) >> 32);
+  }
+  if (hx >= 0x7ff00000) return x + x;  // +inf or NaN
+  k += (hx >> 20) - 1023;
+  hx &= 0x000fffff;
+  const std::int32_t i = (hx + 0x95f64) & 0x100000;
+  // Normalize x or x/2 into [sqrt(2)/2, sqrt(2)).
+  x = asdouble((asuint64(x) & 0xffffffffULL) |
+               (static_cast<std::uint64_t>(hx | (i ^ 0x3ff00000)) << 32));
+  k += i >> 20;
+  const double f = x - 1.0;
+  const double dk = static_cast<double>(k);
+  if ((0x000fffff & (2 + hx)) < 3) {  // -2^-20 <= f < 2^-20
+    if (f == 0.0) return k == 0 ? 0.0 : dk * kLn2Hi + dk * kLn2Lo;
+    const double r = f * f * (0.5 - kOneThird * f);
+    if (k == 0) return f - r;
+    return dk * kLn2Hi - ((r - dk * kLn2Lo) - f);
+  }
+  const double s = f / (2.0 + f);
+  const double z = s * s;
+  const double w = z * z;
+  const double t1 = w * (kLg2 + w * (kLg4 + w * kLg6));
+  const double t2 = z * (kLg1 + w * (kLg3 + w * (kLg5 + w * kLg7)));
+  const double r = t2 + t1;
+  if (((hx - 0x6147a) | (0x6b851 - hx)) > 0) {
+    const double hfsq = 0.5 * f * f;
+    if (k == 0) return f - (hfsq - s * (hfsq + r));
+    return dk * kLn2Hi - ((hfsq - (s * (hfsq + r) + dk * kLn2Lo)) - f);
+  }
+  if (k == 0) return f - s * (f - r);
+  return dk * kLn2Hi - ((s * (f - r) - dk * kLn2Lo) - f);
+}
 
 double logsumexp(std::span<const double> v) noexcept {
   if (v.empty()) return -std::numeric_limits<double>::infinity();
@@ -10,27 +131,29 @@ double logsumexp(std::span<const double> v) noexcept {
   for (double x : v) m = std::max(m, x);
   if (m == -std::numeric_limits<double>::infinity()) return m;
   double s = 0.0;
-  for (double x : v) s += std::exp(x - m);
-  return m + std::log(s);
+  for (double x : v) s += pac::exp(x - m);
+  return m + pac::log(s);
 }
 
-double logsumexp_fast(std::span<const double> v) noexcept {
-  if (v.empty()) return -std::numeric_limits<double>::infinity();
+void logsumexp_columns(const double* x, std::size_t n, std::size_t j,
+                       double* lse, double* scratch) noexcept {
   const double ninf = -std::numeric_limits<double>::infinity();
-  const std::size_t n = v.size();
-  const std::size_t n4 = n & ~std::size_t{3};
-  double ml[4] = {ninf, ninf, ninf, ninf};
-  for (std::size_t i = 0; i < n4; i += 4)
-    for (std::size_t j = 0; j < 4; ++j) ml[j] = std::max(ml[j], v[i + j]);
-  double m = std::max(std::max(std::max(ml[0], ml[1]), ml[2]), ml[3]);
-  for (std::size_t i = n4; i < n; ++i) m = std::max(m, v[i]);
-  if (m == ninf) return m;
-  double sl[4] = {0.0, 0.0, 0.0, 0.0};
-  for (std::size_t i = 0; i < n4; i += 4)
-    for (std::size_t j = 0; j < 4; ++j) sl[j] += std::exp(v[i + j] - m);
-  double s = ((sl[0] + sl[1]) + sl[2]) + sl[3];
-  for (std::size_t i = n4; i < n; ++i) s += std::exp(v[i] - m);
-  return m + std::log(s);
+  double* m = lse;  // the running max lives in the output until the end
+  double* s = scratch;
+  double* t = scratch + n;
+  for (std::size_t r = 0; r < n; ++r) m[r] = ninf;
+  for (std::size_t k = 0; k < j; ++k)
+    for (std::size_t r = 0; r < n; ++r) m[r] = std::max(m[r], x[k * n + r]);
+  for (std::size_t r = 0; r < n; ++r) s[r] = 0.0;
+  for (std::size_t k = 0; k < j; ++k) {
+    for (std::size_t r = 0; r < n; ++r) t[r] = x[k * n + r] - m[r];
+    simd::exp_lanes(t, t, n);
+    for (std::size_t r = 0; r < n; ++r) s[r] += t[r];
+  }
+  simd::log_lanes(s, s, n);
+  // An all -inf item keeps lse = -inf, as logsumexp returns early there.
+  for (std::size_t r = 0; r < n; ++r)
+    if (m[r] != ninf) lse[r] = m[r] + s[r];
 }
 
 double digamma(double x) noexcept {

@@ -24,27 +24,31 @@ inline double safe_log(double x) noexcept {
 
 inline double sq(double x) noexcept { return x * x; }
 
+/// The project's own exp and log: the oracle every E-step normalization,
+/// report and served membership evaluates, so results do not depend on the
+/// host's libm.  pac::exp is glibc's algorithm (a 128-entry 2^(i/128)
+/// value + tail table from exp_table.inc, a degree-5 polynomial, and the
+/// same subnormal and overflow branches); pac::log is fdlibm's.  Both are
+/// evaluated without FMA, so the lane kernels in util/simd.hpp reproduce
+/// them bit for bit, and both stay within 1 ULP of glibc.
+double exp(double x) noexcept;
+double log(double x) noexcept;
+
 /// Numerically stable log(sum_i exp(v_i)) over a span.
 ///
 /// Returns -inf for an empty span.  Single pass for max, second for sum; the
-/// shift by the max keeps every exponent <= 0.
+/// shift by the max keeps every exponent <= 0.  Uses pac::exp and pac::log.
 double logsumexp(std::span<const double> v) noexcept;
 
-/// Reassociated logsumexp for the opt-in PAC_FAST_MATH tier: the max scan
-/// and the exp sum run as the fixed 4-lane fold documented in util/simd.hpp
-/// (lane j covers indices ≡ j mod 4, lanes combine ((l0+l1)+l2)+l3, tail in
-/// order).  Same -inf/empty semantics as logsumexp; deterministic — the
-/// association is part of the contract — but validated against logsumexp by
-/// relative-error tolerance, not memcmp.
-double logsumexp_fast(std::span<const double> v) noexcept;
-
-/// logsumexp of exactly two values (the common binary-merge case).
-inline double logsumexp2(double a, double b) noexcept {
-  if (a == -std::numeric_limits<double>::infinity()) return b;
-  if (b == -std::numeric_limits<double>::infinity()) return a;
-  const double m = a > b ? a : b;
-  return m + std::log(std::exp(a - m) + std::exp(b - m));
-}
+/// Lanes = items form of logsumexp over a class-major block: `x` holds `j`
+/// columns of `n` items (x[k * n + r]), and lse[r] receives logsumexp of
+/// item r's j values with logsumexp's exact per-item sequence (max in class
+/// order, the exp(x - max) sum in class order, max + log(sum)), so it is
+/// bit-identical to logsumexp over that item's row.  The exp and log run
+/// through the lane kernels of util/simd.hpp.  `scratch` holds 2 * n
+/// doubles.
+void logsumexp_columns(const double* x, std::size_t n, std::size_t j,
+                       double* lse, double* scratch) noexcept;
 
 /// Kahan–Babuška compensated accumulator.
 ///

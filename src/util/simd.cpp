@@ -119,52 +119,50 @@ namespace {
 
 void gaussian_log_prob_portable(const double* x, std::size_t n, double mean,
                                 double sigma, double log_sigma,
-                                double log_error, double* out,
-                                std::size_t stride) noexcept {
-  for (std::size_t i = 0; i < n; ++i, out += stride) {
+                                double log_error, double* out) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
     double lp = 0.0;
     if (!std::isnan(x[i])) {
       const double z = (x[i] - mean) / sigma;
       lp = -0.5 * (kLog2Pi + z * z) - log_sigma + log_error;
     }
-    *out += lp;
+    out[i] += lp;
   }
 }
 
 void lognormal_log_prob_portable(const double* lx, std::size_t n, double mean,
                                  double sigma, double log_sigma,
-                                 double log_error, double* out,
-                                 std::size_t stride) noexcept {
-  for (std::size_t i = 0; i < n; ++i, out += stride) {
+                                 double log_error, double* out) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
     double lp = 0.0;
     if (!std::isnan(lx[i])) {
       const double z = (lx[i] - mean) / sigma;
       lp = -0.5 * (kLog2Pi + z * z) - log_sigma - lx[i] + log_error;
     }
-    *out += lp;
+    out[i] += lp;
   }
 }
 
 void multinomial_log_prob_portable(const std::int32_t* v, std::size_t n,
                                    const double* table, double missing_lp,
-                                   double* out, std::size_t stride) noexcept {
-  for (std::size_t i = 0; i < n; ++i, out += stride)
-    *out += v[i] < 0 ? missing_lp : table[static_cast<std::size_t>(v[i])];
+                                   double* out) noexcept {
+  for (std::size_t i = 0; i < n; ++i)
+    out[i] += v[i] < 0 ? missing_lp : table[static_cast<std::size_t>(v[i])];
 }
 
 void multinormal_log_prob_portable(const double* const* cols, std::size_t d,
                                    std::size_t i0, std::size_t n,
                                    const double* params, double log_error_sum,
-                                   double* out, std::size_t stride) noexcept {
+                                   double* out) noexcept {
   double diff_stack[32];
   std::span<double> diff(diff_stack, d);
   const std::span<const double> chol(params + d, d * d);
   const double logdet = params[d + d * d];
   const double dd = static_cast<double>(d);
-  for (std::size_t i = 0; i < n; ++i, out += stride) {
+  for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t k = 0; k < d; ++k) diff[k] = cols[k][i0 + i] - params[k];
     const double maha = spd::mahalanobis2(chol, d, diff);
-    *out += -0.5 * (dd * kLog2Pi + logdet + maha) + log_error_sum;
+    out[i] += -0.5 * (dd * kLog2Pi + logdet + maha) + log_error_sum;
   }
 }
 
@@ -290,7 +288,7 @@ void multinormal_accumulate_fast_portable(const double* const* cols,
 
 void gaussian_log_prob_neon(const double* x, std::size_t n, double mean,
                             double sigma, double log_sigma, double log_error,
-                            double* out, std::size_t stride) noexcept {
+                            double* out) noexcept {
   const float64x2_t vmean = vdupq_n_f64(mean);
   const float64x2_t vsigma = vdupq_n_f64(sigma);
   const float64x2_t vlogsig = vdupq_n_f64(log_sigma);
@@ -299,7 +297,7 @@ void gaussian_log_prob_neon(const double* x, std::size_t n, double mean,
   const float64x2_t vneghalf = vdupq_n_f64(-0.5);
   const std::size_t n2 = n & ~std::size_t{1};
   std::size_t i = 0;
-  for (; i < n2; i += 2, out += 2 * stride) {
+  for (; i < n2; i += 2) {
     const float64x2_t xv = vld1q_f64(x + i);
     const float64x2_t z = vdivq_f64(vsubq_f64(xv, vmean), vsigma);
     float64x2_t lp = vmulq_f64(vneghalf, vaddq_f64(vlog2pi, vmulq_f64(z, z)));
@@ -308,19 +306,16 @@ void gaussian_log_prob_neon(const double* x, std::size_t n, double mean,
     const uint64x2_t ord = vceqq_f64(xv, xv);
     lp = vreinterpretq_f64_u64(
         vandq_u64(ord, vreinterpretq_u64_f64(lp)));
-    double tmp[2];
-    vst1q_f64(tmp, lp);
-    out[0] += tmp[0];
-    out[stride] += tmp[1];
+    vst1q_f64(out + i, vaddq_f64(vld1q_f64(out + i), lp));
   }
   if (i < n)
     gaussian_log_prob_portable(x + i, n - i, mean, sigma, log_sigma,
-                               log_error, out, stride);
+                               log_error, out + i);
 }
 
 void lognormal_log_prob_neon(const double* lx, std::size_t n, double mean,
                              double sigma, double log_sigma, double log_error,
-                             double* out, std::size_t stride) noexcept {
+                             double* out) noexcept {
   const float64x2_t vmean = vdupq_n_f64(mean);
   const float64x2_t vsigma = vdupq_n_f64(sigma);
   const float64x2_t vlogsig = vdupq_n_f64(log_sigma);
@@ -329,7 +324,7 @@ void lognormal_log_prob_neon(const double* lx, std::size_t n, double mean,
   const float64x2_t vneghalf = vdupq_n_f64(-0.5);
   const std::size_t n2 = n & ~std::size_t{1};
   std::size_t i = 0;
-  for (; i < n2; i += 2, out += 2 * stride) {
+  for (; i < n2; i += 2) {
     const float64x2_t xv = vld1q_f64(lx + i);
     const float64x2_t z = vdivq_f64(vsubq_f64(xv, vmean), vsigma);
     float64x2_t lp = vmulq_f64(vneghalf, vaddq_f64(vlog2pi, vmulq_f64(z, z)));
@@ -337,14 +332,11 @@ void lognormal_log_prob_neon(const double* lx, std::size_t n, double mean,
     const uint64x2_t ord = vceqq_f64(xv, xv);
     lp = vreinterpretq_f64_u64(
         vandq_u64(ord, vreinterpretq_u64_f64(lp)));
-    double tmp[2];
-    vst1q_f64(tmp, lp);
-    out[0] += tmp[0];
-    out[stride] += tmp[1];
+    vst1q_f64(out + i, vaddq_f64(vld1q_f64(out + i), lp));
   }
   if (i < n)
     lognormal_log_prob_portable(lx + i, n - i, mean, sigma, log_sigma,
-                                log_error, out, stride);
+                                log_error, out + i);
 }
 
 #endif  // PAC_SIMD_HAVE_NEON
@@ -357,69 +349,80 @@ void lognormal_log_prob_neon(const double* lx, std::size_t n, double mean,
 
 void gaussian_log_prob(const double* x, std::size_t n, double mean,
                        double sigma, double log_sigma, double log_error,
-                       double* out, std::size_t stride) noexcept {
+                       double* out) noexcept {
 #if PAC_SIMD_HAVE_X86
   if (level() == Level::kAvx2) {
-    avx2::gaussian_log_prob(x, n, mean, sigma, log_sigma, log_error, out,
-                            stride);
+    avx2::gaussian_log_prob(x, n, mean, sigma, log_sigma, log_error, out);
     return;
   }
 #elif PAC_SIMD_HAVE_NEON
   if (level() == Level::kNeon) {
-    gaussian_log_prob_neon(x, n, mean, sigma, log_sigma, log_error, out,
-                           stride);
+    gaussian_log_prob_neon(x, n, mean, sigma, log_sigma, log_error, out);
     return;
   }
 #endif
-  gaussian_log_prob_portable(x, n, mean, sigma, log_sigma, log_error, out,
-                             stride);
+  gaussian_log_prob_portable(x, n, mean, sigma, log_sigma, log_error, out);
 }
 
 void lognormal_log_prob(const double* lx, std::size_t n, double mean,
                         double sigma, double log_sigma, double log_error,
-                        double* out, std::size_t stride) noexcept {
+                        double* out) noexcept {
 #if PAC_SIMD_HAVE_X86
   if (level() == Level::kAvx2) {
-    avx2::lognormal_log_prob(lx, n, mean, sigma, log_sigma, log_error, out,
-                             stride);
+    avx2::lognormal_log_prob(lx, n, mean, sigma, log_sigma, log_error, out);
     return;
   }
 #elif PAC_SIMD_HAVE_NEON
   if (level() == Level::kNeon) {
-    lognormal_log_prob_neon(lx, n, mean, sigma, log_sigma, log_error, out,
-                            stride);
+    lognormal_log_prob_neon(lx, n, mean, sigma, log_sigma, log_error, out);
     return;
   }
 #endif
-  lognormal_log_prob_portable(lx, n, mean, sigma, log_sigma, log_error, out,
-                              stride);
+  lognormal_log_prob_portable(lx, n, mean, sigma, log_sigma, log_error, out);
 }
 
 void multinomial_log_prob(const std::int32_t* v, std::size_t n,
-                          const double* table, double missing_lp, double* out,
-                          std::size_t stride) noexcept {
+                          const double* table, double missing_lp,
+                          double* out) noexcept {
 #if PAC_SIMD_HAVE_X86
   if (level() == Level::kAvx2) {
-    avx2::multinomial_log_prob(v, n, table, missing_lp, out, stride);
+    avx2::multinomial_log_prob(v, n, table, missing_lp, out);
     return;
   }
 #endif
-  multinomial_log_prob_portable(v, n, table, missing_lp, out, stride);
+  multinomial_log_prob_portable(v, n, table, missing_lp, out);
 }
 
 void multinormal_log_prob(const double* const* cols, std::size_t d,
                           std::size_t i0, std::size_t n, const double* params,
-                          double log_error_sum, double* out,
-                          std::size_t stride) noexcept {
+                          double log_error_sum, double* out) noexcept {
 #if PAC_SIMD_HAVE_X86
   if (level() == Level::kAvx2) {
-    avx2::multinormal_log_prob(cols, d, i0, n, params, log_error_sum, out,
-                               stride);
+    avx2::multinormal_log_prob(cols, d, i0, n, params, log_error_sum, out);
     return;
   }
 #endif
-  multinormal_log_prob_portable(cols, d, i0, n, params, log_error_sum, out,
-                                stride);
+  multinormal_log_prob_portable(cols, d, i0, n, params, log_error_sum, out);
+}
+
+void exp_lanes(const double* x, double* y, std::size_t n) noexcept {
+#if PAC_SIMD_HAVE_X86
+  if (level() == Level::kAvx2) {
+    avx2::exp_lanes(x, y, n);
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < n; ++i) y[i] = pac::exp(x[i]);
+}
+
+void log_lanes(const double* x, double* y, std::size_t n) noexcept {
+#if PAC_SIMD_HAVE_X86
+  if (level() == Level::kAvx2) {
+    avx2::log_lanes(x, y, n);
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < n; ++i) y[i] = pac::log(x[i]);
 }
 
 void gaussian_accumulate_fast(const double* x, const double* weights,

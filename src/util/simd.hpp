@@ -14,17 +14,18 @@
 //      with -ffp-contract=off so the scalar oracle cannot silently contract
 //      either).  The M-step moment folds are order-pinned reductions and
 //      therefore have *no* default-tier vector form.
-//   3. *Tolerance-checked fast math* (`*_accumulate_fast`,
-//      `pac::logsumexp_fast`) — opt-in via EmConfig::fast_math /
-//      PAC_FAST_MATH.  Reassociates the M-step moment sums and the E-step
-//      row reductions into a fixed 4-lane fold: lane j sums items with
-//      index ≡ j (mod 4) below the last full group, lanes combine as
+//   3. *Tolerance-checked fast math* (`*_accumulate_fast`) — opt-in via
+//      EmConfig::fast_math / PAC_FAST_MATH.  Reassociates the M-step moment
+//      sums into a fixed 4-lane fold: lane j sums items with index ≡ j
+//      (mod 4) below the last full group, lanes combine as
 //      ((l0+l1)+l2)+l3, then the tail items fold in item order.  The
 //      association is a constant of the *contract*, not of the instruction
 //      set, so fast-math results are still deterministic — identical across
 //      AVX2/NEON/portable dispatch, thread counts, and transports — merely
 //      not bit-identical to the scalar-order oracle (validated by a
-//      relative-error tolerance oracle instead of memcmp).
+//      relative-error tolerance oracle instead of memcmp).  The E-step row
+//      normalization has no fast form: the exact lane kernels below already
+//      outrun a reassociated per-row fold.
 //
 // Dispatch: `level()` resolves once from the environment and the CPU —
 // AVX2 on x86-64 hosts that support it, NEON on aarch64, otherwise the
@@ -89,27 +90,28 @@ class ScopedForceLevel {
 
 // ---------------------------------------------------------------------------
 // Bit-identical E-step block kernels (default tier).  Every kernel
-// *accumulates* into out[(i) * stride] for i in [0, n), mirroring the
-// corresponding Term::log_prob_batch scalar loop operation for operation.
-// Callers only invoke these when active(); each dispatches on level().
+// *accumulates* into out[i] for i in [0, n) — one class column of a
+// class-major block — mirroring the corresponding Term::log_prob_batch
+// scalar loop operation for operation.  Callers only invoke these when
+// active(); each dispatches on level().
 // ---------------------------------------------------------------------------
 
 /// lp = -0.5*(kLog2Pi + z*z) - log_sigma + log_error with z = (x-mean)/sigma;
 /// NaN x (missing) contributes exactly 0.0.
 void gaussian_log_prob(const double* x, std::size_t n, double mean,
                        double sigma, double log_sigma, double log_error,
-                       double* out, std::size_t stride) noexcept;
+                       double* out) noexcept;
 
 /// lp = -0.5*(kLog2Pi + z*z) - log_sigma - lx + log_error over the
 /// precomputed log column; NaN lx contributes exactly 0.0.
 void lognormal_log_prob(const double* lx, std::size_t n, double mean,
                         double sigma, double log_sigma, double log_error,
-                        double* out, std::size_t stride) noexcept;
+                        double* out) noexcept;
 
 /// Table walk: out += table[v[i]], missing (v < 0) takes missing_lp.
 void multinomial_log_prob(const std::int32_t* v, std::size_t n,
-                          const double* table, double missing_lp, double* out,
-                          std::size_t stride) noexcept;
+                          const double* table, double missing_lp,
+                          double* out) noexcept;
 
 /// Multivariate normal over `d` column pointers starting at item i0:
 /// diff = x - mean, lane-wise forward solve against the Cholesky factor
@@ -118,8 +120,21 @@ void multinomial_log_prob(const std::int32_t* v, std::size_t n,
 /// Requires d <= 32 and complete rows (the term forbids missing values).
 void multinormal_log_prob(const double* const* cols, std::size_t d,
                           std::size_t i0, std::size_t n, const double* params,
-                          double log_error_sum, double* out,
-                          std::size_t stride) noexcept;
+                          double log_error_sum, double* out) noexcept;
+
+// ---------------------------------------------------------------------------
+// Lane-exact exp and log (default tier): y[i] = pac::exp(x[i]) /
+// pac::log(x[i]) bit for bit, lanes = items.  Each vector lane runs the
+// scalar function's operation sequence; a lane outside the range the
+// vector body covers (exp: |x| >= 512, NaN or ±inf; log: anything but a
+// positive normal finite x) is recomputed by the scalar function, and an
+// exp lane with |x| < 2^-54 takes the scalar `1.0 + x` branch in-vector.
+// These run at ANY dispatch level — the portable loop calls the scalar
+// functions — and `x` may alias `y`.
+// ---------------------------------------------------------------------------
+
+void exp_lanes(const double* x, double* y, std::size_t n) noexcept;
+void log_lanes(const double* x, double* y, std::size_t n) noexcept;
 
 // ---------------------------------------------------------------------------
 // Fast-math M-step folds (tolerance tier).  Weighted-moment reductions in

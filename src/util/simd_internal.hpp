@@ -25,20 +25,22 @@ namespace pac::simd::avx2 {
 
 void gaussian_log_prob(const double* x, std::size_t n, double mean,
                        double sigma, double log_sigma, double log_error,
-                       double* out, std::size_t stride) noexcept;
+                       double* out) noexcept;
 
 void lognormal_log_prob(const double* lx, std::size_t n, double mean,
                         double sigma, double log_sigma, double log_error,
-                        double* out, std::size_t stride) noexcept;
+                        double* out) noexcept;
 
 void multinomial_log_prob(const std::int32_t* v, std::size_t n,
-                          const double* table, double missing_lp, double* out,
-                          std::size_t stride) noexcept;
+                          const double* table, double missing_lp,
+                          double* out) noexcept;
 
 void multinormal_log_prob(const double* const* cols, std::size_t d,
                           std::size_t i0, std::size_t n, const double* params,
-                          double log_error_sum, double* out,
-                          std::size_t stride) noexcept;
+                          double log_error_sum, double* out) noexcept;
+
+void exp_lanes(const double* x, double* y, std::size_t n) noexcept;
+void log_lanes(const double* x, double* y, std::size_t n) noexcept;
 
 void gaussian_accumulate_fast(const double* x, const double* weights,
                               std::size_t wstride, std::size_t n,

@@ -9,7 +9,7 @@ ThreadPool::ThreadPool(std::size_t threads)
     : threads_(threads == 0 ? 1 : std::min(threads, kMaxThreads)) {
   workers_.reserve(threads_ - 1);
   for (std::size_t t = 1; t < threads_; ++t)
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, t] { worker_loop(t); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -23,9 +23,15 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::run(std::size_t count,
                      const std::function<void(std::size_t)>& task) {
+  run_slotted(count, [&task](std::size_t i, std::size_t) { task(i); });
+}
+
+void ThreadPool::run_slotted(
+    std::size_t count,
+    const std::function<void(std::size_t, std::size_t)>& task) {
   if (count == 0) return;
   if (workers_.empty() || count == 1) {
-    for (std::size_t i = 0; i < count; ++i) task(i);
+    for (std::size_t i = 0; i < count; ++i) task(i, 0);
     return;
   }
   {
@@ -39,16 +45,16 @@ void ThreadPool::run(std::size_t count,
   work_cv_.notify_all();
   // The owner is a full participant: claim indices until none are left.
   for (std::size_t i = next_.fetch_add(1); i < count; i = next_.fetch_add(1))
-    task(i);
+    task(i, 0);
   std::unique_lock<std::mutex> lock(mutex_);
   done_cv_.wait(lock, [this] { return active_ == 0; });
   task_ = nullptr;
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(std::size_t slot) {
   std::uint64_t seen = 0;
   for (;;) {
-    const std::function<void(std::size_t)>* task = nullptr;
+    const std::function<void(std::size_t, std::size_t)>* task = nullptr;
     std::size_t count = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
@@ -60,7 +66,7 @@ void ThreadPool::worker_loop() {
     }
     for (std::size_t i = next_.fetch_add(1); i < count;
          i = next_.fetch_add(1))
-      (*task)(i);
+      (*task)(i, slot);
     bool last = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);

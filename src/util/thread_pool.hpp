@@ -44,6 +44,14 @@ class ThreadPool {
   /// deterministic too).  Only the owning thread may call run().
   void run(std::size_t count, const std::function<void(std::size_t)>& task);
 
+  /// run() that also passes the running thread's slot in [0, threads())
+  /// as the task's second argument (0 = the calling thread).  No two
+  /// concurrently running indices share a slot, so a caller can hand each
+  /// slot its own scratch buffer.
+  void run_slotted(
+      std::size_t count,
+      const std::function<void(std::size_t index, std::size_t slot)>& task);
+
   /// Resolve an EmConfig-style thread request: n >= 1 is taken as-is, 0
   /// reads the PAC_EM_THREADS environment variable (default 1).  The result
   /// is clamped to [1, kMaxThreads].
@@ -52,7 +60,7 @@ class ThreadPool {
   static constexpr std::size_t kMaxThreads = 256;
 
  private:
-  void worker_loop();
+  void worker_loop(std::size_t slot);
 
   std::size_t threads_ = 1;
   std::vector<std::thread> workers_;
@@ -63,7 +71,7 @@ class ThreadPool {
   std::uint64_t generation_ = 0;     // bumped per submitted job
   std::size_t active_ = 0;           // workers still inside the current job
   bool stop_ = false;
-  const std::function<void(std::size_t)>* task_ = nullptr;
+  const std::function<void(std::size_t, std::size_t)>* task_ = nullptr;
   std::size_t count_ = 0;
   std::atomic<std::size_t> next_{0};  // next unclaimed index
 };

@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace pac {
 namespace {
@@ -42,20 +46,223 @@ TEST(LogSumExp, DominatedByMaximum) {
   EXPECT_NEAR(logsumexp(v), 0.0, 1e-12);
 }
 
-TEST(LogSumExp2, AgreesWithVectorVersion) {
-  Xoshiro256ss g(5);
-  for (int i = 0; i < 200; ++i) {
-    const double a = uniform_in(g, -50.0, 50.0);
-    const double b = uniform_in(g, -50.0, 50.0);
-    const std::vector<double> v = {a, b};
-    EXPECT_NEAR(logsumexp2(a, b), logsumexp(v), 1e-12);
+// ---- pac::exp / pac::log against the host libm ----
+
+/// Distance in units in the last place between two doubles (0 when both
+/// are NaN; huge when only one is).
+std::uint64_t ulp_distance(double a, double b) {
+  if (std::isnan(a) || std::isnan(b))
+    return std::isnan(a) && std::isnan(b) ? 0 : ~std::uint64_t{0};
+  const auto ordered = [](double x) {
+    const auto bits = std::bit_cast<std::int64_t>(x);
+    return bits < 0 ? std::numeric_limits<std::int64_t>::min() - bits : bits;
+  };
+  const std::int64_t d = ordered(a) - ordered(b);
+  return static_cast<std::uint64_t>(d < 0 ? -d : d);
+}
+
+double next_down(double x) {
+  return std::nextafter(x, -std::numeric_limits<double>::infinity());
+}
+
+TEST(ExpLogKernels, ExpWithinOneUlpOfLibmOnDenseGrid) {
+  // Every double step of (709.8 + 745.2) / 2^21 across the whole domain
+  // with a finite nonzero result, subnormal and near-overflow ends included.
+  const double lo = -745.2;
+  const double hi = 709.8;
+  const std::size_t steps = std::size_t{1} << 21;
+  for (std::size_t i = 0; i <= steps; ++i) {
+    const double x =
+        lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(steps);
+    ASSERT_LE(ulp_distance(pac::exp(x), std::exp(x)), 1u) << "x = " << x;
   }
 }
 
-TEST(LogSumExp2, HandlesInfinities) {
+TEST(ExpLogKernels, ExpEdgeCases) {
   const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_DOUBLE_EQ(logsumexp2(-inf, 3.0), 3.0);
-  EXPECT_DOUBLE_EQ(logsumexp2(3.0, -inf), 3.0);
+  EXPECT_EQ(pac::exp(0.0), 1.0);
+  EXPECT_EQ(pac::exp(-0.0), 1.0);
+  EXPECT_EQ(pac::exp(inf), inf);
+  EXPECT_EQ(pac::exp(-inf), 0.0);
+  EXPECT_FALSE(std::signbit(pac::exp(-inf)));
+  EXPECT_TRUE(std::isnan(pac::exp(std::numeric_limits<double>::quiet_NaN())));
+  // The |x| < 2^-54 branch (1 + x) and both sides of its boundary, and the
+  // 512 boundary where the scale word leaves its normal range.
+  for (const double b : {0x1p-54, 512.0, 1024.0}) {
+    for (const double x : {b, next_down(b), -b, -next_down(b)})
+      EXPECT_LE(ulp_distance(pac::exp(x), std::exp(x)), 1u) << "x = " << x;
+  }
+  // Subnormal results down to the last one, then underflow to +0.
+  for (const double x : {-708.4, -709.0, -720.0, -740.0, -745.0, -745.13})
+    EXPECT_LE(ulp_distance(pac::exp(x), std::exp(x)), 1u) << "x = " << x;
+  EXPECT_EQ(pac::exp(-745.14), 0.0);
+  EXPECT_EQ(pac::exp(-1e4), 0.0);
+  // Largest finite result, then overflow.
+  EXPECT_LE(ulp_distance(pac::exp(709.78), std::exp(709.78)), 1u);
+  EXPECT_EQ(pac::exp(709.79), inf);
+  EXPECT_EQ(pac::exp(1e4), inf);
+}
+
+TEST(ExpLogKernels, LogWithinOneUlpOfLibmInEveryBinade) {
+  // 2^10 evenly spaced mantissas in every binade from the smallest
+  // subnormal up to the largest finite double.
+  for (int e = -1074; e <= 1023; ++e) {
+    for (int m = 0; m < 1024; ++m) {
+      const double x = std::ldexp(1.0 + m / 1024.0, e);
+      if (x == 0.0 || std::isinf(x)) continue;
+      ASSERT_LE(ulp_distance(pac::log(x), std::log(x)), 1u) << "x = " << x;
+    }
+  }
+}
+
+TEST(ExpLogKernels, LogEdgeCases) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(pac::log(0.0), -inf);
+  EXPECT_EQ(pac::log(-0.0), -inf);
+  EXPECT_EQ(pac::log(inf), inf);
+  EXPECT_TRUE(std::isnan(pac::log(-inf)));
+  EXPECT_TRUE(std::isnan(pac::log(-1.0)));
+  EXPECT_TRUE(std::isnan(pac::log(std::numeric_limits<double>::quiet_NaN())));
+  EXPECT_EQ(pac::log(1.0), 0.0);
+  // |f| < 2^-20 branch on both sides of 1, and subnormal inputs.
+  for (const double x : {std::nextafter(1.0, 2.0), next_down(1.0),
+                         1.0 + 0x1p-21, 1.0 - 0x1p-21, 2.0, 0.5,
+                         std::numeric_limits<double>::denorm_min(),
+                         std::numeric_limits<double>::min(),
+                         std::numeric_limits<double>::max()})
+    EXPECT_LE(ulp_distance(pac::log(x), std::log(x)), 1u) << "x = " << x;
+}
+
+TEST(ExpLogKernels, BitsPinnedByDigest) {
+  // A 64-bit FNV-1a digest of pac::exp and pac::log over a fixed grid: a
+  // host or compiler that changes a single result bit fails here by name
+  // (the functions use no libm, so every conforming build agrees).
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (int i = 0; i <= 100000; ++i) {
+    const double x = -746.0 + 1456.0 * i / 100000.0;
+    mix(pac::exp(x));
+    mix(pac::log(std::ldexp(1.0 + (i % 977) / 977.0, i % 2098 - 1074)));
+  }
+  EXPECT_EQ(h, 0x1c356f301a8b2471ULL);
+}
+
+// ---- lane kernels against the scalar oracles ----
+
+/// Run `body` once with the host's best vector tier and once forced scalar.
+template <typename Body>
+void at_both_levels(Body&& body) {
+  {
+    const simd::ScopedForceLevel vec(simd::Level::kAvx2);
+    body();
+  }
+  {
+    const simd::ScopedForceLevel scalar(simd::Level::kScalar);
+    body();
+  }
+}
+
+void expect_same_bits(const std::vector<double>& a,
+                      const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+              std::bit_cast<std::uint64_t>(b[i]))
+        << "lane " << i << " of " << a.size();
+}
+
+/// Inputs mixing in-vector lanes with every fallback class, in a pattern
+/// that puts special values in every lane position of a 4-wide vector.
+std::vector<double> mixed_exp_inputs(std::size_t n) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double special[] = {std::numeric_limits<double>::quiet_NaN(),
+                            inf, -inf, 512.0, -512.0, next_down(512.0),
+                            -700.0, -745.13, 709.7, 0.0, -0.0, 0x1p-54,
+                            next_down(0x1p-54), -0x1p-60, 1e-300};
+  Xoshiro256ss g(11);
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = (i * 7) % 5 == 0 ? special[(i * 3) % std::size(special)]
+                            : uniform_in(g, -60.0, 5.0);
+  return v;
+}
+
+TEST(SimdExpLogLanes, ExpLanesMatchScalarOracle) {
+  at_both_levels([] {
+    for (const std::size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 64u, 257u, 1023u}) {
+      const std::vector<double> x = mixed_exp_inputs(n);
+      std::vector<double> expected(n), lanes(n);
+      for (std::size_t i = 0; i < n; ++i) expected[i] = pac::exp(x[i]);
+      simd::exp_lanes(x.data(), lanes.data(), n);
+      expect_same_bits(lanes, expected);
+      std::vector<double> in_place = x;  // x may alias y
+      simd::exp_lanes(in_place.data(), in_place.data(), n);
+      expect_same_bits(in_place, expected);
+    }
+  });
+}
+
+TEST(SimdExpLogLanes, LogLanesMatchScalarOracle) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double special[] = {0.0, -0.0, -1.0, inf, -inf,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::min(),
+                            std::numeric_limits<double>::max(), 1.0,
+                            std::nextafter(1.0, 2.0), next_down(1.0)};
+  at_both_levels([&] {
+    Xoshiro256ss g(12);
+    for (const std::size_t n : {0u, 1u, 2u, 4u, 6u, 9u, 255u, 1001u}) {
+      std::vector<double> x(n), expected(n), lanes(n);
+      for (std::size_t i = 0; i < n; ++i)
+        x[i] = (i * 5) % 3 == 0
+                   ? special[(i * 7) % std::size(special)]
+                   : std::ldexp(uniform_in(g, 1.0, 2.0),
+                                static_cast<int>(i % 61) - 30);
+      for (std::size_t i = 0; i < n; ++i) expected[i] = pac::log(x[i]);
+      simd::log_lanes(x.data(), lanes.data(), n);
+      expect_same_bits(lanes, expected);
+    }
+  });
+}
+
+TEST(SimdExpLogLanes, LogsumexpColumnsMatchesRowOracle) {
+  // Class-major blocks against logsumexp over each item's row: ordinary
+  // rows, all -inf rows, NaN and +inf entries, spreads beyond 512 (exp
+  // fallback lanes), and block tails with n % 4 != 0.
+  const double inf = std::numeric_limits<double>::infinity();
+  at_both_levels([&] {
+    Xoshiro256ss g(13);
+    for (const std::size_t j : {1u, 2u, 3u, 4u, 16u}) {
+      for (const std::size_t n : {1u, 3u, 4u, 6u, 255u, 256u}) {
+        std::vector<double> x(j * n);
+        for (std::size_t r = 0; r < n; ++r) {
+          for (std::size_t k = 0; k < j; ++k) {
+            double v = uniform_in(g, -40.0, 0.0);
+            if (r % 9 == 4) v = -inf;                          // all -inf
+            if (r % 11 == 5 && k == j / 2) v = -800.0;         // fallback
+            if (r % 13 == 6 && k == 0) v = std::nan("");
+            if (r % 17 == 7 && k + 1 == j) v = inf;
+            x[k * n + r] = v;
+          }
+        }
+        std::vector<double> lse(n), scratch(2 * n);
+        logsumexp_columns(x.data(), n, j, lse.data(), scratch.data());
+        std::vector<double> expected(n), row(j);
+        for (std::size_t r = 0; r < n; ++r) {
+          for (std::size_t k = 0; k < j; ++k) row[k] = x[k * n + r];
+          expected[r] = logsumexp(row);
+        }
+        expect_same_bits(lse, expected);
+      }
+    }
+  });
 }
 
 TEST(KahanSum, ExactForIllConditionedSeries) {

@@ -207,6 +207,29 @@ TEST(ThreadPool, ReusableAcrossJobs) {
   }
 }
 
+TEST(ThreadPool, RunSlottedNeverSharesASlotBetweenRunningIndices) {
+  // The E-step hands each slot its own scratch block, so two indices
+  // running at once must never see the same slot.
+  ThreadPool pool(4);
+  constexpr std::size_t kCount = 2000;
+  std::vector<std::atomic<int>> busy(pool.threads());
+  std::vector<std::atomic<int>> hits(kCount);
+  std::atomic<int> clashes{0};
+  std::atomic<int> out_of_range{0};
+  pool.run_slotted(kCount, [&](std::size_t i, std::size_t slot) {
+    if (slot >= pool.threads()) {
+      out_of_range.fetch_add(1);
+      return;
+    }
+    if (busy[slot].exchange(1) != 0) clashes.fetch_add(1);
+    hits[i].fetch_add(1);
+    busy[slot].store(0);
+  });
+  EXPECT_EQ(out_of_range.load(), 0);
+  EXPECT_EQ(clashes.load(), 0);
+  for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1);
+}
+
 TEST(ThreadPool, DegenerateShapes) {
   ThreadPool one(1);  // no OS threads: run() is a plain loop
   EXPECT_EQ(one.threads(), 1u);
