@@ -4,15 +4,18 @@
 //
 //  1. Google-benchmark micros over the in-process inference path, feeding
 //     the ratio gate in scripts/bench_diff.py:
-//       BM_ServePredictForeignScalar  per-row predict_labels (the scalar
-//                                     log_prob_foreign reference path)
+//       BM_ServePredictScalarOracle   the scalar oracle: one Model::rebound,
+//                                     then per row log pi + the sum of
+//                                     Term::log_prob and a first-maximum
+//                                     argmax (what the served labels are
+//                                     tested against)
 //       BM_ServePredictRowwise        predict_batch called one row at a
 //                                     time (an unbatched server would pay
 //                                     one Model::rebound per request)
 //       BM_ServePredictBatched        predict_batch over the whole batch —
 //                                     the micro-batched serving hot path
 //     The gated ratios are batched-vs-rowwise (micro-batching win) and
-//     batched-vs-foreign-scalar (kernel-tier win); both are within-run
+//     batched-vs-scalar-oracle (kernel-tier win); both are within-run
 //     ratios, so they survive machine changes like the other pairs.
 //
 //  2. A socket-level latency/QPS section: an in-process Server, client
@@ -29,6 +32,7 @@
 //       --benchmark_out=BENCH_<date>_serve_latency.json
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -122,16 +126,31 @@ const ServeFixture& fixture() {
   return f;
 }
 
-void BM_ServePredictForeignScalar(benchmark::State& state) {
+void BM_ServePredictScalarOracle(benchmark::State& state) {
   const ServeFixture& f = fixture();
+  const pac::ac::Classification& c = f.classification;
+  const std::size_t j = c.num_classes();
+  std::vector<double> lj(j);
+  std::vector<std::int32_t> labels(f.probe.num_items());
   for (auto _ : state) {
-    auto labels = pac::ac::predict_labels(f.classification, f.probe);
+    const pac::ac::Model bound = c.model().rebound(f.probe);
+    for (std::size_t i = 0; i < f.probe.num_items(); ++i) {
+      for (std::size_t k = 0; k < j; ++k) {
+        double lp = c.log_pi(k);
+        for (std::size_t t = 0; t < bound.num_terms(); ++t)
+          lp += bound.term(t).log_prob(i, c.param_block(k, t));
+        lj[k] = lp;
+      }
+      labels[i] = static_cast<std::int32_t>(
+          std::max_element(lj.begin(), lj.end()) - lj.begin());
+    }
     benchmark::DoNotOptimize(labels.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(f.probe.num_items()));
 }
-BENCHMARK(BM_ServePredictForeignScalar);
+BENCHMARK(BM_ServePredictScalarOracle);
 
 void BM_ServePredictRowwise(benchmark::State& state) {
   const ServeFixture& f = fixture();

@@ -53,9 +53,9 @@ PAIRS = [
     ("mstep-fastmath", "BM_UpdateParamsGaussian", "BM_UpdateParamsGaussianFastMath"),
     ("mstep-fastmath-multinormal", "BM_UpdateParamsMultiNormal", "BM_UpdateParamsMultiNormalFastMath"),
     # Serving path (bench/serve_latency): micro-batched predict_batch vs
-    # the per-request rowwise path and the scalar foreign-row reference.
+    # the per-request rowwise path and the per-row scalar oracle.
     ("serve-batched-vs-rowwise", "BM_ServePredictRowwise", "BM_ServePredictBatched"),
-    ("serve-kernel-vs-foreign-scalar", "BM_ServePredictForeignScalar", "BM_ServePredictBatched"),
+    ("serve-kernel-vs-scalar-oracle", "BM_ServePredictScalarOracle", "BM_ServePredictBatched"),
     # Try-parallel search (bench/search_tries): G=2 sub-worlds vs the classic
     # single-group sweep at equal total ranks.  Times are *modeled* virtual
     # seconds (UseManualTime), so the ratio is machine-independent and the

@@ -16,9 +16,11 @@
 // global column statistics at Model construction.
 //
 // A Model is immutable after construction and bound to its Dataset (terms
-// consume it through per-block column views, with a zero-copy whole-column
-// fast path on the resident backend); it is shared read-only by all SPMD
-// ranks.
+// consume it through per-block column views, the same on every storage
+// backend); it is shared read-only by all SPMD ranks.  Foreign rows —
+// AutoClass's predict mode and pac_serve queries — are evaluated by binding
+// a copy of the model to them (Model::rebound), so training and prediction
+// run the same term code.
 #pragma once
 
 #include <memory>
@@ -183,23 +185,16 @@ class Term {
                                    std::size_t seed_item, double* out,
                                    std::size_t stride) const;
 
-  /// log p(item of a *foreign* dataset | params): evaluates the same
-  /// density on data that was not used to build the model (AutoClass's
-  /// predict mode).  The foreign dataset must use a compatible schema.
-  virtual double log_prob_foreign(const data::Dataset& foreign,
-                                  std::size_t item,
-                                  std::span<const double> params) const = 0;
-
-  /// Clone this term with its column spans repointed at `target` (a dataset
-  /// with the training schema), keeping every trained prior and hoisted
-  /// constant byte-identical.  log_prob on the clone therefore produces
-  /// bit-identical values to the training-bound term evaluated on equal
-  /// data — this is what lets pac_serve route foreign query rows through
-  /// the batched log_prob_batch kernels (the serving hot path) instead of
-  /// the scalar log_prob_foreign.  Throws pac::Error if `target` violates a
-  /// family precondition (non-positive values for lognormal, missing values
-  /// in a multi_normal block).  The base implementation throws: a term
-  /// family without an override simply cannot serve.
+  /// Clone this term with its data access repointed at `target` (a dataset
+  /// with the training schema, on any backend), keeping every trained prior
+  /// and hoisted constant byte-identical.  log_prob on the clone therefore
+  /// produces bit-identical values to the training-bound term evaluated on
+  /// equal data — this is how foreign rows (ac::predict_batch, pac_serve)
+  /// reach the batched log_prob_batch kernels.  Throws pac::Error naming
+  /// the attribute if `target` violates a family precondition (non-positive
+  /// values for lognormal, missing values in a multi_normal block).  The
+  /// base implementation throws: a term family without an override simply
+  /// cannot predict.
   virtual std::unique_ptr<Term> rebind(const data::Dataset& target) const;
 
  protected:
@@ -251,9 +246,10 @@ class Model {
   /// dataset: same term structure, same offsets, and — via Term::rebind —
   /// the same trained priors and constants, so evaluating a classification
   /// under the rebound model is bit-identical to evaluating the original on
-  /// equal data.  `target` must use the training schema.  This is the
-  /// serving path: pac_serve rebinds per query batch so the kernelized
-  /// E-step runs on wire-decoded rows.
+  /// equal data.  `target` must use the training schema and hold at least
+  /// one item.  This is the one prediction path: ac::predict_batch (and
+  /// with it pac_serve) rebinds per foreign dataset so the kernelized
+  /// E-step runs on rows the model was not trained on.
   Model rebound(const data::Dataset& target) const;
 
  private:

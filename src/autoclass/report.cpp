@@ -51,52 +51,82 @@ std::vector<double> log_joint(const Classification& c, std::size_t item) {
   return row;
 }
 
-/// Log joint over a foreign dataset's item.
-std::vector<double> log_joint_foreign(const Classification& c,
-                                      const data::Dataset& foreign,
-                                      std::size_t item) {
-  const Model& model = c.model();
-  PAC_REQUIRE_MSG(foreign.schema() == model.dataset().schema(),
+/// The one foreign-row evaluator: bind a copy of the trained model to
+/// `foreign`, copy the classification's parameters verbatim (so the batched
+/// kernels see byte-identical state), and hand `visit` the class-major log
+/// joint of every kReportBlock block in item order.  An empty dataset
+/// visits nothing; Model::rebound refuses empty targets.
+template <class Visit>
+void for_each_foreign_block(const Classification& c,
+                            const data::Dataset& foreign, Visit&& visit) {
+  PAC_REQUIRE_MSG(foreign.schema() == c.model().dataset().schema(),
                   "foreign dataset schema differs from the training schema");
-  PAC_REQUIRE(item < foreign.num_items());
-  std::vector<double> row(c.num_classes());
-  for (std::size_t j = 0; j < c.num_classes(); ++j) {
-    double lp = c.log_pi(j);
-    for (std::size_t t = 0; t < model.num_terms(); ++t)
-      lp += model.term(t).log_prob_foreign(foreign, item,
-                                           c.param_block(j, t));
-    row[j] = lp;
+  const std::size_t n = foreign.num_items();
+  if (n == 0) return;
+  const Model eval_model = c.model().rebound(foreign);
+  const std::size_t j = c.num_classes();
+  Classification ec(eval_model, j);
+  std::copy(c.log_pis().begin(), c.log_pis().end(),
+            ec.mutable_log_pis().begin());
+  std::copy(c.weights().begin(), c.weights().end(),
+            ec.mutable_weights().begin());
+  std::copy(c.all_params().begin(), c.all_params().end(),
+            ec.all_params_mutable().begin());
+  std::vector<double> lj(kReportBlock * j);
+  for (std::size_t begin = 0; begin < n; begin += kReportBlock) {
+    const data::ItemRange block{begin, std::min(begin + kReportBlock, n)};
+    fill_log_joint(ec, block, lj.data());
+    visit(block, lj.data());
   }
-  return row;
 }
 
 }  // namespace
 
+PredictOutput predict_batch(const Classification& c,
+                            const data::Dataset& foreign,
+                            bool want_membership) {
+  const std::size_t n = foreign.num_items();
+  const std::size_t j = c.num_classes();
+  PredictOutput out;
+  out.labels.resize(n);
+  if (want_membership) out.membership.resize(n * j);
+  std::vector<double> lse(want_membership ? kReportBlock : 0);
+  std::vector<double> scratch(want_membership ? 2 * kReportBlock : 0);
+  for_each_foreign_block(
+      c, foreign, [&](data::ItemRange block, const double* lj) {
+        for (std::size_t r = 0; r < block.size(); ++r)
+          out.labels[block.begin + r] = static_cast<std::int32_t>(
+              argmax_class(lj, block.size(), j, r));
+        if (want_membership)
+          normalize_log_joint(lj, block.size(), j,
+                              out.membership.data() + block.begin * j,
+                              lse.data(), scratch.data());
+      });
+  return out;
+}
+
 std::vector<double> predict_membership(const Classification& c,
                                        const data::Dataset& foreign,
                                        std::size_t item) {
-  auto row = log_joint_foreign(c, foreign, item);
-  const double lse = logsumexp(row);
-  for (double& v : row) v = pac::exp(v - lse);
-  return row;
+  return predict_batch(c, foreign.slice(item, item + 1), true).membership;
 }
 
 std::vector<std::int32_t> predict_labels(const Classification& c,
                                          const data::Dataset& foreign) {
-  std::vector<std::int32_t> labels(foreign.num_items());
-  for (std::size_t i = 0; i < foreign.num_items(); ++i) {
-    const auto row = log_joint_foreign(c, foreign, i);
-    labels[i] = static_cast<std::int32_t>(
-        std::max_element(row.begin(), row.end()) - row.begin());
-  }
-  return labels;
+  return predict_batch(c, foreign, false).labels;
 }
 
 double predict_log_likelihood(const Classification& c,
                               const data::Dataset& foreign) {
+  const std::size_t j = c.num_classes();
+  std::vector<double> lse(kReportBlock);
+  std::vector<double> scratch(2 * kReportBlock);
   KahanSum total;
-  for (std::size_t i = 0; i < foreign.num_items(); ++i)
-    total.add(logsumexp(log_joint_foreign(c, foreign, i)));
+  for_each_foreign_block(
+      c, foreign, [&](data::ItemRange block, const double* lj) {
+        logsumexp_columns(lj, block.size(), j, lse.data(), scratch.data());
+        for (std::size_t r = 0; r < block.size(); ++r) total.add(lse[r]);
+      });
   return total.value();
 }
 

@@ -1,5 +1,12 @@
-// Reporting utilities: hard assignments, membership probabilities, and the
-// attribute-influence report (AutoClass's "influ-o-text" output).
+// Reporting utilities: hard assignments, membership probabilities, the
+// attribute-influence report (AutoClass's "influ-o-text" output), and
+// prediction on foreign rows (AutoClass's predict mode).
+//
+// Every helper evaluates the log joint through fill_log_joint in
+// kReportBlock blocks.  Foreign rows take one path: predict_batch binds a
+// copy of the model to them (Model::rebound) and runs the same batched
+// term kernels as training; predict_labels, predict_membership,
+// predict_log_likelihood and pac_serve all go through it.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +27,7 @@ inline constexpr std::size_t kReportBlock = 256;
 /// contiguous column.  Per item the additions run log pi_j first, then the
 /// terms in index order — the scalar oracle's order, so values match the
 /// training path bit-for-bit.  This is the one per-block fill: the E-step,
-/// every report/prediction helper and the pac_serve batch evaluator route
-/// through it.
+/// every report helper and predict_batch route through it.
 void fill_log_joint(const Classification& c, data::ItemRange block,
                     double* lj);
 
@@ -72,9 +78,29 @@ double mean_max_membership(const Classification& c);
 
 // ---- prediction (AutoClass's "predict" mode): apply a trained
 //      classification to data that was not used for training ----
+//
+// A foreign dataset must share the training schema; it may live on any
+// storage backend.  A row that violates a term family's precondition (a
+// non-positive value under a lognormal term, a missing value inside a
+// multi_normal block) makes the whole call throw pac::Error naming the
+// attribute.  An empty foreign dataset gives empty results.
 
-/// Posterior membership of one item of a foreign dataset (must share the
-/// training schema).  Sums to 1.
+struct PredictOutput {
+  std::vector<std::int32_t> labels;  // one per row
+  std::vector<double> membership;    // rows x num_classes when requested
+};
+
+/// Classify every row of `foreign` under `c`: labels are the first-maximum
+/// argmax of each row's log joint, memberships its normalized exp.  Values
+/// are bit-identical to the scalar oracle (log pi_j + the sum of
+/// Term::log_prob over the rebound model, normalized with logsumexp and
+/// pac::exp) at every SIMD level.
+PredictOutput predict_batch(const Classification& c,
+                            const data::Dataset& foreign,
+                            bool want_membership);
+
+/// Posterior membership of one item of a foreign dataset (sums to 1).
+/// Evaluates that row alone, so a bad value in another row cannot fail it.
 std::vector<double> predict_membership(const Classification& c,
                                        const data::Dataset& foreign,
                                        std::size_t item);
@@ -83,8 +109,9 @@ std::vector<double> predict_membership(const Classification& c,
 std::vector<std::int32_t> predict_labels(const Classification& c,
                                          const data::Dataset& foreign);
 
-/// Per-item observed log-likelihood under the classification: a held-out
-/// score for comparing classifications on fresh data.
+/// Sum over the foreign items of their observed log-likelihood (logsumexp
+/// of the log joint): a held-out score for comparing classifications on
+/// fresh data.  0 for an empty dataset.
 double predict_log_likelihood(const Classification& c,
                               const data::Dataset& foreign);
 

@@ -1,4 +1,12 @@
-// Concrete model terms: single_normal, single_multinomial, multi_normal.
+// Concrete model terms: single_normal, single_multinomial, multi_normal,
+// single_lognormal and ignore.
+//
+// Data access has one shape on every backend: the batched kernels read
+// per-block Dataset::real_block / discrete_block views, and the scalar
+// oracles read Dataset::real_value / discrete_value.  Foreign rows reach a
+// term only through rebind, which repoints that access at another dataset.
+// The one backend test is the lognormal term's resident log cache
+// (stream_logs), which caches a transform rather than a view.
 //
 // Notation per class j (weights w_i are the E-step membership weights):
 //   sw   = sum_i w_i                (over items with known values)
@@ -49,7 +57,6 @@ class SingleNormalTerm final : public Term {
     PAC_REQUIRE_MSG(attr.kind == data::AttributeKind::kReal,
                     "single_normal needs a real attribute");
     data_ = &data;
-    if (data.resident()) column_ = data.real_column(a);
     error_ = attr.rel_error;
     const auto stats = data.real_stats(a);
     PAC_REQUIRE_MSG(stats.known > 0, "attribute '" << attr.name
@@ -229,44 +236,27 @@ class SingleNormalTerm final : public Term {
                   : sq(x[r] - b) / prior_var_;
   }
 
-  double log_prob_foreign(const data::Dataset& foreign, std::size_t item,
-                          std::span<const double> params) const override {
-    const double x = foreign.real_value(item, spec_.attributes[0]);
-    if (data::is_missing_real(x)) return 0.0;
-    const double z = (x - params[0]) / params[1];
-    return -0.5 * (kLog2Pi + z * z) - params[2] + std::log(error_);
-  }
-
   std::unique_ptr<Term> rebind(const data::Dataset& target) const override {
     // Copy keeps the trained priors (error_, prior_*, strengths); only the
     // data binding moves, so log_prob on the clone is the same expression
     // over the same constants.
     auto clone = std::make_unique<SingleNormalTerm>(*this);
     clone->data_ = &target;
-    clone->column_ = target.resident()
-                         ? target.real_column(spec_.attributes[0])
-                         : std::span<const double>();
     return clone;
   }
 
  private:
-  /// One block of the attribute's column: a zero-copy slice of the resident
-  /// span, or a pinned chunk window from the out-of-core backend.
+  /// One block of the attribute's column: a zero-copy slice on the resident
+  /// backend, a pinned chunk window on the out-of-core one.
   data::ColumnBlockView<double> block(data::ItemRange range) const {
-    if (!column_.empty())
-      return data::ColumnBlockView<double>(column_.data() + range.begin,
-                                           range.size());
     return data_->real_block(spec_.attributes[0], range);
   }
 
   double value(std::size_t item) const {
-    return column_.empty() ? data_->real_value(item, spec_.attributes[0])
-                           : column_[item];
+    return data_->real_value(item, spec_.attributes[0]);
   }
 
   const data::Dataset* data_ = nullptr;
-  /// Resident fast path; empty on the chunk-backed backend.
-  std::span<const double> column_;
   std::string name_;
   double error_ = 1e-2;
   double prior_mean_ = 0.0;
@@ -289,7 +279,6 @@ class SingleMultinomialTerm final : public Term {
     PAC_REQUIRE_MSG(attr.kind == data::AttributeKind::kDiscrete,
                     "single_multinomial needs a discrete attribute");
     data_ = &data;
-    if (data.resident()) column_ = data.discrete_column(a);
     missing_as_value_ = config.missing_as_extra_value;
     num_values_ = static_cast<std::size_t>(attr.num_values) +
                   (missing_as_value_ ? 1 : 0);
@@ -446,47 +435,25 @@ class SingleMultinomialTerm final : public Term {
     }
   }
 
-  double log_prob_foreign(const data::Dataset& foreign, std::size_t item,
-                          std::span<const double> params) const override {
-    const std::int32_t v =
-        foreign.discrete_value(item, spec_.attributes[0]);
-    if (v == data::kMissingDiscrete) {
-      return missing_as_value_ ? params[num_values_ - 1] : 0.0;
-    }
-    PAC_REQUIRE_MSG(static_cast<std::size_t>(v) <
-                        num_values_ - (missing_as_value_ ? 1 : 0),
-                    "foreign discrete value out of the training range");
-    return params[static_cast<std::size_t>(v)];
-  }
-
   std::unique_ptr<Term> rebind(const data::Dataset& target) const override {
     // Symbol range safety comes from schema equality (checked by
     // Model::rebound) plus the loaders' range validation: every value in
     // the target column already indexes the param table.
     auto clone = std::make_unique<SingleMultinomialTerm>(*this);
     clone->data_ = &target;
-    clone->column_ = target.resident()
-                         ? target.discrete_column(spec_.attributes[0])
-                         : std::span<const std::int32_t>();
     return clone;
   }
 
  private:
   data::ColumnBlockView<std::int32_t> block(data::ItemRange range) const {
-    if (!column_.empty())
-      return data::ColumnBlockView<std::int32_t>(column_.data() + range.begin,
-                                                 range.size());
     return data_->discrete_block(spec_.attributes[0], range);
   }
 
   std::int32_t value(std::size_t item) const {
-    return column_.empty() ? data_->discrete_value(item, spec_.attributes[0])
-                           : column_[item];
+    return data_->discrete_value(item, spec_.attributes[0]);
   }
 
   const data::Dataset* data_ = nullptr;
-  /// Resident fast path; empty on the chunk-backed backend.
-  std::span<const std::int32_t> column_;
   std::string name_;
   std::size_t num_values_ = 0;
   double alpha_ = 1.0;
@@ -513,8 +480,6 @@ class MultiNormalTerm final : public Term {
     const std::size_t d = spec_.attributes.size();
     PAC_REQUIRE_MSG(d >= 2, "multi_normal blocks need >= 2 attributes");
     data_ = &data;
-    const bool resident = data.resident();
-    if (resident) columns_.reserve(d);
     double log_error_sum = 0.0;
     for (const std::size_t a : spec_.attributes) {
       const auto& attr = data.schema().at(a);
@@ -524,7 +489,6 @@ class MultiNormalTerm final : public Term {
                       "multi_normal does not support missing values "
                       "(attribute '"
                           << attr.name << "')");
-      if (resident) columns_.push_back(data.real_column(a));
       const auto stats = data.real_stats(a);
       prior_mean_.push_back(stats.mean);
       prior_var_.push_back(std::max(stats.variance, sq(attr.rel_error)));
@@ -817,39 +781,16 @@ class MultiNormalTerm final : public Term {
     }
   }
 
-  double log_prob_foreign(const data::Dataset& foreign, std::size_t item,
-                          std::span<const double> params) const override {
-    const std::size_t d = dim_;
-    double diff_stack[32];
-    PAC_CHECK(d <= 32);
-    std::span<double> diff(diff_stack, d);
-    for (std::size_t k = 0; k < d; ++k) {
-      const double x = foreign.real_value(item, spec_.attributes[k]);
-      PAC_REQUIRE_MSG(!data::is_missing_real(x),
-                      "multi_normal prediction needs complete rows");
-      diff[k] = x - params[k];
-    }
-    const std::span<const double> chol(params.data() + d, d * d);
-    const double logdet = params[d + d * d];
-    const double maha = spd::mahalanobis2(chol, d, diff);
-    return -0.5 * (static_cast<double>(d) * kLog2Pi + logdet + maha) +
-           log_error_sum_;
-  }
-
   std::unique_ptr<Term> rebind(const data::Dataset& target) const override {
-    auto clone = std::make_unique<MultiNormalTerm>(*this);
-    clone->data_ = &target;
-    clone->columns_.clear();
-    for (const std::size_t a : spec_.attributes) {
-      // The training-time completeness requirement applies to query rows
-      // too: the kernel has no missing-value path.
+    // The training-time completeness requirement applies to query rows too:
+    // the kernel has no missing-value path.
+    for (const std::size_t a : spec_.attributes)
       PAC_REQUIRE_MSG(target.missing_count(a) == 0,
                       "multi_normal prediction needs complete rows "
                       "(attribute '"
                           << target.schema().at(a).name << "')");
-      if (target.resident())
-        clone->columns_.push_back(target.real_column(a));
-    }
+    auto clone = std::make_unique<MultiNormalTerm>(*this);
+    clone->data_ = &target;
     return clone;
   }
 
@@ -860,23 +801,16 @@ class MultiNormalTerm final : public Term {
                     data::ColumnBlockView<double>* views,
                     const double** cols) const {
     for (std::size_t k = 0; k < dim_; ++k) {
-      if (!columns_.empty()) {
-        cols[k] = columns_[k].data() + range.begin;
-      } else {
-        views[k] = data_->real_block(spec_.attributes[k], range);
-        cols[k] = views[k].data();
-      }
+      views[k] = data_->real_block(spec_.attributes[k], range);
+      cols[k] = views[k].data();
     }
   }
 
   double value(std::size_t k, std::size_t item) const {
-    return columns_.empty() ? data_->real_value(item, spec_.attributes[k])
-                            : columns_[k][item];
+    return data_->real_value(item, spec_.attributes[k]);
   }
 
   const data::Dataset* data_ = nullptr;
-  /// Resident fast path; empty on the chunk-backed backend.
-  std::vector<std::span<const double>> columns_;
   std::vector<std::string> names_;
   std::vector<double> prior_mean_;
   std::vector<double> prior_var_;
@@ -906,26 +840,7 @@ class SingleLognormalTerm final : public Term {
                     "single_lognormal needs a real attribute");
     data_ = &data;
     WeightedMoments moments;
-    if (data.resident()) {
-      const auto raw = data.real_column(a);
-      log_column_.resize(raw.size());
-      for (std::size_t i = 0; i < raw.size(); ++i) {
-        if (data::is_missing_real(raw[i])) {
-          log_column_[i] = data::missing_real();
-          continue;
-        }
-        PAC_REQUIRE_MSG(raw[i] > 0.0,
-                        "single_lognormal needs strictly positive values; '"
-                            << attr.name << "' has " << raw[i]);
-        log_column_[i] = std::log(raw[i]);
-        moments.add(log_column_[i], 1.0);
-      }
-    } else {
-      // Out-of-core: stream the column once in item order.  The positivity
-      // checks and the moment fold see exactly the values and order the
-      // resident path sees, so the priors come out bit-identical.
-      stream_logs(data, a, attr.name, &moments);
-    }
+    stream_logs(data, a, attr.name, &moments);
     PAC_REQUIRE_MSG(moments.weight() > 0.0,
                     "attribute '" << attr.name << "' has no known values");
     rel_error_ = attr.rel_error;
@@ -952,9 +867,9 @@ class SingleLognormalTerm final : public Term {
   void log_prob_batch(data::ItemRange range, std::span<const double> params,
                       double* out) const override {
     // Same hoists as the normal kernel (parameter loads, log(rel_error_));
-    // log x is precomputed in log_column_ on the resident backend, or
-    // recomputed into a per-call scratch block on the chunked one —
-    // std::log is a pure function, so the two agree bit for bit.
+    // log x comes from the resident log cache, or is recomputed into a
+    // per-call scratch block on the chunked backend — std::log is a pure
+    // function, so the two agree bit for bit.
     const double mean = params[0];
     const double sigma = params[1];
     const double log_sigma = params[2];
@@ -1102,36 +1017,12 @@ class SingleLognormalTerm final : public Term {
                   : sq(lx[r] - b) / prior_var_;
   }
 
-  double log_prob_foreign(const data::Dataset& foreign, std::size_t item,
-                          std::span<const double> params) const override {
-    const double x = foreign.real_value(item, spec_.attributes[0]);
-    if (data::is_missing_real(x)) return 0.0;
-    PAC_REQUIRE_MSG(x > 0.0, "single_lognormal needs positive values");
-    const double lx = std::log(x);
-    const double z = (lx - params[0]) / params[1];
-    return -0.5 * (kLog2Pi + z * z) - params[2] - lx + std::log(rel_error_);
-  }
-
   std::unique_ptr<Term> rebind(const data::Dataset& target) const override {
-    // The precomputed log column is rebuilt from the target data; the
-    // trained priors stay.  Positivity is a hard precondition, as at
-    // training time.
+    // The log cache is rebuilt from the target data; the trained priors
+    // stay.  Positivity is a hard precondition, as at training time.
     auto clone = std::make_unique<SingleLognormalTerm>(*this);
     clone->data_ = &target;
-    clone->log_column_.clear();
-    if (target.resident()) {
-      const auto raw = target.real_column(spec_.attributes[0]);
-      clone->log_column_.assign(raw.size(), data::missing_real());
-      for (std::size_t i = 0; i < raw.size(); ++i) {
-        if (data::is_missing_real(raw[i])) continue;
-        PAC_REQUIRE_MSG(raw[i] > 0.0,
-                        "single_lognormal needs strictly positive values; '"
-                            << name_ << "' has " << raw[i]);
-        clone->log_column_[i] = std::log(raw[i]);
-      }
-    } else {
-      clone->stream_logs(target, spec_.attributes[0], name_, nullptr);
-    }
+    clone->stream_logs(target, spec_.attributes[0], name_, nullptr);
     return clone;
   }
 
@@ -1140,30 +1031,41 @@ class SingleLognormalTerm final : public Term {
   /// spill to a per-call heap buffer.
   static constexpr std::size_t kScratchBlock = 256;
 
-  /// Stream a chunk-backed column in item order: validate positivity and,
-  /// when `moments` is given, fold the prior moments of log x.
+  /// One item-order pass over the column: validate positivity, fold the
+  /// prior moments of log x when `moments` is given, and — on the resident
+  /// backend only — fill log_column_.  The cache holds a transform, not a
+  /// view: without it every E- and M-step pass would pay J std::log calls
+  /// per item.  The chunked backend recomputes logs per block instead
+  /// (log_block), keeping its memory bounded by the chunk budget.
   void stream_logs(const data::Dataset& data, std::size_t a,
-                   const std::string& attr_name,
-                   WeightedMoments* moments) const {
+                   const std::string& attr_name, WeightedMoments* moments) {
     const std::size_t n = data.num_items();
+    if (data.resident())
+      log_column_.resize(n);
+    else
+      log_column_.clear();
     constexpr std::size_t kScan = 4096;
     for (std::size_t begin = 0; begin < n; begin += kScan) {
       const data::ItemRange r{begin, std::min(begin + kScan, n)};
       const auto view = data.real_block(a, r);
       for (std::size_t i = 0; i < view.size(); ++i) {
         const double v = view[i];
-        if (data::is_missing_real(v)) continue;
-        PAC_REQUIRE_MSG(v > 0.0,
-                        "single_lognormal needs strictly positive values; '"
-                            << attr_name << "' has " << v);
-        if (moments != nullptr) moments->add(std::log(v), 1.0);
+        double lx = data::missing_real();
+        if (!data::is_missing_real(v)) {
+          PAC_REQUIRE_MSG(v > 0.0,
+                          "single_lognormal needs strictly positive values; '"
+                              << attr_name << "' has " << v);
+          lx = std::log(v);
+          if (moments != nullptr) moments->add(lx, 1.0);
+        }
+        if (!log_column_.empty()) log_column_[begin + i] = lx;
       }
     }
   }
 
-  /// The block's log-x values: the precomputed resident column, or logs
+  /// The block's log-x values: a slice of the resident log cache, or logs
   /// recomputed into caller scratch from the chunked backend (positivity
-  /// was validated at construction).
+  /// was validated by stream_logs).
   const double* log_block(data::ItemRange range, double* stack,
                           std::vector<double>& heap) const {
     if (!log_column_.empty()) return log_column_.data() + range.begin;
@@ -1186,7 +1088,8 @@ class SingleLognormalTerm final : public Term {
   }
 
   const data::Dataset* data_ = nullptr;
-  /// Resident fast path; empty on the chunk-backed backend.
+  /// log x per item on the resident backend (missing stays NaN); empty on
+  /// the chunk-backed one.  Built by stream_logs.
   std::vector<double> log_column_;
   std::string name_;
   double rel_error_ = 1e-2;
@@ -1240,10 +1143,6 @@ class IgnoreTerm final : public Term {
     return "(ignored)";
   }
   double seed_distance(std::size_t, std::size_t) const override {
-    return 0.0;
-  }
-  double log_prob_foreign(const data::Dataset&, std::size_t,
-                          std::span<const double>) const override {
     return 0.0;
   }
   std::unique_ptr<Term> rebind(const data::Dataset&) const override {

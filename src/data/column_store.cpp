@@ -103,15 +103,6 @@ std::int32_t ResidentStore::discrete_value(std::size_t item,
   return std::get<std::vector<std::int32_t>>(columns_[attr])[item];
 }
 
-std::span<const double> ResidentStore::real_column(std::size_t attr) const {
-  return std::get<std::vector<double>>(columns_[attr]);
-}
-
-std::span<const std::int32_t> ResidentStore::discrete_column(
-    std::size_t attr) const {
-  return std::get<std::vector<std::int32_t>>(columns_[attr]);
-}
-
 void ResidentStore::set_real(std::size_t item, std::size_t attr,
                              double value) {
   std::get<std::vector<double>>(columns_[attr])[item] = value;
@@ -134,13 +125,12 @@ void ResidentStore::set_missing(std::size_t item, std::size_t attr) {
   profiles_[attr].reset();
 }
 
-std::span<double> ResidentStore::mutable_real_column(std::size_t attr) {
+std::span<double> ResidentStore::mutable_real(std::size_t attr) {
   profiles_[attr].reset();
   return std::get<std::vector<double>>(columns_[attr]);
 }
 
-std::span<std::int32_t> ResidentStore::mutable_discrete_column(
-    std::size_t attr) {
+std::span<std::int32_t> ResidentStore::mutable_discrete(std::size_t attr) {
   profiles_[attr].reset();
   return std::get<std::vector<std::int32_t>>(columns_[attr]);
 }

@@ -181,16 +181,13 @@ class ResidentStore final : public ColumnStore {
   const ColumnProfile& profile(std::size_t attr) const override;
   std::shared_ptr<ColumnStore> clone() override;
 
-  std::span<const double> real_column(std::size_t attr) const;
-  std::span<const std::int32_t> discrete_column(std::size_t attr) const;
-
   // Mutation (loader / builder paths; invalidates the column's profile).
   void set_real(std::size_t item, std::size_t attr, double value);
   void set_discrete(std::size_t item, std::size_t attr, std::int32_t value);
   void set_missing(std::size_t item, std::size_t attr);
-  /// Raw column access for bulk loaders (format.cpp, slice).
-  std::span<double> mutable_real_column(std::size_t attr);
-  std::span<std::int32_t> mutable_discrete_column(std::size_t attr);
+  /// Raw writable column for bulk loaders (format.cpp, slice).
+  std::span<double> mutable_real(std::size_t attr);
+  std::span<std::int32_t> mutable_discrete(std::size_t attr);
 
   /// Install precomputed profiles (e.g. the ones stored in a .pacb file;
   /// they are bit-identical to what the lazy scan would produce).

@@ -101,23 +101,6 @@ ColumnBlockView<std::int32_t> Dataset::discrete_block(std::size_t attr,
   return store_->discrete_block(attr, range);
 }
 
-std::span<const double> Dataset::real_column(std::size_t attr) const {
-  check_attr(attr, AttributeKind::kReal, "real");
-  PAC_REQUIRE_MSG(store_->resident(),
-                  "whole-column access requires the resident backend; use "
-                  "real_block for chunk-backed datasets");
-  return static_cast<const ResidentStore&>(*store_).real_column(attr);
-}
-
-std::span<const std::int32_t> Dataset::discrete_column(
-    std::size_t attr) const {
-  check_attr(attr, AttributeKind::kDiscrete, "discrete");
-  PAC_REQUIRE_MSG(store_->resident(),
-                  "whole-column access requires the resident backend; use "
-                  "discrete_block for chunk-backed datasets");
-  return static_cast<const ResidentStore&>(*store_).discrete_column(attr);
-}
-
 const ColumnProfile& Dataset::profile(std::size_t attr) const {
   PAC_REQUIRE_MSG(attr < schema().size(), "attr " << attr << " out of range");
   return store_->profile(attr);
@@ -155,11 +138,11 @@ Dataset Dataset::slice(std::size_t begin, std::size_t end) const {
     if (schema().at(a).kind == AttributeKind::kReal) {
       const auto src = store_->real_block(a, range);
       std::copy(src.data(), src.data() + src.size(),
-                dst.mutable_real_column(a).data());
+                dst.mutable_real(a).data());
     } else {
       const auto src = store_->discrete_block(a, range);
       std::copy(src.data(), src.data() + src.size(),
-                dst.mutable_discrete_column(a).data());
+                dst.mutable_discrete(a).data());
     }
   }
   return out;

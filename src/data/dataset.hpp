@@ -43,7 +43,7 @@ class Dataset {
   std::size_t num_items() const noexcept { return store_->num_items(); }
   std::size_t num_attributes() const noexcept { return schema().size(); }
 
-  /// True when whole-column spans are available (in-memory backend).
+  /// True on the in-memory backend (the one that allows mutation).
   bool resident() const noexcept { return store_->resident(); }
   const ColumnStore& store() const noexcept { return *store_; }
 
@@ -66,13 +66,6 @@ class Dataset {
   /// Same for a discrete column (kMissingDiscrete = missing).
   ColumnBlockView<std::int32_t> discrete_block(std::size_t attr,
                                                ItemRange range) const;
-
-  // ---- whole-column access (resident backend only) ----
-
-  /// Whole real column (NaN = missing); attr must be a real attribute.
-  std::span<const double> real_column(std::size_t attr) const;
-  /// Whole discrete column (kMissingDiscrete = missing).
-  std::span<const std::int32_t> discrete_column(std::size_t attr) const;
 
   // ---- statistics used for empirical-Bayes priors ----
   //

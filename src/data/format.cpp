@@ -415,9 +415,9 @@ Dataset read_pacb(std::istream& in) {
   std::vector<std::span<std::int32_t>> disc_cols(layout.schema.size());
   for (std::size_t a = 0; a < layout.schema.size(); ++a) {
     if (layout.schema.at(a).kind == AttributeKind::kReal) {
-      real_cols[a] = store->mutable_real_column(a);
+      real_cols[a] = store->mutable_real(a);
     } else {
-      disc_cols[a] = store->mutable_discrete_column(a);
+      disc_cols[a] = store->mutable_discrete(a);
     }
   }
 
@@ -481,12 +481,6 @@ void write_pacb_file(const std::string& path, const Dataset& dataset,
   std::ofstream out(path, std::ios::binary);
   PAC_REQUIRE_MSG(out.good(), "cannot open '" << path << "' for writing");
   write_pacb(out, dataset, chunk_rows);
-}
-
-Dataset read_pacb_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  PAC_REQUIRE_MSG(in.good(), "cannot open binary dataset '" << path << "'");
-  return read_pacb(in);
 }
 
 }  // namespace pac::data::format

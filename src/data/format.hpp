@@ -121,11 +121,12 @@ class PacbWriter {
 
 /// One-shot writer / reader over streams (resident datasets).  read_pacb
 /// validates every CRC and the trailer and installs the stored profiles.
+/// Files are read through data::open_dataset (io.hpp), which also picks
+/// the backend.
 void write_pacb(std::ostream& out, const Dataset& dataset,
                 std::uint32_t chunk_rows = kDefaultChunkRows);
 Dataset read_pacb(std::istream& in);
 void write_pacb_file(const std::string& path, const Dataset& dataset,
                      std::uint32_t chunk_rows = kDefaultChunkRows);
-Dataset read_pacb_file(const std::string& path);
 
 }  // namespace pac::data::format

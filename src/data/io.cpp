@@ -102,12 +102,6 @@ Schema read_header(std::istream& in) {
   return Schema(std::move(attributes));
 }
 
-Schema read_header_file(const std::string& path) {
-  std::ifstream in(path);
-  PAC_REQUIRE_MSG(in.good(), "cannot open header file '" << path << "'");
-  return read_header(in);
-}
-
 Dataset read_data(std::istream& in, const Schema& schema) {
   // Two passes are avoided by buffering parsed rows.
   struct Cell {
@@ -157,12 +151,6 @@ Dataset read_data(std::istream& in, const Schema& schema) {
     }
   }
   return out;
-}
-
-Dataset read_data_file(const std::string& path, const Schema& schema) {
-  std::ifstream in(path);
-  PAC_REQUIRE_MSG(in.good(), "cannot open data file '" << path << "'");
-  return read_data(in, schema);
 }
 
 void write_header(std::ostream& out, const Schema& schema) {
@@ -321,26 +309,6 @@ CsvResult read_csv(std::istream& in) {
   return result;
 }
 
-CsvResult read_csv_file(const std::string& path) {
-  std::ifstream in(path);
-  PAC_REQUIRE_MSG(in.good(), "cannot open CSV file '" << path << "'");
-  return read_csv(in);
-}
-
-void write_binary(std::ostream& out, const Dataset& dataset) {
-  format::write_pacb(out, dataset);
-}
-
-Dataset read_binary(std::istream& in) { return format::read_pacb(in); }
-
-void write_binary_file(const std::string& path, const Dataset& dataset) {
-  format::write_pacb_file(path, dataset);
-}
-
-Dataset read_binary_file(const std::string& path) {
-  return format::read_pacb_file(path);
-}
-
 namespace {
 
 bool has_suffix(const std::string& s, const std::string& suffix) {
@@ -348,11 +316,18 @@ bool has_suffix(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+/// Open `path` for reading; throws "cannot open <what> '<path>'".
+std::ifstream open_input(const std::string& path, const char* what,
+                         std::ios::openmode mode = std::ios::in) {
+  std::ifstream in(path, mode);
+  PAC_REQUIRE_MSG(in.good(), "cannot open " << what << " '" << path << "'");
+  return in;
+}
+
 /// True when the file starts with the .pacb magic (sniffed, not by name, so
 /// converted files keep working under any extension).
 bool sniff_pacb(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  PAC_REQUIRE_MSG(in.good(), "cannot open dataset '" << path << "'");
+  std::ifstream in = open_input(path, "dataset", std::ios::binary);
   char magic[4] = {};
   in.read(magic, 4);
   return in.gcount() == 4 && magic[0] == 'P' && magic[1] == 'A' &&
@@ -387,13 +362,20 @@ Dataset open_dataset(const std::string& path, const OpenOptions& options) {
   if (is_pacb) {
     if (want_chunked)
       return Dataset(ChunkedStore::open(path, options.budget_mb << 20));
-    return read_binary_file(path);
+    std::ifstream in = open_input(path, "binary dataset", std::ios::binary);
+    return format::read_pacb(in);
   }
-  if (has_suffix(path, ".csv")) return read_csv_file(path).dataset;
+  if (has_suffix(path, ".csv")) {
+    std::ifstream in = open_input(path, "CSV file");
+    return read_csv(in).dataset;
+  }
   const std::string header = options.header_path.empty()
                                  ? default_header_path(path)
                                  : options.header_path;
-  return read_data_file(path, read_header_file(header));
+  std::ifstream header_in = open_input(header, "header file");
+  const Schema schema = read_header(header_in);
+  std::ifstream data_in = open_input(path, "data file");
+  return read_data(data_in, schema);
 }
 
 void write_header_file(const std::string& path, const Schema& schema) {

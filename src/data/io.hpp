@@ -12,7 +12,10 @@
 //   data:     one item per line, values separated by spaces or commas;
 //             '?' marks a missing value; '#' starts a comment
 //
-// Writers emit files the readers accept (round-trip tested).
+// Writers emit files the readers accept (round-trip tested).  Files are
+// opened through open_dataset() below, the one entry point for every
+// format and backend; the stream parsers stay public for in-memory input.
+// The binary .pacb format lives in format.hpp.
 #pragma once
 
 #include <iosfwd>
@@ -23,15 +26,10 @@
 namespace pac::data {
 
 /// Parse a header stream; throws pac::Error with a line number on bad input.
-/// Deprecated shim for direct .db2 loading: new call sites should go through
-/// open_dataset() below, which handles every format and backend.
 Schema read_header(std::istream& in);
-Schema read_header_file(const std::string& path);
 
-/// Parse a data stream against `schema`.  Deprecated shim — see
-/// open_dataset().
+/// Parse a data stream against `schema`.
 Dataset read_data(std::istream& in, const Schema& schema);
-Dataset read_data_file(const std::string& path, const Schema& schema);
 
 /// Write the header / data formats accepted by the readers above.
 void write_header(std::ostream& out, const Schema& schema);
@@ -56,30 +54,11 @@ struct CsvResult {
 };
 
 CsvResult read_csv(std::istream& in);
-CsvResult read_csv_file(const std::string& path);
-
-// ---- binary format ----
-//
-// A self-contained single-file format (schema + columns) for large
-// datasets: ~5x smaller and ~20x faster to load than the ASCII pair.
-// Since v2 this is the chunked, checksummed .pacb layout of format.hpp
-// (magic/version header, CRC-guarded schema block, per-column chunked
-// segments with per-chunk row counts and checksums, cached column profiles,
-// trailer); these wrappers keep the original entry-point names.  Malformed
-// input throws format::FormatError (a pac::Error naming chunk and column
-// where applicable).
-
-void write_binary(std::ostream& out, const Dataset& dataset);
-Dataset read_binary(std::istream& in);
-void write_binary_file(const std::string& path, const Dataset& dataset);
-Dataset read_binary_file(const std::string& path);
 
 // ---- unified construction ----
 //
-// open_dataset() is the one entry point tools should use: it sniffs the
-// on-disk format and returns a Dataset on the right backend.  The older
-// read_header_file/read_data_file and read_binary_file functions above stay
-// as thin compatibility shims over the same readers.
+// open_dataset() is the one entry point for files: it sniffs the on-disk
+// format and returns a Dataset on the right backend.
 
 enum class Backend {
   kAuto,      // resident, unless a .pacb file and a budget is configured

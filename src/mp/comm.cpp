@@ -2,29 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <ostream>
 
 #include "mp/transport/transport.hpp"
 
 namespace pac::mp {
-
-const char* to_string(TraceEvent::Op op) noexcept {
-  switch (op) {
-    case TraceEvent::Op::kCollective: return "collective";
-    case TraceEvent::Op::kSend: return "send";
-    case TraceEvent::Op::kRecv: return "recv";
-  }
-  return "?";
-}
-
-void write_trace_csv(std::ostream& os, const RunStats& stats) {
-  os << "rank,op,kind,bytes,start,end\n";
-  for (const TraceEvent& e : stats.trace) {
-    os << e.world_rank << ',' << to_string(e.op) << ','
-       << (e.op == TraceEvent::Op::kCollective ? net::to_string(e.kind) : "-")
-       << ',' << e.bytes << ',' << e.start << ',' << e.end << '\n';
-  }
-}
 
 namespace detail {
 
@@ -145,12 +126,6 @@ void Comm::deliver(int dest_group_rank, int tag, const void* bytes,
       rec->record_span("mp", "send", start, state_->clock);
     }
   }
-  if (trace_) {
-    state_->trace.push_back(TraceEvent{state_->world_rank,
-                                       TraceEvent::Op::kSend,
-                                       net::CollectiveKind::kBarrier, nbytes,
-                                       start, state_->clock});
-  }
 }
 
 Status Comm::absorb(Message&& msg, void* buffer, std::size_t capacity,
@@ -176,12 +151,6 @@ Status Comm::absorb(Message&& msg, void* buffer, std::size_t capacity,
       state_->mp.recv_seconds->observe(state_->clock - start);
       rec->record_span("mp", "recv", start, state_->clock);
     }
-  }
-  if (trace_) {
-    state_->trace.push_back(TraceEvent{state_->world_rank,
-                                       TraceEvent::Op::kRecv,
-                                       net::CollectiveKind::kBarrier, nbytes,
-                                       start, state_->clock});
   }
   return st;
 }
@@ -293,7 +262,6 @@ Comm Comm::split(int color, int key) {
   sub.time_ = time_;
   sub.distributed_ = distributed_;
   sub.kahan_ = kahan_;
-  sub.trace_ = trace_;
   sub.group_.reserve(members.size());
   for (std::size_t i = 0; i < members.size(); ++i) {
     sub.group_.push_back(group_[members[i].rank]);

@@ -24,7 +24,10 @@
 // Collectives synchronize clocks the way a real blocking collective does:
 // everyone leaves at max(arrivals) + network cost.  RunStats reports
 // per-rank compute/communication/idle breakdowns — that is the data from
-// which the paper's Figures 6-8 are rebuilt.
+// which the paper's Figures 6-8 are rebuilt.  Per-operation records (an
+// "mp" span per send, recv and collective, with metrics beside them) come
+// from one place: the per-rank trace::Recorder that World::Config::
+// instrument switches on, merged into RunStats::events at finalize.
 //
 // Thread-safety contract: a Comm belongs to its rank's thread.  A rank must
 // never touch another rank's Comm or data; all sharing is via messages.
@@ -85,20 +88,6 @@ class Request {
   Status status_;
 };
 
-/// One timed communication event (collected when World::Config::trace is
-/// set).  Times are virtual seconds on the modeled machine.
-struct TraceEvent {
-  enum class Op : std::uint8_t { kCollective, kSend, kRecv };
-  int world_rank = 0;
-  Op op = Op::kCollective;
-  net::CollectiveKind kind = net::CollectiveKind::kBarrier;  // collectives
-  std::size_t bytes = 0;
-  double start = 0.0;
-  double end = 0.0;
-};
-
-const char* to_string(TraceEvent::Op op) noexcept;
-
 namespace detail {
 
 /// Cached metric handles for the message-passing hot paths, resolved once
@@ -135,8 +124,6 @@ struct RankState {
   /// Per-CollectiveKind call counts and modeled time (indexed by the enum).
   std::array<std::uint64_t, kNumCollectiveKinds> collective_calls{};
   std::array<double, kNumCollectiveKinds> collective_seconds{};
-  /// Event log; populated only when the World was configured with trace.
-  std::vector<TraceEvent> trace;
   /// Instrumentation sink (null unless the World instruments this run).
   /// Owned by this rank's thread; merged by World::run after the join.
   std::unique_ptr<trace::Recorder> recorder;
@@ -213,10 +200,6 @@ struct RunStats {
   /// (indexed by net::CollectiveKind).
   std::array<std::uint64_t, kNumCollectiveKinds> collective_calls{};
   std::array<double, kNumCollectiveKinds> collective_seconds{};
-  /// Merged event log (all ranks, ordered by start time); empty unless the
-  /// World was configured with trace = true.
-  std::vector<TraceEvent> trace;
-
   /// True when the run was instrumented (Config::instrument and the layer
   /// compiled in): `metrics` holds the merged per-rank registries and
   /// `events` the merged per-rank ring buffers, sorted by (start, rank).
@@ -229,10 +212,6 @@ struct RunStats {
   double max_compute() const;
   double max_comm() const;
 };
-
-/// Dump a trace as CSV (rank, op, kind, bytes, start, end) for offline
-/// timeline tools.
-void write_trace_csv(std::ostream& os, const RunStats& stats);
 
 /// The communicator handed to SPMD code.  Copyable handles share rank state.
 class Comm {
@@ -550,7 +529,6 @@ class Comm {
   int split_seq_ = 0;  // per-comm counter for deterministic split keys
   std::uint32_t coll_seq_ = 0;  // tag counter for collective frames
   bool kahan_ = false;
-  bool trace_ = false;
   bool distributed_ = false;
 };
 
@@ -569,7 +547,8 @@ class World {
     net::Machine machine = net::ideal_machine();
     /// Use compensated summation in floating-point sum reductions.
     bool kahan_reductions = false;
-    /// Record a TraceEvent per communication operation into RunStats.
+    /// Unused: per-operation events come from `instrument` (RunStats::
+    /// events).  Kept only because perfbench/search.cpp still sets it.
     bool trace = false;
     /// Build a per-rank trace::Recorder (metrics + event ring) and merge
     /// them into RunStats at finalize.  Defaults to the PAUTOCLASS_TRACE

@@ -92,12 +92,6 @@ void Comm::coll_end(const Round& round, double done) {
                        state_->clock);
     }
   }
-  if (trace_) {
-    state_->trace.push_back(TraceEvent{state_->world_rank,
-                                       TraceEvent::Op::kCollective,
-                                       round.kind, round.bytes, round.arrival,
-                                       state_->clock});
-  }
 }
 
 void Comm::coll_send(int dest, int tag, const void* bytes, std::size_t nbytes,

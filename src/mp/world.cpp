@@ -62,7 +62,6 @@ RunStats World::run_modeled(const std::function<void(Comm&)>& fn) {
     comm.costs_ = &config_.machine.costs;
     comm.transport_ = &transports[rank];
     comm.kahan_ = config_.kahan_reductions;
-    comm.trace_ = config_.trace;
     comm.group_.resize(p);
     for (int r = 0; r < p; ++r) comm.group_[r] = r;
     comm.group_rank_ = rank;
@@ -113,17 +112,6 @@ RunStats World::run_modeled(const std::function<void(Comm&)>& fn) {
       stats.collective_calls[k] += rs.collective_calls[k];
       stats.collective_seconds[k] += rs.collective_seconds[k];
     }
-  }
-  if (config_.trace) {
-    for (auto& rs : ranks) {
-      stats.trace.insert(stats.trace.end(), rs.trace.begin(),
-                         rs.trace.end());
-      rs.trace.clear();
-    }
-    std::stable_sort(stats.trace.begin(), stats.trace.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) {
-                       return a.start < b.start;
-                     });
   }
   // Finalize the instrumented run: fold every rank's registry and event
   // ring into the merged RunStats view (ranks have joined; no locks
@@ -222,7 +210,6 @@ RunStats World::run_distributed(const std::function<void(Comm&)>& fn) {
   comm.time_ = &socket_transport_->time();
   comm.distributed_ = true;
   comm.kahan_ = config_.kahan_reductions;
-  comm.trace_ = config_.trace;
   comm.group_.resize(p);
   std::iota(comm.group_.begin(), comm.group_.end(), 0);
   comm.group_rank_ = me;
@@ -271,15 +258,8 @@ RunStats World::run_distributed(const std::function<void(Comm&)>& fn) {
       stats.collective_seconds[k] += b.seconds[k];
     }
   }
-  // Trace / instrumentation views are per-process: only this rank's events
-  // and metrics are available locally (peers live in other address spaces).
-  if (config_.trace) {
-    stats.trace = std::move(rs.trace);
-    std::stable_sort(stats.trace.begin(), stats.trace.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) {
-                       return a.start < b.start;
-                     });
-  }
+  // The instrumentation view is per-process: only this rank's events and
+  // metrics are available locally (peers live in other address spaces).
   if constexpr (trace::compiled_in()) {
     if (config_.instrument && rs.recorder != nullptr) {
       stats.instrumented = true;

@@ -1,9 +1,7 @@
 #include "serve/predictor.hpp"
 
-#include <algorithm>
 #include <string>
 
-#include "autoclass/report.hpp"
 #include "serve/protocol.hpp"
 
 namespace pac::serve {
@@ -58,43 +56,6 @@ void validate_batch(const AdmissionRules& rules, const data::Dataset& batch) {
                             " must be > 0 under a lognormal term");
     }
   }
-}
-
-PredictOutput predict_batch(const ac::Classification& c,
-                            const data::Dataset& batch,
-                            bool want_membership) {
-  // Rebind the trained model to the query rows; copy the classification's
-  // parameters verbatim so the batched kernels see byte-identical state.
-  const ac::Model eval_model = c.model().rebound(batch);
-  const std::size_t j = c.num_classes();
-  ac::Classification ec(eval_model, j);
-  std::copy(c.log_pis().begin(), c.log_pis().end(),
-            ec.mutable_log_pis().begin());
-  std::copy(c.weights().begin(), c.weights().end(),
-            ec.mutable_weights().begin());
-  std::copy(c.all_params().begin(), c.all_params().end(),
-            ec.all_params_mutable().begin());
-
-  const std::size_t n = batch.num_items();
-  PredictOutput out;
-  out.labels.resize(n);
-  if (want_membership) out.membership.resize(n * j);
-
-  std::vector<double> lj(ac::kReportBlock * j);
-  std::vector<double> lse(want_membership ? ac::kReportBlock : 0);
-  std::vector<double> scratch(want_membership ? 2 * ac::kReportBlock : 0);
-  for (std::size_t begin = 0; begin < n; begin += ac::kReportBlock) {
-    const data::ItemRange block{begin, std::min(begin + ac::kReportBlock, n)};
-    ac::fill_log_joint(ec, block, lj.data());
-    for (std::size_t r = 0; r < block.size(); ++r)
-      out.labels[block.begin + r] = static_cast<std::int32_t>(
-          ac::argmax_class(lj.data(), block.size(), j, r));
-    if (want_membership)
-      ac::normalize_log_joint(lj.data(), block.size(), j,
-                              out.membership.data() + block.begin * j,
-                              lse.data(), scratch.data());
-  }
-  return out;
 }
 
 }  // namespace pac::serve

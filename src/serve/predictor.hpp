@@ -1,12 +1,11 @@
-// Batched classification inference for pac_serve.
+// Request admission for pac_serve.
 //
-// The serving hot path routes wire-decoded query rows through the SAME
-// kernel the offline reports use: Model::rebound repoints the trained
-// terms' column spans at the query batch (priors and hoisted constants
-// byte-identical), and ac::fill_log_joint evaluates the batch through the
-// kernelized log_prob_batch tier.  Responses are therefore bit-identical
-// to predict_labels / predict_membership on equal rows — the contract
-// tests/test_serve.cpp memcmp-checks.
+// Served predictions have no evaluator of their own: the server hands
+// wire-decoded query rows to ac::predict_batch (autoclass/report.hpp), the
+// one foreign-row path that predict_labels / predict_membership also take.
+// Responses are therefore bit-identical to the offline helpers and to the
+// scalar oracle on equal rows — the contract tests/test_serve.cpp
+// memcmp-checks.
 //
 // Admission rules are derived ONCE from the model's term structure and
 // enforced per request at decode time (on the connection's reader thread),
@@ -19,7 +18,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "autoclass/classification.hpp"
+#include "autoclass/report.hpp"
 #include "data/dataset.hpp"
 
 namespace pac::serve {
@@ -39,16 +38,8 @@ AdmissionRules derive_admission_rules(const ac::Model& model);
 /// the first offending row and attribute.
 void validate_batch(const AdmissionRules& rules, const data::Dataset& batch);
 
-struct PredictOutput {
-  std::vector<std::int32_t> labels;  // one per row
-  std::vector<double> membership;    // rows x num_classes when requested
-};
-
-/// Classify every row of `batch` under `c` (trained on another dataset with
-/// the same schema).  Labels match predict_labels and memberships match
-/// predict_membership bit-for-bit; evaluation runs through fill_log_joint
-/// in kReportBlock blocks.
-PredictOutput predict_batch(const ac::Classification& c,
-                            const data::Dataset& batch, bool want_membership);
+// Re-exported only because perfbench/ calls these names through serve::.
+using ac::predict_batch;
+using ac::PredictOutput;
 
 }  // namespace pac::serve

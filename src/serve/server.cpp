@@ -320,11 +320,11 @@ void Server::run_predict_batch(std::vector<QueueItem> batch) {
   metrics_.histogram("serve.batch_rows")
       .observe(static_cast<double>(total_rows));
 
-  PredictOutput out;
+  ac::PredictOutput out;
   try {
     if (batch.size() == 1) {
-      out = predict_batch(snap->classification, batch[0].rows,
-                          want_membership);
+      out = ac::predict_batch(snap->classification, batch[0].rows,
+                              want_membership);
     } else {
       data::Dataset all(model_.dataset().schema(), total_rows);
       std::size_t offset = 0;
@@ -332,7 +332,7 @@ void Server::run_predict_batch(std::vector<QueueItem> batch) {
         copy_rows(all, offset, item.rows);
         offset += item.rows.num_items();
       }
-      out = predict_batch(snap->classification, all, want_membership);
+      out = ac::predict_batch(snap->classification, all, want_membership);
     }
   } catch (const std::exception& e) {
     for (const QueueItem& item : batch)

@@ -55,15 +55,17 @@ TEST(Lognormal, DensityIntegratesToOne) {
   const Dataset d = lognormal_dataset(10, 0.0, 0.5, 2);
   const Model model = lognormal_model(d);
   // p(x) = N(log x | m, s) / x, times rel_error; integrate over x > 0.
+  // One rebound model evaluates the density over the whole probe grid.
   const std::vector<double> params = {0.0, 0.5, std::log(0.5)};
-  double integral = 0.0;
   const double dx = 1e-3;
-  Dataset probe(d.schema(), 1);
-  for (double x = dx; x < 20.0; x += dx) {
-    probe.set_real(0, 0, x);
-    integral +=
-        std::exp(model.term(0).log_prob_foreign(probe, 0, params)) * dx;
-  }
+  std::vector<double> grid;
+  for (double x = dx; x < 20.0; x += dx) grid.push_back(x);
+  Dataset probe(d.schema(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) probe.set_real(i, 0, grid[i]);
+  const Model on_grid = model.rebound(probe);
+  double integral = 0.0;
+  for (std::size_t i = 0; i < grid.size(); ++i)
+    integral += std::exp(on_grid.term(0).log_prob(i, params)) * dx;
   EXPECT_NEAR(integral, 0.01, 1e-4);  // = rel_error
 }
 

@@ -77,11 +77,16 @@ TEST(Dataset, TypeAndRangeChecks) {
 TEST(Dataset, ColumnsAreContiguousViews) {
   Dataset d(two_attr_schema(), 4);
   for (std::size_t i = 0; i < 4; ++i) d.set_real(i, 0, i * 1.0);
-  const auto col = d.real_column(0);
+  const auto col = d.real_block(0, ItemRange{0, 4});
   ASSERT_EQ(col.size(), 4u);
   EXPECT_DOUBLE_EQ(col[3], 3.0);
-  EXPECT_THROW(d.real_column(1), pac::Error);
-  EXPECT_THROW(d.discrete_column(0), pac::Error);
+  // A sub-range view starts at its first item, contiguous in the column.
+  const auto tail = d.real_block(0, ItemRange{1, 4});
+  ASSERT_EQ(tail.size(), 3u);
+  EXPECT_EQ(tail.data(), col.data() + 1);
+  EXPECT_THROW(d.real_block(1, ItemRange{0, 4}), pac::Error);
+  EXPECT_THROW(d.discrete_block(0, ItemRange{0, 4}), pac::Error);
+  EXPECT_THROW(d.real_block(0, ItemRange{0, 5}), pac::Error);
 }
 
 TEST(Dataset, RealStatsSkipMissing) {

@@ -23,6 +23,13 @@
 namespace pac::data {
 namespace {
 
+/// Force a resident load whatever PAC_DATA_BUDGET_MB says.
+OpenOptions resident_only() {
+  OpenOptions options;
+  options.backend = Backend::kResident;
+  return options;
+}
+
 std::string temp_path(const char* tag) {
   static int counter = 0;
   return "/tmp/pac_fmt_" + std::to_string(::getpid()) + "_" + tag + "_" +
@@ -84,7 +91,7 @@ TEST(PacbFormat, BinaryRoundTripIsExact) {
   const Dataset original = mixed_dataset(500);
   const std::string path = temp_path("rt") + ".pacb";
   format::write_pacb_file(path, original, /*chunk_rows=*/64);
-  const Dataset loaded = format::read_pacb_file(path);
+  const Dataset loaded = open_dataset(path, resident_only());
   expect_identical(original, loaded);
   std::remove(path.c_str());
 }
@@ -202,7 +209,7 @@ TEST(PacbFormat, CorruptChunkNamesChunkAndColumn) {
   }
 
   // The resident one-shot reader verifies every CRC up front.
-  EXPECT_THROW(format::read_pacb_file(path), format::FormatError);
+  EXPECT_THROW(open_dataset(path, resident_only()), format::FormatError);
 
   // The chunked store verifies lazily: clean chunks still load, and the
   // corrupt one throws a FormatError naming exactly where the rot is.

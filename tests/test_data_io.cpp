@@ -1,8 +1,11 @@
-// Tests for the .hd2/.db2-style ASCII readers and writers.
+// Tests for the .hd2/.db2-style ASCII readers and writers, CSV import, the
+// .pacb stream codec, and open_dataset's file handling.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
+#include "data/format.hpp"
 #include "data/io.hpp"
 #include "data/synth.hpp"
 #include "util/error.hpp"
@@ -234,7 +237,7 @@ TEST(Csv, RejectsRaggedRowsAndEmptyInput) {
   EXPECT_THROW(read_csv(ragged), pac::Error);
   std::istringstream empty("");
   EXPECT_THROW(read_csv(empty), pac::Error);
-  EXPECT_THROW(read_csv_file("/nonexistent/file.csv"), pac::Error);
+  EXPECT_THROW(open_dataset("/nonexistent/file.csv"), pac::Error);
 }
 
 TEST(Csv, ImportedDataClustersEndToEnd) {
@@ -262,8 +265,8 @@ TEST(Binary, RoundTripsMixedDatasetExactly) {
   LabeledDataset labeled = mixed_mixture(mix, 500, 21);
   inject_missing(labeled.dataset, 0.07, 22);
   std::stringstream buffer;
-  write_binary(buffer, labeled.dataset);
-  const Dataset parsed = read_binary(buffer);
+  format::write_pacb(buffer, labeled.dataset);
+  const Dataset parsed = format::read_pacb(buffer);
   ASSERT_TRUE(parsed.schema() == labeled.dataset.schema());
   ASSERT_EQ(parsed.num_items(), 500u);
   for (std::size_t i = 0; i < 500; ++i) {
@@ -284,52 +287,66 @@ TEST(Binary, RoundTripsMixedDatasetExactly) {
 TEST(Binary, EmptyDatasetRoundTrips) {
   const Dataset empty(Schema({Attribute::real("x", 0.1)}), 0);
   std::stringstream buffer;
-  write_binary(buffer, empty);
-  const Dataset parsed = read_binary(buffer);
+  format::write_pacb(buffer, empty);
+  const Dataset parsed = format::read_pacb(buffer);
   EXPECT_EQ(parsed.num_items(), 0u);
 }
 
 TEST(Binary, RejectsBadMagicVersionAndTruncation) {
   std::stringstream bad_magic("NOPEnonsense");
-  EXPECT_THROW(read_binary(bad_magic), pac::Error);
+  EXPECT_THROW(format::read_pacb(bad_magic), pac::Error);
 
   const LabeledDataset ld = paper_dataset(50, 23);
   std::stringstream buffer;
-  write_binary(buffer, ld.dataset);
+  format::write_pacb(buffer, ld.dataset);
   const std::string valid = buffer.str();
   for (const std::size_t cut :
        {std::size_t{5}, std::size_t{20}, valid.size() / 2}) {
     std::stringstream truncated(valid.substr(0, cut));
-    EXPECT_THROW(read_binary(truncated), pac::Error);
+    EXPECT_THROW(format::read_pacb(truncated), pac::Error);
   }
   // Corrupt the version field (bytes 4..7).
   std::string versioned = valid;
   versioned[4] = 99;
   std::stringstream wrong_version(versioned);
-  EXPECT_THROW(read_binary(wrong_version), pac::Error);
+  EXPECT_THROW(format::read_pacb(wrong_version), pac::Error);
 }
 
 TEST(Binary, FileRoundTrip) {
   const LabeledDataset ld = paper_dataset(200, 24);
   const std::string path = "/tmp/pac_test_data.pacb";
-  write_binary_file(path, ld.dataset);
-  const Dataset parsed = read_binary_file(path);
+  format::write_pacb_file(path, ld.dataset);
+  const Dataset parsed = open_dataset(path);
+  EXPECT_TRUE(parsed.resident());
   EXPECT_EQ(parsed.num_items(), 200u);
-  EXPECT_THROW(read_binary_file("/nonexistent/x.pacb"), pac::Error);
+  EXPECT_EQ(parsed.real_value(199, 1), ld.dataset.real_value(199, 1));
+  EXPECT_THROW(open_dataset("/nonexistent/x.pacb"), pac::Error);
 }
 
 TEST(Binary, SmallerThanAscii) {
   const LabeledDataset ld = paper_dataset(2000, 25);
   std::stringstream ascii, binary;
   write_data(ascii, ld.dataset);
-  write_binary(binary, ld.dataset);
+  format::write_pacb(binary, ld.dataset);
   EXPECT_LT(binary.str().size(), ascii.str().size());
 }
 
 TEST(Files, MissingFileThrows) {
-  EXPECT_THROW(read_header_file("/nonexistent/path.hd2"), pac::Error);
-  const Schema s({Attribute::real("x", 0.1)});
-  EXPECT_THROW(read_data_file("/nonexistent/path.db2", s), pac::Error);
+  EXPECT_THROW(open_dataset("/nonexistent/path.db2"), pac::Error);
+  // The data file exists but its header does not: the error names it.
+  const std::string data_path = "/tmp/pac_test_headerless.db2";
+  write_data_file(data_path, paper_dataset(5, 8).dataset);
+  OpenOptions options;
+  options.header_path = "/nonexistent/path.hd2";
+  try {
+    (void)open_dataset(data_path, options);
+    FAIL() << "missing header file accepted";
+  } catch (const pac::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "cannot open header file '/nonexistent/path.hd2'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Files, WriteAndReadBack) {
@@ -338,10 +355,11 @@ TEST(Files, WriteAndReadBack) {
   const LabeledDataset labeled = paper_dataset(50, 9);
   write_header_file(header_path, labeled.dataset.schema());
   write_data_file(data_path, labeled.dataset);
-  const Schema schema = read_header_file(header_path);
-  const Dataset d = read_data_file(data_path, schema);
+  OpenOptions options;
+  options.header_path = header_path;
+  const Dataset d = open_dataset(data_path, options);
   EXPECT_EQ(d.num_items(), 50u);
-  EXPECT_TRUE(schema == labeled.dataset.schema());
+  EXPECT_TRUE(d.schema() == labeled.dataset.schema());
 }
 
 }  // namespace

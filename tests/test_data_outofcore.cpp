@@ -167,7 +167,6 @@ TEST(OutOfCore, ChunkedBackendRefusesMutation) {
   const BackendPair pair(300, 54);
   data::Dataset chunked = pair.chunked;
   EXPECT_THROW(chunked.set_real(0, 0, 1.0), pac::Error);
-  EXPECT_THROW(chunked.real_column(0), pac::Error);
 }
 
 }  // namespace

@@ -68,8 +68,8 @@ TEST(CorrelatedMixture, ProducesRequestedCorrelation) {
       {1.0, {0.0, 0.0}, {1.0, 0.0, r, std::sqrt(1 - r * r)}}};
   const LabeledDataset d = correlated_mixture(mix, 20000, 4);
   // Sample correlation of the two columns.
-  const auto x = d.dataset.real_column(0);
-  const auto y = d.dataset.real_column(1);
+  const auto x = d.dataset.real_block(0, ItemRange{0, 20000});
+  const auto y = d.dataset.real_block(1, ItemRange{0, 20000});
   double sx = 0, sy = 0, sxx = 0, syy = 0, sxy = 0;
   const double n = 20000.0;
   for (std::size_t i = 0; i < 20000; ++i) {

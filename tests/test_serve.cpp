@@ -1,28 +1,34 @@
 // pac_serve subsystem tests: checkpoint round-trips through the serving
 // kernel for every term family, corrupt-checkpoint rejection with named
-// line/field, predictor bit-identity against the offline prediction
-// helpers, the wire protocol codec, and the live server end to end —
-// concurrent clients, hot reload under load, backpressure, and malformed
-// requests.
+// line/field, predictor bit-identity against the scalar oracle on every
+// storage backend, the wire protocol codec, and the live server end to
+// end — concurrent clients, hot reload under load, backpressure, and
+// malformed requests.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "autoclass/checkpoint.hpp"
 #include "autoclass/report.hpp"
 #include "autoclass/search.hpp"
+#include "data/format.hpp"
 #include "data/synth.hpp"
 #include "mp/transport/frame.hpp"
 #include "serve/client.hpp"
 #include "serve/predictor.hpp"
 #include "serve/server.hpp"
+#include "util/math.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -245,6 +251,35 @@ TEST_F(CheckpointReject, MissingEndTokenRejected) {
 
 // ---- predictor ----
 
+/// The scalar oracle of a prediction: one Model::rebound, then per row
+/// log pi_j + the sum of Term::log_prob in term order, normalized with
+/// logsumexp + pac::exp; the label is the first maximum.
+PredictOutput scalar_oracle(const ac::Classification& c, const Dataset& rows) {
+  const ac::Model bound = c.model().rebound(rows);
+  const std::size_t j = c.num_classes();
+  PredictOutput out;
+  std::vector<double> lj(j);
+  for (std::size_t i = 0; i < rows.num_items(); ++i) {
+    for (std::size_t k = 0; k < j; ++k) {
+      double lp = c.log_pi(k);
+      for (std::size_t t = 0; t < bound.num_terms(); ++t)
+        lp += bound.term(t).log_prob(i, c.param_block(k, t));
+      lj[k] = lp;
+    }
+    out.labels.push_back(static_cast<std::int32_t>(
+        std::max_element(lj.begin(), lj.end()) - lj.begin()));
+    const double lse = logsumexp(lj);
+    for (const double v : lj) out.membership.push_back(pac::exp(v - lse));
+  }
+  return out;
+}
+
+void expect_same_doubles(const std::vector<double>& a,
+                         const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)));
+}
+
 TEST(Predictor, MatchesOfflinePredictionHelpers) {
   const Dataset train = five_family_dataset(400, 26);
   const ac::Model model = five_family_model(train);
@@ -252,16 +287,84 @@ TEST(Predictor, MatchesOfflinePredictionHelpers) {
   const Dataset probe = five_family_dataset(150, 27);
 
   const PredictOutput out = predict_batch(c, probe, true);
-  const auto expected_labels = ac::predict_labels(c, probe);
-  ASSERT_EQ(out.labels.size(), expected_labels.size());
-  EXPECT_EQ(out.labels, expected_labels);
+  const PredictOutput oracle = scalar_oracle(c, probe);
+  EXPECT_EQ(out.labels, oracle.labels);
+  expect_same_doubles(out.membership, oracle.membership);
+  // The offline helpers are the same evaluator.
+  EXPECT_EQ(ac::predict_labels(c, probe), oracle.labels);
   const std::size_t j = c.num_classes();
-  for (std::size_t i = 0; i < probe.num_items(); ++i) {
-    const auto m = ac::predict_membership(c, probe, i);
-    for (std::size_t k = 0; k < j; ++k)
-      EXPECT_EQ(out.membership[i * j + k], m[k])
-          << "row " << i << " class " << k;
+  for (std::size_t i = 0; i < probe.num_items(); ++i)
+    expect_same_doubles(
+        ac::predict_membership(c, probe, i),
+        std::vector<double>(oracle.membership.begin() + i * j,
+                            oracle.membership.begin() + (i + 1) * j));
+}
+
+TEST(Predictor, ChunkedForeignRowsMatchResident) {
+  const Dataset train = five_family_dataset(400, 32);
+  const ac::Model model = five_family_model(train);
+  const ac::Classification c = fit(model, 3);
+  // 700 rows in 193-row chunks (not a multiple of the 256-row block) under
+  // a budget far below the file size, so blocks straddle chunks and chunks
+  // are evicted and reloaded while one call runs.
+  const Dataset resident = five_family_dataset(700, 33);
+  const std::string path =
+      "/tmp/pac_serve_foreign_" + std::to_string(::getpid()) + ".pacb";
+  data::format::write_pacb_file(path, resident, /*chunk_rows=*/193);
+  const Dataset chunked(data::ChunkedStore::open(path, /*budget_bytes=*/8192));
+  ASSERT_FALSE(chunked.resident());
+
+  const PredictOutput want = predict_batch(c, resident, true);
+  const PredictOutput got = predict_batch(c, chunked, true);
+  EXPECT_EQ(got.labels, want.labels);
+  expect_same_doubles(got.membership, want.membership);
+  EXPECT_EQ(ac::predict_labels(c, chunked), want.labels);
+  const double ll_resident = ac::predict_log_likelihood(c, resident);
+  const double ll_chunked = ac::predict_log_likelihood(c, chunked);
+  EXPECT_EQ(0, std::memcmp(&ll_resident, &ll_chunked, sizeof(double)));
+  std::remove(path.c_str());
+}
+
+TEST(Predictor, BadRowFailsBatchButNotOtherRows) {
+  const Dataset train = five_family_dataset(300, 34);
+  const ac::Model model = five_family_model(train);
+  const ac::Classification c = fit(model);
+  struct Case {
+    const char* attribute;
+    std::function<void(Dataset&)> spoil;
+  };
+  const Case cases[] = {
+      {"'w'", [](Dataset& d) { d.set_real(3, 4, -2.0); }},  // lognormal
+      {"'z'", [](Dataset& d) { d.set_missing(3, 3); }},      // multi_normal
+  };
+  for (const Case& bad : cases) {
+    SCOPED_TRACE(bad.attribute);
+    Dataset probe = five_family_dataset(8, 35);
+    const Dataset clean = probe.slice(5, 6);
+    bad.spoil(probe);
+    // Row 5 is evaluated alone, so row 3's value cannot fail it.
+    const std::vector<double> m = ac::predict_membership(c, probe, 5);
+    expect_same_doubles(m, scalar_oracle(c, clean).membership);
+    try {
+      (void)ac::predict_labels(c, probe);
+      FAIL() << "bad row admitted";
+    } catch (const pac::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(bad.attribute), std::string::npos)
+          << e.what();
+    }
   }
+}
+
+TEST(Predictor, EmptyForeignDatasetGivesEmptyResults) {
+  const Dataset train = five_family_dataset(200, 36);
+  const ac::Model model = five_family_model(train);
+  const ac::Classification c = fit(model);
+  const Dataset empty(five_family_schema(), 0);
+  EXPECT_TRUE(ac::predict_labels(c, empty).empty());
+  EXPECT_EQ(ac::predict_log_likelihood(c, empty), 0.0);
+  const PredictOutput out = predict_batch(c, empty, true);
+  EXPECT_TRUE(out.labels.empty());
+  EXPECT_TRUE(out.membership.empty());
 }
 
 TEST(Predictor, TrainingRowsMatchAssignLabels) {
