@@ -2,16 +2,19 @@
 // that dominate P-AutoClass's host-side cost.  Wall-clock (not virtual)
 // time, for performance-regression tracking of the implementation itself.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "autoclass/em.hpp"
 #include "autoclass/report.hpp"
+#include "data/format.hpp"
 #include "data/synth.hpp"
 #include "mp/comm.hpp"
 #include "util/math.hpp"
@@ -462,6 +465,76 @@ void BM_UpdateParamsMixed(benchmark::State& state) {
   run_update_params(state, model, 4, false);
 }
 BENCHMARK(BM_UpdateParamsMixed);
+
+// ---- Out-of-core EM cycle: chunk-backed vs resident data ----
+
+/// All five term families over data::five_family_mixture.
+std::vector<ac::TermSpec> five_family_terms() {
+  return {{ac::TermKind::kSingleNormal, {0}},
+          {ac::TermKind::kSingleLognormal, {1}},
+          {ac::TermKind::kMultiNormal, {2, 3}},
+          {ac::TermKind::kIgnore, {4}},
+          {ac::TermKind::kSingleMultinomial, {5}}};
+}
+
+/// The five-family bench data on the resident backend, or read back from a
+/// .pacb whose 2000-row chunks straddle the 256-item blocks, under a 128 KiB
+/// chunk budget (about a third of the file), so every chunk is evicted and
+/// reloaded on every pass.
+class OocData {
+ public:
+  explicit OocData(bool chunked)
+      : dataset_(data::five_family_mixture(8192, 31, 0.05).dataset) {
+    if (!chunked) return;
+    path_ = "/tmp/pac_micro_ooc_" + std::to_string(::getpid()) + ".pacb";
+    data::format::write_pacb_file(path_, dataset_, /*chunk_rows=*/2000);
+    dataset_ = data::Dataset(data::ChunkedStore::open(path_, 128 << 10));
+  }
+  ~OocData() {
+    if (!path_.empty()) std::remove(path_.c_str());
+  }
+  OocData(const OocData&) = delete;
+  OocData& operator=(const OocData&) = delete;
+
+  const data::Dataset& dataset() const { return dataset_; }
+
+ private:
+  data::Dataset dataset_;
+  std::string path_;
+};
+
+/// One EM cycle per iteration — update_parameters, then update_wts — on the
+/// five-family model at J = 8 with EmConfig::threads = 2, at the host's
+/// SIMD level.  The resident run is the reference; the chunked run's extra
+/// time is the out-of-core data path: chunk lookups, pread, CRC
+/// verification and the lognormal term's per-block log x.
+void run_ooc_cycle(benchmark::State& state, bool chunked) {
+  const OocData data(chunked);
+  const ac::Model model(data.dataset(), five_family_terms());
+  const std::size_t n = data.dataset().num_items();
+  ac::Reducer identity;
+  ac::EmWorker worker(model, data::ItemRange{0, n}, identity);
+  ac::Classification c(model, 8);
+  ac::EmConfig config;
+  config.threads = 2;
+  config.fast_math = -1;
+  worker.random_init(c, 7, 0, config);
+  for (auto _ : state) {
+    worker.update_parameters(c);
+    benchmark::DoNotOptimize(worker.update_wts(c));
+  }
+  state.SetItemsProcessed(state.iterations() * n * 8);
+}
+
+void BM_OocCycleResident(benchmark::State& state) {
+  run_ooc_cycle(state, false);
+}
+BENCHMARK(BM_OocCycleResident);
+
+void BM_OocCycleChunked(benchmark::State& state) {
+  run_ooc_cycle(state, true);
+}
+BENCHMARK(BM_OocCycleChunked);
 
 void BM_EmBaseCycle(benchmark::State& state) {
   // Host throughput of one full base_cycle (sequential), items x classes.

@@ -96,8 +96,7 @@ int main(int argc, char** argv) {
   const data::Dataset dataset = [&] {
     data::OpenOptions options;
     options.header_path = header_path;
-    options.budget_mb =
-        static_cast<std::size_t>(cli.get_int("data-budget-mb", 0));
+    options.budget_mb = cli.get_int("data-budget-mb", 0);
     return data::open_dataset(data_path, options);
   }();
   if (!dataset.resident())

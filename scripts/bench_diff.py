@@ -52,6 +52,12 @@ PAIRS = [
     ("mstep-batch-kernel", "BM_UpdateParamsScalarGaussian", "BM_UpdateParamsGaussian"),
     ("mstep-fastmath", "BM_UpdateParamsGaussian", "BM_UpdateParamsGaussianFastMath"),
     ("mstep-fastmath-multinormal", "BM_UpdateParamsMultiNormal", "BM_UpdateParamsMultiNormalFastMath"),
+    # One EM cycle (update_parameters + update_wts, five term families,
+    # J=8, 2 pool threads) on resident data vs the same values streamed
+    # from a .pacb under an evicting chunk budget.  Below 1x by design; a
+    # drop means the chunked data path (lookups, pread, CRC, per-block
+    # transforms) grew a cost.
+    ("ooc-chunked-vs-resident", "BM_OocCycleResident", "BM_OocCycleChunked"),
     # Serving path (bench/serve_latency): micro-batched predict_batch vs
     # the per-request rowwise path and the per-row scalar oracle.
     ("serve-batched-vs-rowwise", "BM_ServePredictRowwise", "BM_ServePredictBatched"),

@@ -24,11 +24,11 @@ constexpr std::uint64_t kInitStream = 0x1A17;
 constexpr std::uint64_t kSeedFallbackStream = kInitStream + (1ULL << 32);
 
 /// Items per E-step / M-step block: big enough to amortize the per-(term,
-/// class) kernel dispatch, small enough that a block of likelihood rows
-/// stays in L1/L2 alongside the term columns.  Also the unit of intra-rank
-/// work sharing: per-block partials are folded in block-index order, so
-/// every EM result is a pure function of this constant and never of the
-/// thread count.
+/// block) kernel dispatch and column fetch, small enough that a block of
+/// likelihood rows stays in L1/L2 alongside the term columns.  Also the
+/// unit of intra-rank work sharing: per-block partials are folded in
+/// block-index order, so every EM result is a pure function of this
+/// constant and never of the thread count.
 constexpr std::size_t kEStepBlock = 256;
 
 /// Number of kEStepBlock blocks covering [begin, end).
@@ -168,23 +168,22 @@ void EmWorker::random_init(Classification& c, std::uint64_t seed,
   const std::vector<std::size_t> seeds =
       detail::draw_seed_items(rng, n, j, try_index);
 
-  // Blocked nearest-seed assignment: per block, each (term, seed) pair
-  // accumulates one distance column across the whole item block — the same
-  // column-major kernel shape as the E-step, fed by per-block column views
-  // on either storage backend.  Per (item, seed) the additions happen in
-  // term order from 0.0 and the strict < argmin keeps the first minimum, so
-  // the assignment is bit-identical to a per-item scalar loop — and, like
-  // the E-step, a pure function of kEStepBlock, never of the thread count.
+  // Blocked nearest-seed assignment: per block, each term accumulates its
+  // distances to all J seeds across the whole item block in one call — the
+  // same one-call-per-(term, block) kernel shape as the E-step, fed by one
+  // column fetch per term on either storage backend.  Per (item, seed) the
+  // additions happen in term order from 0.0 and the strict < argmin keeps
+  // the first minimum, so the assignment is bit-identical to a per-item
+  // scalar loop — and, like the E-step, a pure function of kEStepBlock,
+  // never of the thread count.
   const std::size_t blocks = block_count(range_.begin, range_.end);
   std::vector<std::exception_ptr> block_error(blocks);
   run_blocks(blocks, [&](std::size_t b, std::size_t) {
     const data::ItemRange block = block_range(range_.begin, range_.end, b);
     try {
       std::vector<double> dist(block.size() * j, 0.0);
-      for (std::size_t k = 0; k < j; ++k)
-        for (std::size_t t = 0; t < model_->num_terms(); ++t)
-          model_->term(t).seed_distance_batch(block, seeds[k],
-                                              dist.data() + k, j);
+      for (std::size_t t = 0; t < model_->num_terms(); ++t)
+        model_->term(t).seed_distance_batch(block, seeds, dist.data());
       for (std::size_t r = 0; r < block.size(); ++r) {
         const double* row_dist = dist.data() + r * j;
         std::size_t home_class = 0;
@@ -422,27 +421,22 @@ void EmWorker::accumulate_statistics(const Classification& c) {
   accumulate_statistics_blocked(
       c, [&](data::ItemRange block, const double* weights,
              std::span<double> stats) {
-        // (class, term)-major: each Term::accumulate_batch call folds one
-        // class's weight column over the whole block — the virtual
-        // dispatch, column pointers, and moment registers hoisted out of
-        // the item loop.  Within every stats slot the items still fold in
-        // increasing order, so the block partial is bit-identical to the
-        // scalar chain's.
-        // The fast tier routes each (class, term) fold through
-        // accumulate_batch_fast (reassociated 4-lane moments where a term
-        // provides them, the exact kernel otherwise).
-        const bool fast = fast_math_;
-        for (std::size_t k = 0; k < j; ++k) {
-          double* class_stats = stats.data() + k * spc;
-          for (std::size_t t = 0; t < model_->num_terms(); ++t) {
-            const Term& term = model_->term(t);
-            const std::span<double> term_stats(
-                class_stats + model_->stats_offset(t), term.stats_size());
-            if (fast) {
-              term.accumulate_batch_fast(block, weights + k, j, term_stats);
-            } else {
-              term.accumulate_batch(block, weights + k, j, term_stats);
-            }
+        // (term, class)-major: one Term::accumulate_batch call per term
+        // folds every class's weight column over the whole block — one
+        // column fetch per term and block, the virtual dispatch, column
+        // pointers, and moment registers hoisted out of the item loop.
+        // (term, class) slots are disjoint, and within every slot the items
+        // still fold in increasing order, so the block partial is
+        // bit-identical to the scalar chain's.  The fast tier routes each
+        // term through accumulate_batch_fast (reassociated 4-lane moments
+        // where a term provides them, the exact kernel otherwise).
+        for (std::size_t t = 0; t < model_->num_terms(); ++t) {
+          const Term& term = model_->term(t);
+          double* term_stats = stats.data() + model_->stats_offset(t);
+          if (fast_math_) {
+            term.accumulate_batch_fast(block, weights, j, term_stats, spc);
+          } else {
+            term.accumulate_batch(block, weights, j, term_stats, spc);
           }
         }
       });

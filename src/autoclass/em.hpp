@@ -224,8 +224,9 @@ class EmWorker {
   /// reduction protocol and results (bit-for-bit) as update_wts.
   double update_wts_scalar(Classification& c);
 
-  /// M-step: accumulate local statistics — blocked, (class, term)-major
-  /// over the membership matrix via Term::accumulate_batch, work-shared
+  /// M-step: accumulate local statistics — blocked, (term, class)-major
+  /// over the membership matrix via one Term::accumulate_batch call per
+  /// (term, block) covering all J classes, work-shared
   /// across the thread pool with per-block partial statistics folded in
   /// block-index order — make them global, and recompute every class's
   /// parameters and mixing weight.

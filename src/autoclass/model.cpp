@@ -18,32 +18,43 @@ const char* to_string(TermKind kind) noexcept {
   return "?";
 }
 
-void Term::log_prob_batch(data::ItemRange range,
-                          std::span<const double> params, double* out) const {
-  for (std::size_t i = range.begin; i < range.end; ++i)
-    out[i - range.begin] += log_prob(i, params);
-}
-
-void Term::accumulate_batch_fast(data::ItemRange range, const double* weights,
-                                 std::size_t stride,
-                                 std::span<double> stats) const {
-  accumulate_batch(range, weights, stride, stats);
-}
-
-void Term::accumulate_batch(data::ItemRange range, const double* weights,
-                            std::size_t stride,
-                            std::span<double> stats) const {
-  for (std::size_t i = range.begin; i < range.end; ++i, weights += stride) {
-    const double w = *weights;
-    if (w <= 0.0) continue;
-    accumulate(i, w, stats);
+void Term::log_prob_batch(data::ItemRange range, const double* params,
+                          std::size_t param_stride, std::size_t num_classes,
+                          double* out) const {
+  const std::size_t n = range.size();
+  for (std::size_t k = 0; k < num_classes; ++k) {
+    const std::span<const double> p(params + k * param_stride, param_size_);
+    for (std::size_t i = range.begin; i < range.end; ++i)
+      out[k * n + (i - range.begin)] += log_prob(i, p);
   }
 }
 
-void Term::seed_distance_batch(data::ItemRange range, std::size_t seed_item,
-                               double* out, std::size_t stride) const {
-  for (std::size_t i = range.begin; i < range.end; ++i, out += stride)
-    *out += seed_distance(i, seed_item);
+void Term::accumulate_batch_fast(data::ItemRange range, const double* weights,
+                                 std::size_t num_classes, double* stats,
+                                 std::size_t stats_stride) const {
+  accumulate_batch(range, weights, num_classes, stats, stats_stride);
+}
+
+void Term::accumulate_batch(data::ItemRange range, const double* weights,
+                            std::size_t num_classes, double* stats,
+                            std::size_t stats_stride) const {
+  for (std::size_t k = 0; k < num_classes; ++k) {
+    const std::span<double> s(stats + k * stats_stride, stats_size_);
+    for (std::size_t i = range.begin; i < range.end; ++i) {
+      const double w = weights[(i - range.begin) * num_classes + k];
+      if (w <= 0.0) continue;
+      accumulate(i, w, s);
+    }
+  }
+}
+
+void Term::seed_distance_batch(data::ItemRange range,
+                               std::span<const std::size_t> seeds,
+                               double* out) const {
+  const std::size_t s = seeds.size();
+  for (std::size_t i = range.begin; i < range.end; ++i)
+    for (std::size_t q = 0; q < s; ++q)
+      out[(i - range.begin) * s + q] += seed_distance(i, seeds[q]);
 }
 
 std::unique_ptr<Term> Term::rebind(const data::Dataset&) const {

@@ -66,8 +66,10 @@ struct ModelConfig {
 };
 
 /// Per-class model term.  Concrete terms live in terms.cpp; see the header
-/// comment for the contract.  All span arguments are exactly param_size() or
-/// stats_size() doubles for one class.
+/// comment for the contract.  The scalar entry points take spans of exactly
+/// param_size() or stats_size() doubles for one class; the batched kernels
+/// take one call per (term, item block) covering all J classes at once,
+/// addressing class k's block through a stride.
 class Term {
  public:
   virtual ~Term() = default;
@@ -85,64 +87,72 @@ class Term {
   virtual double log_prob(std::size_t item,
                           std::span<const double> params) const = 0;
 
-  /// Batched E-step kernel: for every item i in `range`, *accumulate* this
-  /// term's log-probability under `params` into out[i - range.begin].  With
-  /// `out` pointing at one class's column of a class-major block (J
-  /// contiguous columns of range.size() items, fill_log_joint's layout),
-  /// one call fills that column for a whole item block.
+  /// Batched E-step kernel, one call per (term, item block) covering all
+  /// `num_classes` classes: for every class k and item i in `range`,
+  /// *accumulate* this term's log-probability under class k's parameters
+  /// into out[k * n + (i - range.begin)], n = range.size() — the
+  /// class-major block fill_log_joint fills.  Class k's parameter block
+  /// starts at params + k * param_stride (a classification's flat layout:
+  /// `params` is class 0's block of this term, the stride
+  /// Model::params_per_class()).
   ///
-  /// Contract: the value added per item must be bit-identical to
-  /// log_prob(item, params).  Overrides may hoist loop-invariant work out of
-  /// the item loop — parameter loads, logs of per-term constants, the
+  /// Contract: the value added per (item, class) cell must be bit-identical
+  /// to log_prob(item, class k's params).  Overrides fetch the block's
+  /// column views once per call (one chunk lookup per term and block, not
+  /// one per class) and may hoist loop-invariant work — parameter loads,
+  /// logs of per-term constants, a transform of the block's values, the
   /// virtual dispatch itself — but must not rearrange the per-item floating
   /// point expression.  The scalar log_prob stays the oracle the equality
   /// tests diff against.  The default implementation loops over log_prob,
   /// so new term families are correct before they are fast.
-  virtual void log_prob_batch(data::ItemRange range,
-                              std::span<const double> params,
-                              double* out) const;
+  virtual void log_prob_batch(data::ItemRange range, const double* params,
+                              std::size_t param_stride,
+                              std::size_t num_classes, double* out) const;
 
   /// M-step accumulation: absorb `item` with membership weight `w`.
   virtual void accumulate(std::size_t item, double w,
                           std::span<double> stats) const = 0;
 
-  /// Batched M-step kernel: absorb every item i in `range` with membership
-  /// weight weights[(i - range.begin) * stride] into `stats`.  With
-  /// `weights` pointing at one class's column of the row-major item x class
-  /// membership matrix and `stride` = J, one call folds that class's share
-  /// of a whole item block into the class's statistics.
+  /// Batched M-step kernel, one call per (term, item block) covering all
+  /// `num_classes` classes: `weights` is the block's row-major item x class
+  /// membership matrix (class k of in-block item r at
+  /// weights[r * num_classes + k]), and class k's statistics block of this
+  /// term starts at stats + k * stats_stride (stride
+  /// Model::stats_per_class()).  Every item i in `range` is absorbed into
+  /// every class with its weight.
   ///
   /// Contract (mirror of log_prob_batch): the additions into each stats
-  /// slot must be the ones accumulate(item, w, stats) would perform, in the
-  /// same increasing-item order, and items with w <= 0 are skipped exactly
-  /// as EmWorker's scalar M-step skips them — so the fold stays
-  /// bit-identical to the per-item virtual chain.  Overrides may hoist
-  /// loop-invariant work (column pointers, parameter-table loads, running
-  /// moment registers, the virtual dispatch itself) but must not
-  /// reassociate the per-item floating-point expression or reorder items
-  /// within a slot.  The scalar accumulate stays the oracle the equality
-  /// tests diff against; the default implementation loops over it, so new
-  /// term families are correct before they are fast.
+  /// slot must be the ones accumulate(item, w, class k's stats) would
+  /// perform, in the same increasing-item order, and items with w <= 0 are
+  /// skipped exactly as EmWorker's scalar M-step skips them — so the fold
+  /// stays bit-identical to the per-item virtual chain.  Overrides fetch
+  /// the block's column views once per call and may hoist loop-invariant
+  /// work (column pointers, parameter-table loads, running moment
+  /// registers, the virtual dispatch itself) but must not reassociate the
+  /// per-item floating-point expression or reorder items within a slot.
+  /// The scalar accumulate stays the oracle the equality tests diff
+  /// against; the default implementation loops over it, so new term
+  /// families are correct before they are fast.
   virtual void accumulate_batch(data::ItemRange range, const double* weights,
-                                std::size_t stride,
-                                std::span<double> stats) const;
+                                std::size_t num_classes, double* stats,
+                                std::size_t stats_stride) const;
 
   /// Fast-math M-step kernel (the opt-in PAC_FAST_MATH tier): same inputs
-  /// and slot layout as accumulate_batch, but the fold may use the fixed
-  /// 4-lane reassociation documented in util/simd.hpp — lane j sums items
-  /// with in-block index ≡ j (mod 4), lanes combine as ((l0+l1)+l2)+l3,
-  /// tail items fold in order, and skipped items (w <= 0 / missing)
-  /// contribute exactly +0.0.  The association is fixed by contract, never
-  /// by the instruction set, so results stay deterministic and identical
-  /// across SIMD levels, thread counts, and transports; they are validated
-  /// against the scalar oracle by the relative-error tolerance suite
-  /// instead of memcmp (DESIGN.md §5).  The default defers to the
-  /// bit-identical accumulate_batch, so term families without a fast
+  /// and slot layout as accumulate_batch, but each class's fold may use the
+  /// fixed 4-lane reassociation documented in util/simd.hpp — lane j sums
+  /// items with in-block index ≡ j (mod 4), lanes combine as
+  /// ((l0+l1)+l2)+l3, tail items fold in order, and skipped items (w <= 0 /
+  /// missing) contribute exactly +0.0.  The association is fixed by
+  /// contract, never by the instruction set, so results stay deterministic
+  /// and identical across SIMD levels, thread counts, and transports; they
+  /// are validated against the scalar oracle by the relative-error
+  /// tolerance suite instead of memcmp (DESIGN.md §5).  The default defers
+  /// to the bit-identical accumulate_batch, so term families without a fast
   /// kernel are simply exact.
   virtual void accumulate_batch_fast(data::ItemRange range,
                                      const double* weights,
-                                     std::size_t stride,
-                                     std::span<double> stats) const;
+                                     std::size_t num_classes, double* stats,
+                                     std::size_t stats_stride) const;
 
   /// MAP update: statistics -> parameters (applies the term's prior).
   virtual void update_params(std::span<const double> stats,
@@ -171,19 +181,20 @@ class Term {
   virtual double seed_distance(std::size_t item,
                                std::size_t seed_item) const = 0;
 
-  /// Batched seed-distance kernel: for every item i in `range`, *accumulate*
-  /// this term's seed_distance(i, seed_item) into
-  /// out[(i - range.begin) * stride]: one column of a row-major item x seed
-  /// buffer (stride = number of seeds).
+  /// Batched seed-distance kernel, one call per (term, item block) covering
+  /// every seed: for every item i in `range` and seed q, *accumulate* this
+  /// term's seed_distance(i, seeds[q]) into
+  /// out[(i - range.begin) * seeds.size() + q] — a row-major item x seed
+  /// buffer.
   ///
-  /// Contract: the value added per item must be bit-identical to
-  /// seed_distance(item, seed_item).  Overrides may hoist the seed item's
-  /// values and the column fetch out of the loop but must not rearrange the
-  /// per-item floating-point expression.  The default loops over
-  /// seed_distance.
+  /// Contract: the value added per (item, seed) cell must be bit-identical
+  /// to seed_distance(item, seeds[q]).  Overrides may hoist the column
+  /// fetch and the seed items' values out of the loop but must not
+  /// rearrange the per-item floating-point expression.  The default loops
+  /// over seed_distance.
   virtual void seed_distance_batch(data::ItemRange range,
-                                   std::size_t seed_item, double* out,
-                                   std::size_t stride) const;
+                                   std::span<const std::size_t> seeds,
+                                   double* out) const;
 
   /// Clone this term with its data access repointed at `target` (a dataset
   /// with the training schema, on any backend), keeping every trained prior

@@ -17,9 +17,10 @@ void fill_log_joint(const Classification& c, data::ItemRange block,
   const std::size_t n = block.size();
   for (std::size_t k = 0; k < j; ++k)
     std::fill_n(lj + k * n, n, c.log_pi(k));
+  const double* params = c.all_params().data();
   for (std::size_t t = 0; t < model.num_terms(); ++t)
-    for (std::size_t k = 0; k < j; ++k)
-      model.term(t).log_prob_batch(block, c.param_block(k, t), lj + k * n);
+    model.term(t).log_prob_batch(block, params + model.param_offset(t),
+                                 model.params_per_class(), j, lj);
 }
 
 void normalize_log_joint(const double* lj, std::size_t n, std::size_t j,

@@ -23,8 +23,9 @@ inline constexpr std::size_t kReportBlock = 256;
 /// Fill `lj` with the log joint log pi_j + log p(x_i | theta_j) of every
 /// item of `block` under every class via the batched term kernels,
 /// class-major: lj[k * n + r] holds class k of in-block item r, with
-/// n = block.size(), so each Term::log_prob_batch call writes one
-/// contiguous column.  Per item the additions run log pi_j first, then the
+/// n = block.size().  One Term::log_prob_batch call per term fills all J
+/// contiguous columns from one fetch of the block's values.  Per (item,
+/// class) cell the additions run log pi_j first, then the
 /// terms in index order — the scalar oracle's order, so values match the
 /// training path bit-for-bit.  This is the one per-block fill: the E-step,
 /// every report helper and predict_batch route through it.

@@ -1,11 +1,12 @@
 // Concrete model terms: single_normal, single_multinomial, multi_normal,
 // single_lognormal and ignore.
 //
-// Data access has one shape on every backend: the batched kernels read
-// per-block Dataset::real_block / discrete_block views, and the scalar
-// oracles read Dataset::real_value / discrete_value.  Foreign rows reach a
-// term only through rebind, which repoints that access at another dataset.
-// The one backend test is the lognormal term's resident log cache
+// Data access has one shape on every backend: each batched kernel call
+// covers all J classes (or seeds) of one item block and reads that block's
+// Dataset::real_block / discrete_block views once, and the scalar oracles
+// read Dataset::real_value / discrete_value.  Foreign rows reach a term
+// only through rebind, which repoints that access at another dataset.  The
+// one backend test is the lognormal term's resident log cache
 // (stream_logs), which caches a transform rather than a view.
 //
 // Notation per class j (weights w_i are the E-step membership weights):
@@ -44,6 +45,40 @@ static_assert(data::kMissingDiscrete == -1);
 
 namespace {
 
+// Per-class loops shared by the normal and log-normal kernels.  Each takes
+// one class's weights or seed, so a term's batched override is the column
+// fetch (or log transform) once, then one of these per class.
+
+/// stats[0..2] += (sum w, sum w*x, sum w*x*x) in item order over the items
+/// with w > 0 and a known x, the weights strided by `wstride`.  The moments
+/// fold in registers instead of through memory; the per-item additions are
+/// the scalar accumulate's, so the result is bit-identical to its chain.
+void moment_fold(const double* x, std::size_t n, const double* weights,
+                 std::size_t wstride, double* stats) {
+  double sw = stats[0], swx = stats[1], swx2 = stats[2];
+  for (std::size_t r = 0; r < n; ++r) {
+    const double w = weights[r * wstride];
+    if (w <= 0.0) continue;
+    if (data::is_missing_real(x[r])) continue;
+    sw += w;
+    swx += w * x[r];
+    swx2 += w * x[r] * x[r];
+  }
+  stats[0] = sw;
+  stats[1] = swx;
+  stats[2] = swx2;
+}
+
+/// out[r * ostride] += seed_distance's real-valued expression between x[r]
+/// and the seed value b: 0.5 if either is missing, else (x - b)^2 / var.
+void squared_distance_column(const double* x, std::size_t n, double b,
+                             double var, double* out, std::size_t ostride) {
+  for (std::size_t r = 0; r < n; ++r)
+    out[r * ostride] += data::is_missing_real(x[r]) || data::is_missing_real(b)
+                            ? 0.5
+                            : sq(x[r] - b) / var;
+}
+
 // ---------------------------------------------------------------- normal --
 
 class SingleNormalTerm final : public Term {
@@ -81,30 +116,36 @@ class SingleNormalTerm final : public Term {
     return -0.5 * (kLog2Pi + z * z) - params[2] + std::log(error_);
   }
 
-  void log_prob_batch(data::ItemRange range, std::span<const double> params,
+  void log_prob_batch(data::ItemRange range, const double* params,
+                      std::size_t param_stride, std::size_t num_classes,
                       double* out) const override {
-    // Hoisted per class-column: the parameter loads, log(error_) — the
-    // scalar path pays that transcendental per item — and the block fetch.
-    // The per-item expression is log_prob's, unchanged, so the column stays
-    // bit-identical on either storage backend.
-    const double mean = params[0];
-    const double sigma = params[1];
-    const double log_sigma = params[2];
+    // Hoisted: the block fetch and log(error_) — the scalar path pays that
+    // transcendental per item — once for all classes, then the parameter
+    // loads once per class column.  The per-item expression is log_prob's,
+    // unchanged, so every column stays bit-identical on either backend.
     const double log_error = std::log(error_);
     const auto view = block(range);
     const double* x = view.data();
-    if (simd::active()) {
-      simd::gaussian_log_prob(x, view.size(), mean, sigma, log_sigma,
-                              log_error, out);
-      return;
-    }
-    for (std::size_t r = 0; r < view.size(); ++r) {
-      double lp = 0.0;
-      if (!data::is_missing_real(x[r])) {
-        const double z = (x[r] - mean) / sigma;
-        lp = -0.5 * (kLog2Pi + z * z) - log_sigma + log_error;
+    const std::size_t n = view.size();
+    const bool vector = simd::active();
+    for (std::size_t k = 0; k < num_classes; ++k) {
+      const double* p = params + k * param_stride;
+      const double mean = p[0];
+      const double sigma = p[1];
+      const double log_sigma = p[2];
+      double* col = out + k * n;
+      if (vector) {
+        simd::gaussian_log_prob(x, n, mean, sigma, log_sigma, log_error, col);
+        continue;
       }
-      out[r] += lp;
+      for (std::size_t r = 0; r < n; ++r) {
+        double lp = 0.0;
+        if (!data::is_missing_real(x[r])) {
+          const double z = (x[r] - mean) / sigma;
+          lp = -0.5 * (kLog2Pi + z * z) - log_sigma + log_error;
+        }
+        col[r] += lp;
+      }
     }
   }
 
@@ -118,36 +159,26 @@ class SingleNormalTerm final : public Term {
   }
 
   void accumulate_batch(data::ItemRange range, const double* weights,
-                        std::size_t stride,
-                        std::span<double> stats) const override {
-    // The three weighted moments fold in registers instead of through the
-    // stats span (and the virtual dispatch happens once per block, not per
-    // item); the per-item additions are accumulate's, in item order, so
-    // the folded block is bit-identical to the scalar chain.
+                        std::size_t num_classes, double* stats,
+                        std::size_t stats_stride) const override {
+    // One block fetch for all classes; per class the three weighted moments
+    // fold in registers (moment_fold), in item order, so every class's
+    // slots are bit-identical to the scalar chain.
     const auto view = block(range);
-    const double* x = view.data();
-    double sw = stats[0], swx = stats[1], swx2 = stats[2];
-    for (std::size_t r = 0; r < view.size(); ++r, weights += stride) {
-      const double w = *weights;
-      if (w <= 0.0) continue;
-      if (data::is_missing_real(x[r])) continue;
-      sw += w;
-      swx += w * x[r];
-      swx2 += w * x[r] * x[r];
-    }
-    stats[0] = sw;
-    stats[1] = swx;
-    stats[2] = swx2;
+    for (std::size_t k = 0; k < num_classes; ++k)
+      moment_fold(view.data(), view.size(), weights + k, num_classes,
+                  stats + k * stats_stride);
   }
 
   // Fast tier: the same three moments in the fixed 4-lane association
   // (tolerance-validated, still deterministic at every dispatch level).
   void accumulate_batch_fast(data::ItemRange range, const double* weights,
-                             std::size_t stride,
-                             std::span<double> stats) const override {
+                             std::size_t num_classes, double* stats,
+                             std::size_t stats_stride) const override {
     const auto view = block(range);
-    simd::gaussian_accumulate_fast(view.data(), weights, stride, view.size(),
-                                   stats.data());
+    for (std::size_t k = 0; k < num_classes; ++k)
+      simd::gaussian_accumulate_fast(view.data(), weights + k, num_classes,
+                                     view.size(), stats + k * stats_stride);
   }
 
   void update_params(std::span<const double> stats,
@@ -223,17 +254,15 @@ class SingleNormalTerm final : public Term {
     return sq(a - b) / prior_var_;
   }
 
-  void seed_distance_batch(data::ItemRange range, std::size_t seed_item,
-                           double* out, std::size_t stride) const override {
-    // Hoists the seed value and the block fetch; the per-item expression is
-    // seed_distance's, so the column stays bit-identical.
-    const double b = value(seed_item);
+  void seed_distance_batch(data::ItemRange range,
+                           std::span<const std::size_t> seeds,
+                           double* out) const override {
+    // Hoists the block fetch and each seed's value; the per-item expression
+    // is seed_distance's, so every cell stays bit-identical.
     const auto view = block(range);
-    const double* x = view.data();
-    for (std::size_t r = 0; r < view.size(); ++r, out += stride)
-      *out += data::is_missing_real(x[r]) || data::is_missing_real(b)
-                  ? 0.5
-                  : sq(x[r] - b) / prior_var_;
+    for (std::size_t q = 0; q < seeds.size(); ++q)
+      squared_distance_column(view.data(), view.size(), value(seeds[q]),
+                              prior_var_, out + q, seeds.size());
   }
 
   std::unique_ptr<Term> rebind(const data::Dataset& target) const override {
@@ -314,24 +343,30 @@ class SingleMultinomialTerm final : public Term {
     return params[static_cast<std::size_t>(v)];
   }
 
-  void log_prob_batch(data::ItemRange range, std::span<const double> params,
+  void log_prob_batch(data::ItemRange range, const double* params,
+                      std::size_t param_stride, std::size_t num_classes,
                       double* out) const override {
-    // The class's params block *is* the log-probability lookup table; the
-    // batch path is a pure table walk with the missing policy and the block
-    // fetch hoisted.
-    const double missing_lp =
-        missing_as_value_ ? params[num_values_ - 1] : 0.0;
+    // Each class's params block *is* its log-probability lookup table; the
+    // batch path is a pure table walk per class over one block fetch, with
+    // the missing policy hoisted.
     const auto view = block(range);
     const std::int32_t* v = view.data();
-    if (simd::active()) {
-      simd::multinomial_log_prob(v, view.size(), params.data(), missing_lp,
-                                 out);
-      return;
+    const std::size_t n = view.size();
+    const bool vector = simd::active();
+    for (std::size_t k = 0; k < num_classes; ++k) {
+      const double* table = params + k * param_stride;
+      const double missing_lp =
+          missing_as_value_ ? table[num_values_ - 1] : 0.0;
+      double* col = out + k * n;
+      if (vector) {
+        simd::multinomial_log_prob(v, n, table, missing_lp, col);
+        continue;
+      }
+      for (std::size_t r = 0; r < n; ++r)
+        col[r] += v[r] == data::kMissingDiscrete
+                      ? missing_lp
+                      : table[static_cast<std::size_t>(v[r])];
     }
-    for (std::size_t r = 0; r < view.size(); ++r)
-      out[r] += v[r] == data::kMissingDiscrete
-                  ? missing_lp
-                  : params[static_cast<std::size_t>(v[r])];
   }
 
   void accumulate(std::size_t item, double w,
@@ -345,25 +380,27 @@ class SingleMultinomialTerm final : public Term {
   }
 
   void accumulate_batch(data::ItemRange range, const double* weights,
-                        std::size_t stride,
-                        std::span<double> stats) const override {
-    // A weighted bincount over the same symbol indices the param table
-    // uses, with the missing policy and the counts pointer hoisted out of
-    // the item loop.  Each count slot receives accumulate's additions in
-    // item order.
+                        std::size_t num_classes, double* stats,
+                        std::size_t stats_stride) const override {
+    // A weighted bincount per class over the same symbol indices the param
+    // table uses, from one block fetch, with the missing policy and the
+    // counts pointer hoisted out of the item loop.  Each count slot
+    // receives accumulate's additions in item order.
     const auto view = block(range);
     const std::int32_t* v = view.data();
-    double* counts = stats.data();
-    double* missing_slot = missing_as_value_ ? counts + num_values_ - 1
-                                             : nullptr;
-    for (std::size_t r = 0; r < view.size(); ++r, weights += stride) {
-      const double w = *weights;
-      if (w <= 0.0) continue;
-      if (v[r] == data::kMissingDiscrete) {
-        if (missing_slot != nullptr) *missing_slot += w;
-        continue;
+    for (std::size_t k = 0; k < num_classes; ++k) {
+      double* counts = stats + k * stats_stride;
+      double* missing_slot =
+          missing_as_value_ ? counts + num_values_ - 1 : nullptr;
+      for (std::size_t r = 0; r < view.size(); ++r) {
+        const double w = weights[r * num_classes + k];
+        if (w <= 0.0) continue;
+        if (v[r] == data::kMissingDiscrete) {
+          if (missing_slot != nullptr) *missing_slot += w;
+          continue;
+        }
+        counts[static_cast<std::size_t>(v[r])] += w;
       }
-      counts[static_cast<std::size_t>(v[r])] += w;
     }
   }
 
@@ -422,16 +459,21 @@ class SingleMultinomialTerm final : public Term {
     return a == b ? 0.0 : 1.0;
   }
 
-  void seed_distance_batch(data::ItemRange range, std::size_t seed_item,
-                           double* out, std::size_t stride) const override {
-    const std::int32_t b = value(seed_item);
+  void seed_distance_batch(data::ItemRange range,
+                           std::span<const std::size_t> seeds,
+                           double* out) const override {
     const auto view = block(range);
     const std::int32_t* v = view.data();
-    for (std::size_t r = 0; r < view.size(); ++r, out += stride) {
-      const std::int32_t a = v[r];
-      *out += a == data::kMissingDiscrete || b == data::kMissingDiscrete
-                  ? 0.5
-                  : (a == b ? 0.0 : 1.0);
+    const std::size_t s = seeds.size();
+    for (std::size_t q = 0; q < s; ++q) {
+      const std::int32_t b = value(seeds[q]);
+      for (std::size_t r = 0; r < view.size(); ++r) {
+        const std::int32_t a = v[r];
+        out[r * s + q] +=
+            a == data::kMissingDiscrete || b == data::kMissingDiscrete
+                ? 0.5
+                : (a == b ? 0.0 : 1.0);
+      }
     }
   }
 
@@ -521,34 +563,39 @@ class MultiNormalTerm final : public Term {
            log_error_sum_;
   }
 
-  void log_prob_batch(data::ItemRange range, std::span<const double> params,
+  void log_prob_batch(data::ItemRange range, const double* params,
+                      std::size_t param_stride, std::size_t num_classes,
                       double* out) const override {
-    // The Cholesky factor lives in the params block (computed once per
-    // M-step by update_params); hoist the factor/log-det loads and reuse
-    // them across the whole block.
+    // The d column windows are fetched once for all classes.  Each class's
+    // Cholesky factor lives in its params block (computed once per M-step
+    // by update_params); the factor/log-det loads are hoisted per class and
+    // reused across the whole block.
     const std::size_t d = dim_;
     double diff_stack[32];
     PAC_CHECK(d <= 32);
     std::span<double> diff(diff_stack, d);
-    const std::span<const double> chol(params.data() + d, d * d);
-    const double logdet = params[d + d * d];
     const double dd = static_cast<double>(d);
     data::ColumnBlockView<double> views[32];
     const double* cols[32];
     fetch_blocks(range, views, cols);
     const std::size_t n = range.size();
-    if (simd::active()) {
-      // Per-block base pointers with i0 = 0 read the exact addresses the
-      // whole-column call would; the kernel's lane structure depends only
-      // on the in-block index, so the output is unchanged.
-      simd::multinormal_log_prob(cols, d, 0, n, params.data(),
-                                 log_error_sum_, out);
-      return;
-    }
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t k = 0; k < d; ++k) diff[k] = cols[k][r] - params[k];
-      const double maha = spd::mahalanobis2(chol, d, diff);
-      out[r] += -0.5 * (dd * kLog2Pi + logdet + maha) + log_error_sum_;
+    const bool vector = simd::active();
+    for (std::size_t c = 0; c < num_classes; ++c) {
+      const double* p = params + c * param_stride;
+      double* col = out + c * n;
+      if (vector) {
+        // Per-block base pointers with i0 = 0: the kernel's lane structure
+        // depends only on the in-block index.
+        simd::multinormal_log_prob(cols, d, 0, n, p, log_error_sum_, col);
+        continue;
+      }
+      const std::span<const double> chol(p + d, d * d);
+      const double logdet = p[d + d * d];
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t k = 0; k < d; ++k) diff[k] = cols[k][r] - p[k];
+        const double maha = spd::mahalanobis2(chol, d, diff);
+        col[r] += -0.5 * (dd * kLog2Pi + logdet + maha) + log_error_sum_;
+      }
     }
   }
 
@@ -568,30 +615,33 @@ class MultiNormalTerm final : public Term {
   }
 
   void accumulate_batch(data::ItemRange range, const double* weights,
-                        std::size_t stride,
-                        std::span<double> stats) const override {
+                        std::size_t num_classes, double* stats,
+                        std::size_t stats_stride) const override {
     // Weighted outer-product accumulation with the view indirections
-    // hoisted: raw column pointers and the item's row cached once, then the
-    // same lower-triangle additions as accumulate, in the same order.
-    // (w * xk) is reused across the row — a pure recomputation hoist; the
-    // per-slot expression (w * xk) * xl is unchanged.
+    // hoisted: the d column windows fetched once for all classes, then per
+    // class the item's row cached and the same lower-triangle additions as
+    // accumulate, in the same order.  (w * xk) is reused across the row — a
+    // pure recomputation hoist; the per-slot expression (w * xk) * xl is
+    // unchanged.
     const std::size_t d = dim_;
     PAC_CHECK(d <= 32);
     data::ColumnBlockView<double> views[32];
     const double* cols[32];
     double xs[32];
     fetch_blocks(range, views, cols);
-    double* s = stats.data();
-    for (std::size_t r = 0; r < range.size(); ++r, weights += stride) {
-      const double w = *weights;
-      if (w <= 0.0) continue;
-      s[0] += w;
-      for (std::size_t k = 0; k < d; ++k) xs[k] = cols[k][r];
-      for (std::size_t k = 0; k < d; ++k) {
-        const double wxk = w * xs[k];
-        s[1 + k] += wxk;
-        double* row = s + 1 + d + k * d;
-        for (std::size_t l = 0; l <= k; ++l) row[l] += wxk * xs[l];
+    for (std::size_t c = 0; c < num_classes; ++c) {
+      double* s = stats + c * stats_stride;
+      for (std::size_t r = 0; r < range.size(); ++r) {
+        const double w = weights[r * num_classes + c];
+        if (w <= 0.0) continue;
+        s[0] += w;
+        for (std::size_t k = 0; k < d; ++k) xs[k] = cols[k][r];
+        for (std::size_t k = 0; k < d; ++k) {
+          const double wxk = w * xs[k];
+          s[1 + k] += wxk;
+          double* row = s + 1 + d + k * d;
+          for (std::size_t l = 0; l <= k; ++l) row[l] += wxk * xs[l];
+        }
       }
     }
   }
@@ -599,15 +649,16 @@ class MultiNormalTerm final : public Term {
   // Fast tier: the weighted outer-product fold in the fixed 4-lane
   // association (tolerance-validated, deterministic at every level).
   void accumulate_batch_fast(data::ItemRange range, const double* weights,
-                             std::size_t stride,
-                             std::span<double> stats) const override {
+                             std::size_t num_classes, double* stats,
+                             std::size_t stats_stride) const override {
     const std::size_t d = dim_;
     PAC_CHECK(d <= 32);
     data::ColumnBlockView<double> views[32];
     const double* cols[32];
     fetch_blocks(range, views, cols);
-    simd::multinormal_accumulate_fast(cols, d, 0, range.size(), weights,
-                                      stride, stats.data());
+    for (std::size_t c = 0; c < num_classes; ++c)
+      simd::multinormal_accumulate_fast(cols, d, 0, range.size(), weights + c,
+                                        num_classes, stats + c * stats_stride);
   }
 
   void update_params(std::span<const double> stats,
@@ -764,20 +815,24 @@ class MultiNormalTerm final : public Term {
     return d2;
   }
 
-  void seed_distance_batch(data::ItemRange range, std::size_t seed_item,
-                           double* out, std::size_t stride) const override {
+  void seed_distance_batch(data::ItemRange range,
+                           std::span<const std::size_t> seeds,
+                           double* out) const override {
     const std::size_t d = dim_;
     PAC_CHECK(d <= 32);
-    double seed_vals[32];
-    for (std::size_t k = 0; k < d; ++k) seed_vals[k] = value(k, seed_item);
     data::ColumnBlockView<double> views[32];
     const double* cols[32];
     fetch_blocks(range, views, cols);
-    for (std::size_t r = 0; r < range.size(); ++r, out += stride) {
-      double d2 = 0.0;
-      for (std::size_t k = 0; k < d; ++k)
-        d2 += sq(cols[k][r] - seed_vals[k]) / prior_var_[k];
-      *out += d2;
+    const std::size_t s = seeds.size();
+    double seed_vals[32];
+    for (std::size_t q = 0; q < s; ++q) {
+      for (std::size_t k = 0; k < d; ++k) seed_vals[k] = value(k, seeds[q]);
+      for (std::size_t r = 0; r < range.size(); ++r) {
+        double d2 = 0.0;
+        for (std::size_t k = 0; k < d; ++k)
+          d2 += sq(cols[k][r] - seed_vals[k]) / prior_var_[k];
+        out[r * s + q] += d2;
+      }
     }
   }
 
@@ -864,32 +919,39 @@ class SingleLognormalTerm final : public Term {
     return -0.5 * (kLog2Pi + z * z) - params[2] - lx + std::log(rel_error_);
   }
 
-  void log_prob_batch(data::ItemRange range, std::span<const double> params,
+  void log_prob_batch(data::ItemRange range, const double* params,
+                      std::size_t param_stride, std::size_t num_classes,
                       double* out) const override {
-    // Same hoists as the normal kernel (parameter loads, log(rel_error_));
-    // log x comes from the resident log cache, or is recomputed into a
-    // per-call scratch block on the chunked backend — std::log is a pure
-    // function, so the two agree bit for bit.
-    const double mean = params[0];
-    const double sigma = params[1];
-    const double log_sigma = params[2];
+    // Same hoists as the normal kernel (block, log(rel_error_), per-class
+    // parameter loads).  log x comes from the resident log cache, or is
+    // recomputed once per call — not once per class — into a scratch
+    // block on the chunked backend; std::log is a pure function, so the
+    // two agree bit for bit.
     const double log_error = std::log(rel_error_);
     double scratch[kScratchBlock];
     std::vector<double> heap;
     const double* lx = log_block(range, scratch, heap);
     const std::size_t n = range.size();
-    if (simd::active()) {
-      simd::lognormal_log_prob(lx, n, mean, sigma, log_sigma, log_error,
-                               out);
-      return;
-    }
-    for (std::size_t r = 0; r < n; ++r) {
-      double lp = 0.0;
-      if (!data::is_missing_real(lx[r])) {
-        const double z = (lx[r] - mean) / sigma;
-        lp = -0.5 * (kLog2Pi + z * z) - log_sigma - lx[r] + log_error;
+    const bool vector = simd::active();
+    for (std::size_t k = 0; k < num_classes; ++k) {
+      const double* p = params + k * param_stride;
+      const double mean = p[0];
+      const double sigma = p[1];
+      const double log_sigma = p[2];
+      double* col = out + k * n;
+      if (vector) {
+        simd::lognormal_log_prob(lx, n, mean, sigma, log_sigma, log_error,
+                                 col);
+        continue;
       }
-      out[r] += lp;
+      for (std::size_t r = 0; r < n; ++r) {
+        double lp = 0.0;
+        if (!data::is_missing_real(lx[r])) {
+          const double z = (lx[r] - mean) / sigma;
+          lp = -0.5 * (kLog2Pi + z * z) - log_sigma - lx[r] + log_error;
+        }
+        col[r] += lp;
+      }
     }
   }
 
@@ -903,35 +965,28 @@ class SingleLognormalTerm final : public Term {
   }
 
   void accumulate_batch(data::ItemRange range, const double* weights,
-                        std::size_t stride,
-                        std::span<double> stats) const override {
-    // Same register fold as the normal kernel over the log x block.
+                        std::size_t num_classes, double* stats,
+                        std::size_t stats_stride) const override {
+    // Same register fold as the normal kernel, per class, over one log x
+    // block.
     double scratch[kScratchBlock];
     std::vector<double> heap;
     const double* lx = log_block(range, scratch, heap);
-    double sw = stats[0], swl = stats[1], swl2 = stats[2];
-    for (std::size_t r = 0; r < range.size(); ++r, weights += stride) {
-      const double w = *weights;
-      if (w <= 0.0) continue;
-      if (data::is_missing_real(lx[r])) continue;
-      sw += w;
-      swl += w * lx[r];
-      swl2 += w * lx[r] * lx[r];
-    }
-    stats[0] = sw;
-    stats[1] = swl;
-    stats[2] = swl2;
+    for (std::size_t k = 0; k < num_classes; ++k)
+      moment_fold(lx, range.size(), weights + k, num_classes,
+                  stats + k * stats_stride);
   }
 
   // Fast tier: identical moment shape to the normal term, over log x.
   void accumulate_batch_fast(data::ItemRange range, const double* weights,
-                             std::size_t stride,
-                             std::span<double> stats) const override {
+                             std::size_t num_classes, double* stats,
+                             std::size_t stats_stride) const override {
     double scratch[kScratchBlock];
     std::vector<double> heap;
     const double* lx = log_block(range, scratch, heap);
-    simd::gaussian_accumulate_fast(lx, weights, stride, range.size(),
-                                   stats.data());
+    for (std::size_t k = 0; k < num_classes; ++k)
+      simd::gaussian_accumulate_fast(lx, weights + k, num_classes,
+                                     range.size(), stats + k * stats_stride);
   }
 
   void update_params(std::span<const double> stats,
@@ -1005,16 +1060,15 @@ class SingleLognormalTerm final : public Term {
     return sq(a - b) / prior_var_;
   }
 
-  void seed_distance_batch(data::ItemRange range, std::size_t seed_item,
-                           double* out, std::size_t stride) const override {
-    const double b = log_value(seed_item);
+  void seed_distance_batch(data::ItemRange range,
+                           std::span<const std::size_t> seeds,
+                           double* out) const override {
     double scratch[kScratchBlock];
     std::vector<double> heap;
     const double* lx = log_block(range, scratch, heap);
-    for (std::size_t r = 0; r < range.size(); ++r, out += stride)
-      *out += data::is_missing_real(lx[r]) || data::is_missing_real(b)
-                  ? 0.5
-                  : sq(lx[r] - b) / prior_var_;
+    for (std::size_t q = 0; q < seeds.size(); ++q)
+      squared_distance_column(lx, range.size(), log_value(seeds[q]),
+                              prior_var_, out + q, seeds.size());
   }
 
   std::unique_ptr<Term> rebind(const data::Dataset& target) const override {
@@ -1034,7 +1088,7 @@ class SingleLognormalTerm final : public Term {
   /// One item-order pass over the column: validate positivity, fold the
   /// prior moments of log x when `moments` is given, and — on the resident
   /// backend only — fill log_column_.  The cache holds a transform, not a
-  /// view: without it every E- and M-step pass would pay J std::log calls
+  /// view: without it every E- and M-step pass would pay a std::log call
   /// per item.  The chunked backend recomputes logs per block instead
   /// (log_block), keeping its memory bounded by the chunk budget.
   void stream_logs(const data::Dataset& data, std::size_t a,
@@ -1065,7 +1119,7 @@ class SingleLognormalTerm final : public Term {
 
   /// The block's log-x values: a slice of the resident log cache, or logs
   /// recomputed into caller scratch from the chunked backend (positivity
-  /// was validated by stream_logs).
+  /// was validated by stream_logs), once per kernel call for all classes.
   const double* log_block(data::ItemRange range, double* stack,
                           std::vector<double>& heap) const {
     if (!log_column_.empty()) return log_column_.data() + range.begin;
@@ -1119,18 +1173,20 @@ class IgnoreTerm final : public Term {
   double log_prob(std::size_t, std::span<const double>) const override {
     return 0.0;
   }
-  // Genuinely add 0.0 per item rather than skipping the pass: += 0.0 turns
-  // a -0.0 accumulator into +0.0, so a no-op would not be bit-identical to
-  // the scalar chain on that (admittedly exotic) input.
-  void log_prob_batch(data::ItemRange range, std::span<const double>,
-                      double* out) const override {
-    for (std::size_t r = 0; r < range.size(); ++r) out[r] += 0.0;
+  // Genuinely add 0.0 to every (item, class) cell rather than skipping
+  // the pass: += 0.0 turns a -0.0 accumulator into +0.0, so a no-op would
+  // not be bit-identical to the scalar chain on that (admittedly exotic)
+  // input.
+  void log_prob_batch(data::ItemRange range, const double*, std::size_t,
+                      std::size_t num_classes, double* out) const override {
+    for (std::size_t r = 0; r < range.size() * num_classes; ++r)
+      out[r] += 0.0;
   }
   void accumulate(std::size_t, double, std::span<double>) const override {}
   // Zero statistics slots: there is nothing to add, so (unlike
   // log_prob_batch's += 0.0) a true no-op is already bit-identical.
-  void accumulate_batch(data::ItemRange, const double*, std::size_t,
-                        std::span<double>) const override {}
+  void accumulate_batch(data::ItemRange, const double*, std::size_t, double*,
+                        std::size_t) const override {}
   void update_params(std::span<const double>,
                      std::span<double>) const override {}
   double log_marginal(std::span<const double>) const override { return 0.0; }

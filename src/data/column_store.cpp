@@ -180,11 +180,22 @@ std::size_t env_budget_bytes() {
   const char* env = std::getenv("PAC_DATA_BUDGET_MB");
   if (env && *env) {
     char* end = nullptr;
-    const unsigned long long mb = std::strtoull(env, &end, 10);
-    PAC_REQUIRE_MSG(end && *end == '\0' && mb > 0,
-                    "PAC_DATA_BUDGET_MB must be a positive integer, got '"
-                        << env << "'");
-    return static_cast<std::size_t>(mb) << 20;
+    errno = 0;
+    const long long mb = std::strtoll(env, &end, 10);
+    const bool integer = end != env && *end == '\0';
+    if (!integer || mb <= 0) {
+      std::ostringstream os;
+      os << "PAC_DATA_BUDGET_MB must be a positive integer, got '" << env
+         << "'";
+      throw BudgetError(os.str(), env);
+    }
+    if (errno == ERANGE) {
+      std::ostringstream os;
+      os << "PAC_DATA_BUDGET_MB='" << env
+         << "' MiB overflows a byte count";
+      throw BudgetError(os.str(), env);
+    }
+    return budget_bytes_from_mb(mb);
   }
   return std::size_t{256} << 20;
 }
@@ -217,6 +228,21 @@ void pread_exact(int fd, void* buf, std::size_t bytes, std::uint64_t offset,
 }
 
 }  // namespace
+
+std::size_t budget_bytes_from_mb(std::int64_t mb) {
+  if (mb < 0) {
+    std::ostringstream os;
+    os << "chunk-cache budget of " << mb << " MiB is negative";
+    throw BudgetError(os.str(), std::to_string(mb));
+  }
+  const auto umb = static_cast<std::uint64_t>(mb);
+  if (umb > (std::numeric_limits<std::size_t>::max() >> 20)) {
+    std::ostringstream os;
+    os << "chunk-cache budget of " << mb << " MiB overflows a byte count";
+    throw BudgetError(os.str(), std::to_string(mb));
+  }
+  return static_cast<std::size_t>(umb) << 20;
+}
 
 std::shared_ptr<ChunkedStore> ChunkedStore::open(const std::string& path,
                                                  std::size_t budget_bytes) {
@@ -261,68 +287,82 @@ std::size_t ChunkedStore::cached_bytes() const {
   return cached_bytes_;
 }
 
-const ChunkedStore::Chunk& ChunkedStore::load_chunk_locked(
-    std::size_t attr, std::size_t c) const {
-  const std::size_t key = attr * layout_->num_chunks() + c;
-  const auto hit = cache_.find(key);
-  if (hit != cache_.end()) {
-    lru_.splice(lru_.begin(), lru_, hit->second.lru_it);
-    return hit->second;
-  }
-
+std::shared_ptr<const void> ChunkedStore::read_chunk(std::size_t attr,
+                                                    std::size_t c) const {
   const Attribute& a = schema_.at(attr);
   const std::size_t rows = layout_->rows_in_chunk(c);
   const std::size_t bytes = rows * layout_->elem_bytes[attr];
+  const auto chunk_no = static_cast<std::ptrdiff_t>(c);
+  const auto column_no = static_cast<std::ptrdiff_t>(attr);
 
-  Chunk chunk;
+  // The pin aliases the typed start of the buffer, so pin.get() is the
+  // chunk's first value and the pin owns the vector.
+  std::shared_ptr<const void> pin;
   if (a.kind == AttributeKind::kReal) {
     auto buf = std::make_shared<std::vector<double>>(rows);
     pread_exact(fd_, buf->data(), bytes, layout_->column_data_offset(c, attr),
-                path_, static_cast<std::ptrdiff_t>(c),
-                static_cast<std::ptrdiff_t>(attr), a.name);
-    chunk.data = buf->data();
-    chunk.pin = std::move(buf);
+                path_, chunk_no, column_no, a.name);
+    pin = std::shared_ptr<const void>(buf, buf->data());
   } else {
     auto buf = std::make_shared<std::vector<std::int32_t>>(rows);
     pread_exact(fd_, buf->data(), bytes, layout_->column_data_offset(c, attr),
-                path_, static_cast<std::ptrdiff_t>(c),
-                static_cast<std::ptrdiff_t>(attr), a.name);
+                path_, chunk_no, column_no, a.name);
     for (const std::int32_t v : *buf) {
       if (v != kMissingDiscrete && (v < 0 || v >= a.num_values)) {
         std::ostringstream os;
         os << "'" << path_ << "' chunk " << c << ", column " << attr << " '"
            << a.name << "': discrete value " << v << " out of range [0, "
            << a.num_values << ")";
-        throw format::FormatError(os.str(), static_cast<std::ptrdiff_t>(c),
-                                  static_cast<std::ptrdiff_t>(attr));
+        throw format::FormatError(os.str(), chunk_no, column_no);
       }
     }
-    chunk.data = buf->data();
-    chunk.pin = std::move(buf);
+    pin = std::shared_ptr<const void>(buf, buf->data());
   }
-  chunk.bytes = bytes;
 
   std::uint32_t stored = 0;
-  pread_exact(fd_, &stored, sizeof(stored),
-              layout_->column_crc_offset(c, attr), path_,
-              static_cast<std::ptrdiff_t>(c),
-              static_cast<std::ptrdiff_t>(attr), a.name);
-  const std::uint32_t actual = format::crc32(chunk.data, bytes);
+  pread_exact(fd_, &stored, sizeof(stored), layout_->column_crc_offset(c, attr),
+              path_, chunk_no, column_no, a.name);
+  const std::uint32_t actual = format::crc32(pin.get(), bytes);
   if (stored != actual) {
     std::ostringstream os;
     os << "'" << path_ << "' checksum mismatch in chunk " << c << ", column "
        << attr << " '" << a.name << "' (stored " << stored << ", computed "
        << actual << ")";
-    throw format::FormatError(os.str(), static_cast<std::ptrdiff_t>(c),
-                              static_cast<std::ptrdiff_t>(attr));
+    throw format::FormatError(os.str(), chunk_no, column_no);
+  }
+  return pin;
+}
+
+std::shared_ptr<const void> ChunkedStore::chunk(std::size_t attr,
+                                               std::size_t c) const {
+  const std::size_t key = attr * layout_->num_chunks() + c;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto hit = cache_.find(key);
+    if (hit != cache_.end()) {
+      lru_.splice(lru_.begin(), lru_, hit->second.lru_it);
+      return hit->second.pin;
+    }
   }
 
-  lru_.push_front(key);
-  chunk.lru_it = lru_.begin();
-  auto [it, inserted] = cache_.emplace(key, std::move(chunk));
-  PAC_CHECK(inserted);
-  cached_bytes_ += it->second.bytes;
+  // Miss: read, range-check and verify without the lock, so ranks and pool
+  // threads loading other chunks never wait on this one's I/O and CRC.  Two
+  // threads missing the same chunk may both read it; the first insert wins
+  // and the other's verified copy is dropped.
+  std::shared_ptr<const void> pin = read_chunk(attr, c);
+  const std::size_t bytes =
+      layout_->rows_in_chunk(c) * layout_->elem_bytes[attr];
+
+  std::lock_guard<std::mutex> lock(mutex_);
   ++loads_;
+  const auto raced = cache_.find(key);
+  if (raced != cache_.end()) {
+    lru_.splice(lru_.begin(), lru_, raced->second.lru_it);
+    return raced->second.pin;
+  }
+  lru_.push_front(key);
+  cache_.emplace(key, Chunk{pin, bytes, lru_.begin()});
+  cached_bytes_ += bytes;
 
   // Evict cold chunks down to the budget, never the one just loaded.
   while (cached_bytes_ > budget_bytes_ && cache_.size() > 1) {
@@ -332,28 +372,27 @@ const ChunkedStore::Chunk& ChunkedStore::load_chunk_locked(
     cached_bytes_ -= vit->second.bytes;
     cache_.erase(vit);  // views still pinning the buffer keep it alive
   }
-  return it->second;
+  return pin;
 }
 
 template <class T>
 ColumnBlockView<T> ChunkedStore::block(std::size_t attr,
                                        ItemRange range) const {
   if (range.empty()) return ColumnBlockView<T>();
-  std::lock_guard<std::mutex> lock(mutex_);
   const std::size_t rows = layout_->chunk_rows;
   const std::size_t c0 = range.begin / rows;
   const std::size_t c1 = (range.end - 1) / rows;
   if (c0 == c1) {
-    const Chunk& chunk = load_chunk_locked(attr, c0);
-    const T* base = static_cast<const T*>(chunk.data);
+    std::shared_ptr<const void> pin = chunk(attr, c0);
+    const T* base = static_cast<const T*>(pin.get());
     return ColumnBlockView<T>(base + (range.begin - c0 * rows), range.size(),
-                              chunk.pin);
+                              std::move(pin));
   }
   // The range straddles chunks: assemble into a transient pinned buffer.
   auto buf = std::make_shared<std::vector<T>>(range.size());
   for (std::size_t c = c0; c <= c1; ++c) {
-    const Chunk& chunk = load_chunk_locked(attr, c);
-    const T* base = static_cast<const T*>(chunk.data);
+    const std::shared_ptr<const void> pin = chunk(attr, c);
+    const T* base = static_cast<const T*>(pin.get());
     const std::size_t chunk_begin = c * rows;
     const std::size_t lo = std::max(range.begin, chunk_begin);
     const std::size_t hi =

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "data/schema.hpp"
+#include "util/error.hpp"
 
 namespace pac::data {
 
@@ -208,19 +209,42 @@ class ResidentStore final : public ColumnStore {
   mutable std::vector<std::unique_ptr<ColumnProfile>> profiles_;
 };
 
+/// A chunk-cache budget that cannot be honoured: not a positive integer, or
+/// a MiB count whose byte count does not fit in size_t.  what() names the
+/// value; value() returns it as given.
+class BudgetError : public pac::Error {
+ public:
+  BudgetError(const std::string& msg, std::string value)
+      : pac::Error(msg), value_(std::move(value)) {}
+
+  const std::string& value() const noexcept { return value_; }
+
+ private:
+  std::string value_;
+};
+
+/// `mb` MiB in bytes.  Throws BudgetError naming `mb` when it is negative or
+/// when its byte count overflows size_t (0 stays 0: "no explicit budget").
+std::size_t budget_bytes_from_mb(std::int64_t mb);
+
 /// Out-of-core columns backed by an open .pacb file.
 ///
 /// Chunks (chunk_rows consecutive items of one column) load on demand via
 /// pread() and live in an LRU cache bounded by `budget_bytes` (at least one
 /// chunk stays cached regardless of the budget, so progress is always
 /// possible).  Block requests that straddle chunks are assembled into a
-/// transient pinned buffer.  Every chunk load re-verifies the stored CRC and
-/// throws format::FormatError naming the chunk and column on mismatch.
+/// transient pinned buffer.  Every chunk load reads, range-checks and
+/// re-verifies the stored CRC of its bytes before any view sees them, and
+/// throws format::FormatError naming the chunk and column on a mismatch.
+/// The cache lock covers only the lookup, the LRU splice and the
+/// insert/evict; the read and its checks run unlocked, so concurrent
+/// readers (in-process ranks, pool threads) never wait on another's I/O.
 class ChunkedStore final : public ColumnStore,
                            public std::enable_shared_from_this<ChunkedStore> {
  public:
   /// budget_bytes == 0 means: take PAC_DATA_BUDGET_MB from the environment,
-  /// defaulting to 256 MB.
+  /// defaulting to 256 MB; a value there that is not a positive integer, or
+  /// whose byte count overflows size_t, throws BudgetError.
   static std::shared_ptr<ChunkedStore> open(const std::string& path,
                                             std::size_t budget_bytes = 0);
   ~ChunkedStore() override;
@@ -245,7 +269,9 @@ class ChunkedStore final : public ColumnStore,
   std::size_t chunk_rows() const noexcept;
   std::size_t num_chunks() const noexcept;
   std::size_t budget_bytes() const noexcept { return budget_bytes_; }
-  /// Total chunk loads so far; loads > distinct chunks proves eviction.
+  /// Verified chunk reads from the file so far, including a read that lost
+  /// an insert race to another thread; in a single-threaded run, loads >
+  /// distinct chunks proves eviction.
   std::size_t chunk_loads() const;
   std::size_t cached_bytes() const;
 
@@ -255,14 +281,19 @@ class ChunkedStore final : public ColumnStore,
                std::size_t budget_bytes);
 
   struct Chunk {
-    std::shared_ptr<const void> pin;  // owns the buffer
-    const void* data = nullptr;       // typed start of the chunk's values
+    std::shared_ptr<const void> pin;  // owns the buffer; get() = first value
     std::size_t bytes = 0;
     std::list<std::size_t>::iterator lru_it;
   };
 
-  // All return with the chunk pinned by the caller-held shared_ptr.
-  const Chunk& load_chunk_locked(std::size_t attr, std::size_t c) const;
+  /// Read, range-check and CRC-verify one chunk column from the file into a
+  /// fresh buffer.  Runs without the cache lock; throws FormatError naming
+  /// the chunk and column.
+  std::shared_ptr<const void> read_chunk(std::size_t attr,
+                                         std::size_t c) const;
+  /// The chunk's pinned buffer: a cache hit (LRU splice under the lock), or
+  /// an unlocked read_chunk inserted afterwards, evicting down to budget.
+  std::shared_ptr<const void> chunk(std::size_t attr, std::size_t c) const;
   template <class T>
   ColumnBlockView<T> block(std::size_t attr, ItemRange range) const;
 

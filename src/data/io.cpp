@@ -347,6 +347,7 @@ std::string default_header_path(const std::string& data_path) {
 }  // namespace
 
 Dataset open_dataset(const std::string& path, const OpenOptions& options) {
+  const std::size_t budget_bytes = budget_bytes_from_mb(options.budget_mb);
   const bool is_pacb = sniff_pacb(path);
   const bool budget_configured =
       options.budget_mb > 0 ||
@@ -361,7 +362,7 @@ Dataset open_dataset(const std::string& path, const OpenOptions& options) {
                                  << "' is not one (run pac_convert first)");
   if (is_pacb) {
     if (want_chunked)
-      return Dataset(ChunkedStore::open(path, options.budget_mb << 20));
+      return Dataset(ChunkedStore::open(path, budget_bytes));
     std::ifstream in = open_input(path, "binary dataset", std::ios::binary);
     return format::read_pacb(in);
   }

@@ -69,8 +69,9 @@ enum class Backend {
 struct OpenOptions {
   Backend backend = Backend::kAuto;
   /// Chunk-cache budget in MiB for the chunked backend; 0 defers to the
-  /// PAC_DATA_BUDGET_MB environment variable (default 256 MiB).
-  std::size_t budget_mb = 0;
+  /// PAC_DATA_BUDGET_MB environment variable (default 256 MiB).  A negative
+  /// value, or one whose byte count overflows size_t, throws BudgetError.
+  std::int64_t budget_mb = 0;
   /// Header path for ASCII .db2 data; empty means "data path with its
   /// extension swapped for .hd2".
   std::string header_path;

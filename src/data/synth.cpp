@@ -148,6 +148,27 @@ LabeledDataset mixed_mixture(const std::vector<MixedComponent>& mixture,
   return out;
 }
 
+LabeledDataset five_family_mixture(std::size_t n, std::uint64_t seed,
+                                   double missing_fraction) {
+  PAC_REQUIRE(missing_fraction >= 0.0 && missing_fraction <= 1.0);
+  const std::vector<MixedComponent> mixture = {
+      {0.35, {0.0, 20.0, -2.0, 1.0, 0.0}, {1.0, 1.0, 1.0, 0.7, 1.0},
+       {{0.6, 0.2, 0.1, 0.1}}},
+      {0.25, {5.0, 24.0, 2.0, -1.0, 0.0}, {1.2, 1.5, 0.8, 0.8, 1.0},
+       {{0.1, 0.6, 0.2, 0.1}}},
+      {0.20, {-4.0, 17.0, 3.0, 3.0, 0.0}, {0.8, 1.0, 1.0, 1.0, 1.0},
+       {{0.1, 0.1, 0.6, 0.2}}},
+      {0.20, {2.0, 22.0, -3.0, -3.0, 0.0}, {1.0, 2.0, 1.5, 1.0, 1.0},
+       {{0.25, 0.25, 0.25, 0.25}}},
+  };
+  LabeledDataset out = mixed_mixture(mixture, n, seed);
+  Xoshiro256ss rng(seed ^ 0x6D697373ULL);
+  for (std::size_t i = 0; i < n; ++i)
+    for (const std::size_t a : {0, 1, 4, 5})
+      if (uniform01(rng) < missing_fraction) out.dataset.set_missing(i, a);
+  return out;
+}
+
 LabeledDataset paper_dataset(std::size_t n, std::uint64_t seed) {
   // Five planar clusters with distinct shapes and moderate overlap — enough
   // structure that AutoClass's model search has real work to do, like the

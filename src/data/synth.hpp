@@ -71,6 +71,15 @@ LabeledDataset mixed_mixture(const std::vector<MixedComponent>& mixture,
                              std::size_t n, std::uint64_t seed,
                              double rel_error = 1e-2);
 
+/// Data for all five term families: x0 for a normal, x1 strictly positive
+/// for a log-normal, x2/x3 a pair for a multi-normal block, x4 a real to
+/// ignore, d0 a 4-symbol discrete for a multinomial, drawn from a
+/// 4-component mixed mixture.  Each value of x0, x1, x4 and d0 — every
+/// column but the multi-normal block, which forbids them — is missing with
+/// probability `missing_fraction`.
+LabeledDataset five_family_mixture(std::size_t n, std::uint64_t seed,
+                                   double missing_fraction);
+
 /// The paper's synthetic benchmark data: `n` tuples, two real attributes,
 /// five moderately separated planar Gaussian clusters.
 LabeledDataset paper_dataset(std::size_t n, std::uint64_t seed = 42);

@@ -8,17 +8,21 @@
 // every trajectory a pure function of the block size.  Also covers the
 // degenerate-row guard and the seed-item draw fallback fix.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
 
 #include "autoclass/em.hpp"
 #include "autoclass/report.hpp"
+#include "data/format.hpp"
 #include "data/synth.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -39,47 +43,125 @@ void expect_bit_identical(std::span<const double> a,
   ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
 }
 
-// ---- term-level: log_prob_batch vs the scalar log_prob oracle ----
+// ---- term-level: the batched kernels vs the scalar oracles ----
+//
+// Every batched kernel covers all J classes of one item block in one call,
+// addressing class k's parameter / statistics block through the model's
+// real interleaved strides.  The checks run at J = 3 classes with distinct
+// parameters, over the resident dataset and over a chunk-backed copy whose
+// 256-item blocks straddle chunk borders under an evicting budget.
 
-/// Fit one class's parameters over the whole dataset (w = 1) so the batch
-/// kernels are exercised at realistic parameter values.
-std::vector<double> fit_term_params(const Term& term, std::size_t n) {
-  std::vector<double> stats(term.stats_size(), 0.0);
-  for (std::size_t i = 0; i < n; ++i) term.accumulate(i, 1.0, stats);
-  std::vector<double> params(term.param_size(), 0.0);
-  term.update_params(stats, params);
+constexpr std::size_t kClasses = 3;
+
+/// `model` rebuilt over a chunk-backed copy of its dataset: 193-row chunks,
+/// so 256-item blocks straddle chunk borders, under a 4 KiB budget that
+/// evicts throughout every pass.  Same specs and config, so the priors are
+/// byte-identical to the resident model's.
+class ChunkedCopy {
+ public:
+  explicit ChunkedCopy(const Model& model)
+      : path_("/tmp/pac_kernels_" + std::to_string(::getpid()) + "_" +
+              std::to_string(next_id_++) + ".pacb") {
+    data::format::write_pacb_file(path_, model.dataset(), /*chunk_rows=*/193);
+    dataset_ = data::Dataset(data::ChunkedStore::open(path_, 4096));
+    std::vector<TermSpec> specs;
+    for (std::size_t t = 0; t < model.num_terms(); ++t)
+      specs.push_back(model.term(t).spec());
+    model_ = std::make_unique<Model>(dataset_, std::move(specs),
+                                     model.config());
+  }
+  ~ChunkedCopy() { std::remove(path_.c_str()); }
+  ChunkedCopy(const ChunkedCopy&) = delete;
+  ChunkedCopy& operator=(const ChunkedCopy&) = delete;
+
+  const Model& model() const { return *model_; }
+
+ private:
+  static inline int next_id_ = 0;
+  std::string path_;
+  data::Dataset dataset_;
+  std::unique_ptr<Model> model_;
+};
+
+/// Run `check` on `model` and on its chunk-backed copy.
+template <class Check>
+void on_both_backends(const Model& model, Check&& check) {
+  {
+    SCOPED_TRACE("resident");
+    check(model);
+  }
+  const ChunkedCopy chunked(model);
+  SCOPED_TRACE("chunked");
+  check(chunked.model());
+}
+
+/// A J x params_per_class() classification parameter buffer whose classes
+/// are fitted on differently weighted items, so every class has distinct
+/// parameters at realistic values.
+std::vector<double> fit_class_params(const Model& model, std::size_t j) {
+  const std::size_t n = model.dataset().num_items();
+  std::vector<double> params(j * model.params_per_class(), 0.0);
+  for (std::size_t k = 0; k < j; ++k) {
+    for (std::size_t t = 0; t < model.num_terms(); ++t) {
+      const Term& term = model.term(t);
+      std::vector<double> stats(term.stats_size(), 0.0);
+      for (std::size_t i = 0; i < n; ++i)
+        term.accumulate(i, (i + k) % kClasses == 0 ? 1.0 : 0.125, stats);
+      term.update_params(
+          stats, std::span<double>(params.data() + k * model.params_per_class() +
+                                       model.param_offset(t),
+                                   term.param_size()));
+    }
+  }
   return params;
 }
 
-/// Batch accumulation into a non-trivial base column, over the whole range
-/// and over a partial range written as the middle column of a class-major
-/// block, must match per-item scalar accumulation bit-for-bit.
-void expect_term_batch_matches_scalar(const Model& model) {
-  const std::size_t n = model.dataset().num_items();
-  for (std::size_t t = 0; t < model.num_terms(); ++t) {
-    const Term& term = model.term(t);
-    const std::vector<double> params = fit_term_params(term, n);
-    std::vector<double> scalar(n), batch(n);
-    for (std::size_t i = 0; i < n; ++i)
-      scalar[i] = batch[i] = -0.25 * static_cast<double>(i % 7);
-    for (std::size_t i = 0; i < n; ++i)
-      scalar[i] += term.log_prob(i, params);
-    term.log_prob_batch(data::ItemRange{0, n}, params, batch.data());
-    expect_bit_identical(batch, scalar);
+/// Ranges every term-level check covers: the whole dataset, a partial
+/// range, and (when the data is long enough) one 256-item E-step block
+/// that straddles the chunk borders at 193 and 386 in the chunked copy.
+std::vector<data::ItemRange> kernel_ranges(std::size_t n) {
+  std::vector<data::ItemRange> ranges = {data::ItemRange{0, n},
+                                         data::ItemRange{n / 4, n - n / 7}};
+  if (n >= 406) ranges.push_back(data::ItemRange{150, 406});
+  return ranges;
+}
 
-    // Partial range into column 1 of a J=3 class-major block.
-    const data::ItemRange part{n / 4, n - n / 7};
-    const std::size_t m = part.size();
-    std::vector<double> block(m * 3, 1.0);
-    term.log_prob_batch(part, params, block.data() + m);
-    for (std::size_t r = 0; r < m; ++r) {
-      const double expected = 1.0 + term.log_prob(part.begin + r, params);
-      ASSERT_EQ(block[m + r], expected)
-          << "term " << t << " item " << part.begin + r;
-      ASSERT_EQ(block[r], 1.0);  // neighbouring columns untouched
-      ASSERT_EQ(block[2 * m + r], 1.0);
+/// log_prob_batch over all J classes into a non-trivial class-major base
+/// block must match per-(item, class) scalar log_prob accumulation
+/// bit-for-bit, and must not write past the block.
+void expect_term_batch_matches_scalar_on(const Model& model) {
+  const std::size_t n = model.dataset().num_items();
+  const std::size_t ppc = model.params_per_class();
+  const std::vector<double> params = fit_class_params(model, kClasses);
+  for (const data::ItemRange range : kernel_ranges(n)) {
+    const std::size_t m = range.size();
+    for (std::size_t t = 0; t < model.num_terms(); ++t) {
+      SCOPED_TRACE(testing::Message() << "term " << t << " range ["
+                                      << range.begin << ", " << range.end
+                                      << ")");
+      const Term& term = model.term(t);
+      std::vector<double> scalar(m * kClasses + 1);
+      for (std::size_t c = 0; c < scalar.size(); ++c)
+        scalar[c] = -0.25 * static_cast<double>(c % 7);
+      std::vector<double> batch = scalar;
+      for (std::size_t k = 0; k < kClasses; ++k) {
+        const std::span<const double> p(
+            params.data() + k * ppc + model.param_offset(t),
+            term.param_size());
+        for (std::size_t r = 0; r < m; ++r)
+          scalar[k * m + r] += term.log_prob(range.begin + r, p);
+      }
+      term.log_prob_batch(range, params.data() + model.param_offset(t), ppc,
+                          kClasses, batch.data());
+      expect_bit_identical(batch, scalar);  // incl. the guard cell at m * J
     }
   }
+}
+
+void expect_term_batch_matches_scalar(const Model& model) {
+  on_both_backends(model, [](const Model& m) {
+    expect_term_batch_matches_scalar_on(m);
+  });
 }
 
 TEST(TermKernels, SingleNormalWithMissing) {
@@ -132,44 +214,117 @@ TEST(TermKernels, IgnoreTermIsANoOp) {
   expect_term_batch_matches_scalar(model);
 }
 
-// ---- term-level: accumulate_batch vs the scalar accumulate oracle ----
+/// All five term families over data::five_family_mixture: x0 normal, x1
+/// log-normal, x2/x3 a multi-normal block, x4 ignored, d0 multinomial.
+std::vector<TermSpec> five_family_terms() {
+  return {{TermKind::kSingleNormal, {0}},
+          {TermKind::kSingleLognormal, {1}},
+          {TermKind::kMultiNormal, {2, 3}},
+          {TermKind::kIgnore, {4}},
+          {TermKind::kSingleMultinomial, {5}}};
+}
 
-/// Synthetic membership column: varied magnitudes with exact zeros and
-/// negatives sprinkled in (the w <= 0 entries the scalar M-step skips).
-std::vector<double> synthetic_weights(std::size_t n, std::size_t stride) {
-  std::vector<double> w(n * stride, -1.0);  // off-column slots are poison
+TEST(TermKernels, SeedDistanceBatchMatchesScalar) {
+  // One seed_distance_batch call per (term, block) accumulates the
+  // distances to every seed into a row-major item x seed buffer; each cell
+  // must equal the scalar seed_distance bit for bit, for all five
+  // families, with missing values on both the item and the seed side.
+  const Dataset ds = data::five_family_mixture(700, 27, 0.08).dataset;
+  on_both_backends(Model(ds, five_family_terms()), [](const Model& m) {
+    const std::size_t n = m.dataset().num_items();
+    // Seeds include, per column that allows missing values, an item
+    // missing it, so the seed side of the missing branch is covered too.
+    std::vector<std::size_t> seeds = {3, 250, 699};
+    for (const std::size_t a : {0, 1, 5}) {
+      std::size_t i = 0;
+      while (!m.dataset().is_missing(i, a)) ++i;
+      seeds.push_back(i);
+    }
+    for (const data::ItemRange range : kernel_ranges(n)) {
+      const std::size_t q = seeds.size();
+      for (std::size_t t = 0; t < m.num_terms(); ++t) {
+        SCOPED_TRACE(testing::Message() << "term " << t);
+        const Term& term = m.term(t);
+        std::vector<double> scalar(range.size() * q + 1);
+        for (std::size_t c = 0; c < scalar.size(); ++c)
+          scalar[c] = 0.5 * static_cast<double>(c % 3);
+        std::vector<double> batch = scalar;
+        for (std::size_t r = 0; r < range.size(); ++r)
+          for (std::size_t s = 0; s < q; ++s)
+            scalar[r * q + s] += term.seed_distance(range.begin + r, seeds[s]);
+        term.seed_distance_batch(range, seeds, batch.data());
+        expect_bit_identical(batch, scalar);
+      }
+    }
+  });
+}
+
+/// Synthetic row-major item x J membership block: varied magnitudes that
+/// differ per class, with exact zeros and negatives sprinkled in (the
+/// w <= 0 entries the scalar M-step skips) at class-dependent items.
+std::vector<double> synthetic_weights(std::size_t n, std::size_t j) {
+  std::vector<double> w(n * j);
   for (std::size_t i = 0; i < n; ++i) {
-    double v = 0.05 + 0.9 * static_cast<double>((i * 37) % 101) / 101.0;
-    if (i % 5 == 0) v = 0.0;          // skipped
-    if (i % 11 == 3) v = -0.25;       // skipped
-    if (i % 7 == 2) v = 1e-12;        // kept: tiny but positive
-    w[i * stride] = v;
+    for (std::size_t k = 0; k < j; ++k) {
+      double v = 0.05 + 0.9 * static_cast<double>((i * 37 + k * 53) % 101) /
+                            101.0;
+      if ((i + k) % 5 == 0) v = 0.0;       // skipped
+      if ((i + 2 * k) % 11 == 3) v = -0.25;  // skipped
+      if ((i + k) % 7 == 2) v = 1e-12;     // kept: tiny but positive
+      w[i * j + k] = v;
+    }
   }
   return w;
 }
 
-/// Batched accumulation over a partial range and a strided (J=3 column)
-/// weight layout must match the per-item scalar chain bit-for-bit,
-/// including the w <= 0 skips.
-void expect_term_accumulate_matches_scalar(const Model& model) {
+/// Per-class scalar chain into a J x stats_per_class() buffer: for each
+/// class, accumulate every item of `range` with w > 0 into this term's
+/// slots, in item order.
+void scalar_accumulate(const Model& model, std::size_t t,
+                       data::ItemRange range, const std::vector<double>& w,
+                       std::vector<double>& stats) {
+  const Term& term = model.term(t);
+  const std::size_t spc = model.stats_per_class();
+  for (std::size_t k = 0; k < kClasses; ++k) {
+    const std::span<double> s(stats.data() + k * spc + model.stats_offset(t),
+                              term.stats_size());
+    for (std::size_t i = range.begin; i < range.end; ++i) {
+      const double wi = w[(i - range.begin) * kClasses + k];
+      if (wi <= 0.0) continue;
+      term.accumulate(i, wi, s);
+    }
+  }
+}
+
+/// accumulate_batch over all J classes, with the real interleaved
+/// stats_per_class() stride, must match the per-class scalar chain
+/// bit-for-bit — including the w <= 0 skips and every other term's slots
+/// left untouched.
+void expect_term_accumulate_matches_scalar_on(const Model& model) {
   const std::size_t n = model.dataset().num_items();
-  const data::ItemRange part{n / 5, n - n / 9};
-  for (std::size_t t = 0; t < model.num_terms(); ++t) {
-    const Term& term = model.term(t);
-    for (const std::size_t stride : {std::size_t{1}, std::size_t{3}}) {
-      const std::vector<double> w = synthetic_weights(n, stride);
+  const std::size_t spc = model.stats_per_class();
+  for (const data::ItemRange range : kernel_ranges(n)) {
+    const std::vector<double> w = synthetic_weights(range.size(), kClasses);
+    for (std::size_t t = 0; t < model.num_terms(); ++t) {
+      SCOPED_TRACE(testing::Message() << "term " << t << " range ["
+                                      << range.begin << ", " << range.end
+                                      << ")");
       // Non-zero base stats so additions (not overwrites) are checked.
-      std::vector<double> scalar(term.stats_size(), 0.125);
+      std::vector<double> scalar(kClasses * spc, 0.125);
       std::vector<double> batch = scalar;
-      for (std::size_t i = part.begin; i < part.end; ++i) {
-        const double wi = w[(i - part.begin) * stride];
-        if (wi <= 0.0) continue;
-        term.accumulate(i, wi, scalar);
-      }
-      term.accumulate_batch(part, w.data(), stride, batch);
+      scalar_accumulate(model, t, range, w, scalar);
+      model.term(t).accumulate_batch(range, w.data(), kClasses,
+                                     batch.data() + model.stats_offset(t),
+                                     spc);
       expect_bit_identical(batch, scalar);
     }
   }
+}
+
+void expect_term_accumulate_matches_scalar(const Model& model) {
+  on_both_backends(model, [](const Model& m) {
+    expect_term_accumulate_matches_scalar_on(m);
+  });
 }
 
 TEST(TermMStepKernels, SingleNormalWithMissing) {
@@ -955,20 +1110,27 @@ void expect_close(std::span<const double> a, std::span<const double> b,
 
 /// Per-family error bound: the reassociated fold differs from the in-order
 /// oracle only by summation order over <= a few thousand items, so the
-/// relative error stays within a few ulps times log2(n).
+/// relative error stays within a few ulps times log2(n).  Both tiers run
+/// over all J classes with the real stats_per_class() stride, on both
+/// backends.
 void expect_fast_accumulate_within_tolerance(const Model& model, double rel) {
-  const std::size_t n = model.dataset().num_items();
-  const data::ItemRange all{0, n};
-  for (std::size_t t = 0; t < model.num_terms(); ++t) {
-    const Term& term = model.term(t);
-    if (term.stats_size() == 0) continue;
-    const std::vector<double> w = synthetic_weights(n, 3);
-    std::vector<double> exact(term.stats_size(), 0.125);
-    std::vector<double> fast = exact;
-    term.accumulate_batch(all, w.data(), 3, exact);
-    term.accumulate_batch_fast(all, w.data(), 3, fast);
-    expect_close(fast, exact, rel);
-  }
+  on_both_backends(model, [rel](const Model& m) {
+    const std::size_t n = m.dataset().num_items();
+    const std::size_t spc = m.stats_per_class();
+    const data::ItemRange all{0, n};
+    const std::vector<double> w = synthetic_weights(n, kClasses);
+    for (std::size_t t = 0; t < m.num_terms(); ++t) {
+      const Term& term = m.term(t);
+      if (term.stats_size() == 0) continue;
+      std::vector<double> exact(kClasses * spc, 0.125);
+      std::vector<double> fast = exact;
+      term.accumulate_batch(all, w.data(), kClasses,
+                            exact.data() + m.stats_offset(t), spc);
+      term.accumulate_batch_fast(all, w.data(), kClasses,
+                                 fast.data() + m.stats_offset(t), spc);
+      expect_close(fast, exact, rel);
+    }
+  });
 }
 
 TEST(FastMathKernels, GaussianAccumulateWithinTolerance) {
@@ -1010,38 +1172,45 @@ TEST(FastMathKernels, MultinomialFastFoldIsExact) {
   };
   data::LabeledDataset ld = data::categorical_mixture(mix, 700, 74);
   data::inject_missing(ld.dataset, 0.2, 23);
-  const Model model = Model::default_model(ld.dataset);
-  const std::size_t n = ld.dataset.num_items();
-  for (std::size_t t = 0; t < model.num_terms(); ++t) {
-    const Term& term = model.term(t);
-    const std::vector<double> w = synthetic_weights(n, 1);
-    std::vector<double> exact(term.stats_size(), 0.0);
-    std::vector<double> fast = exact;
-    term.accumulate_batch(data::ItemRange{0, n}, w.data(), 1, exact);
-    term.accumulate_batch_fast(data::ItemRange{0, n}, w.data(), 1, fast);
-    expect_bit_identical(fast, exact);
-  }
+  on_both_backends(Model::default_model(ld.dataset), [](const Model& m) {
+    const std::size_t n = m.dataset().num_items();
+    const std::size_t spc = m.stats_per_class();
+    const std::vector<double> w = synthetic_weights(n, kClasses);
+    for (std::size_t t = 0; t < m.num_terms(); ++t) {
+      const Term& term = m.term(t);
+      std::vector<double> exact(kClasses * spc, 0.0);
+      std::vector<double> fast = exact;
+      term.accumulate_batch(data::ItemRange{0, n}, w.data(), kClasses,
+                            exact.data() + m.stats_offset(t), spc);
+      term.accumulate_batch_fast(data::ItemRange{0, n}, w.data(), kClasses,
+                                 fast.data() + m.stats_offset(t), spc);
+      expect_bit_identical(fast, exact);
+    }
+  });
 }
 
 /// The fast tier's association is fixed by contract, not by the ISA: the
 /// AVX2 and portable folds must agree bit-for-bit, not just to tolerance.
 void expect_fast_fold_level_invariant(const Model& model) {
   const std::size_t n = model.dataset().num_items();
+  const std::size_t spc = model.stats_per_class();
+  const std::vector<double> w = synthetic_weights(n, kClasses);
   for (std::size_t t = 0; t < model.num_terms(); ++t) {
     const Term& term = model.term(t);
     if (term.stats_size() == 0) continue;
-    const std::vector<double> w = synthetic_weights(n, 3);
-    std::vector<double> vec_stats(term.stats_size(), 0.125);
+    std::vector<double> vec_stats(kClasses * spc, 0.125);
     std::vector<double> portable_stats = vec_stats;
     {
       simd::ScopedForceLevel vec(simd::Level::kAvx2);
-      term.accumulate_batch_fast(data::ItemRange{0, n}, w.data(), 3,
-                                 vec_stats);
+      term.accumulate_batch_fast(data::ItemRange{0, n}, w.data(), kClasses,
+                                 vec_stats.data() + model.stats_offset(t),
+                                 spc);
     }
     {
       simd::ScopedForceLevel scalar(simd::Level::kScalar);
-      term.accumulate_batch_fast(data::ItemRange{0, n}, w.data(), 3,
-                                 portable_stats);
+      term.accumulate_batch_fast(data::ItemRange{0, n}, w.data(), kClasses,
+                                 portable_stats.data() + model.stats_offset(t),
+                                 spc);
     }
     expect_bit_identical(vec_stats, portable_stats);
   }

@@ -1,7 +1,9 @@
 // Tests for the .pacb binary columnar format and the ColumnStore backends:
-// exact round trips across every term-family column type, corruption and
-// truncation rejection with chunk/column attribution, chunked-vs-resident
-// block equality under eviction, and open_dataset sniffing.
+// exact round trips across every term-family column type, the CRC-32
+// against its bitwise definition, corruption and truncation rejection with
+// chunk/column attribution, chunked-vs-resident block equality under
+// eviction and under concurrent readers, budget validation, and
+// open_dataset sniffing.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -13,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/format.hpp"
@@ -271,6 +274,210 @@ TEST(ChunkedStore, BlocksMatchResidentIncludingStraddlesAndEviction) {
   EXPECT_GT(store->chunk_loads(), distinct)
       << "budget never forced an eviction";
   EXPECT_LE(store->cached_bytes(), std::size_t{4096} + 37 * sizeof(double));
+  std::remove(path.c_str());
+}
+
+/// The bit-at-a-time definition of CRC-32 (reflected polynomial
+/// 0xEDB88320, initial value and final XOR 0xFFFFFFFF), independent of any
+/// lookup table.
+std::uint32_t bytewise_crc32(const unsigned char* p, std::size_t n,
+                             std::uint32_t seed = 0) {
+  std::uint32_t crc = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k)
+      crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(PacbFormat, Crc32MatchesBytewiseDefinition) {
+  // The standard check value of CRC-32/ISO-HDLC.
+  EXPECT_EQ(format::crc32("123456789", 9), 0xCBF43926u);
+
+  // Every length 0..64 at every alignment 0..7: the 8-byte slices, the
+  // bytewise tail, and unaligned loads all agree with the definition.
+  std::vector<unsigned char> buf(64 + 8);
+  Xoshiro256ss rng(1234);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng() >> 56);
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 64; ++len)
+      ASSERT_EQ(format::crc32(buf.data() + offset, len),
+                bytewise_crc32(buf.data() + offset, len))
+          << "offset " << offset << ", length " << len;
+
+  // Seed chaining: crc32(b, crc32(a)) == crc32(a + b) at every split.
+  const std::uint32_t whole = format::crc32(buf.data(), buf.size());
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    const std::uint32_t a = format::crc32(buf.data(), split);
+    ASSERT_EQ(format::crc32(buf.data() + split, buf.size() - split, a), whole)
+        << "split " << split;
+  }
+}
+
+/// True when `view` holds exactly the resident column's values for
+/// `range` (memcmp, so missing NaNs compare by bits).
+bool block_matches(const Dataset& resident, const Dataset& chunked,
+                   std::size_t attr, ItemRange range) {
+  if (resident.schema().at(attr).kind == AttributeKind::kReal) {
+    const auto r = resident.real_block(attr, range);
+    const auto c = chunked.real_block(attr, range);
+    return r.size() == c.size() &&
+           std::memcmp(r.data(), c.data(), r.size() * sizeof(double)) == 0;
+  }
+  const auto r = resident.discrete_block(attr, range);
+  const auto c = chunked.discrete_block(attr, range);
+  return r.size() == c.size() &&
+         std::memcmp(r.data(), c.data(), r.size() * sizeof(std::int32_t)) ==
+             0;
+}
+
+TEST(ChunkedStore, ConcurrentReadersSeeResidentBytes) {
+  const Dataset original = mixed_dataset(1200);
+  const std::size_t n = original.num_items();
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRows = 64;
+  // Thread t reads 256-item blocks starting at t * 29, so the threads'
+  // blocks overlap each other and straddle the 64-row chunk borders.
+  const auto block_at = [n](std::size_t t, std::size_t b) {
+    const std::size_t begin = std::min(t * 29 + b * 256, n - 1);
+    return ItemRange{begin, std::min(begin + 256, n)};
+  };
+  const std::size_t blocks = n / 256 + 1;
+
+  // Clean file under a one-chunk budget: every thread evicts the chunks
+  // the others are reading, and every block must still be resident bytes.
+  {
+    const std::string path = temp_path("mt") + ".pacb";
+    format::write_pacb_file(path, original, kRows);
+    const Dataset chunked(ChunkedStore::open(path, kRows * sizeof(double)));
+    std::vector<std::size_t> mismatches(kThreads, 0);
+    std::vector<std::thread> readers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      readers.emplace_back([&, t] {
+        for (int pass = 0; pass < 3; ++pass) {
+          for (std::size_t b = 0; b < blocks; ++b) {
+            for (std::size_t a = 0; a < original.num_attributes(); ++a) {
+              try {
+                if (!block_matches(original, chunked, a, block_at(t, b)))
+                  ++mismatches[t];
+              } catch (...) {
+                ++mismatches[t];
+              }
+            }
+          }
+        }
+      });
+    }
+    for (std::thread& r : readers) r.join();
+    for (std::size_t t = 0; t < kThreads; ++t)
+      EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+    std::remove(path.c_str());
+  }
+
+  // One corrupt chunk column: every thread touching it gets a FormatError
+  // naming it, on every touch, while every other chunk keeps loading.
+  const std::string path = temp_path("mtcrc") + ".pacb";
+  format::write_pacb_file(path, original, kRows);
+  const std::size_t bad_chunk = 6, bad_column = 1;
+  {
+    const format::PacbLayout layout = format::read_layout(path);
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(
+        layout.column_data_offset(bad_chunk, bad_column) + 9));
+    char byte = 0;
+    f.read(&byte, 1);
+    f.seekp(-1, std::ios::cur);
+    byte = static_cast<char>(byte ^ 0x10);
+    f.write(&byte, 1);
+  }
+  const Dataset chunked(ChunkedStore::open(path, kRows * sizeof(double)));
+  struct Tally {
+    std::size_t expected_throws = 0, named_throws = 0, other_failures = 0;
+  };
+  std::vector<Tally> tally(kThreads);
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t b = 0; b < blocks; ++b) {
+          const ItemRange range = block_at(t, b);
+          for (std::size_t a = 0; a < original.num_attributes(); ++a) {
+            const bool touches_bad =
+                a == bad_column && range.begin < (bad_chunk + 1) * kRows &&
+                range.end > bad_chunk * kRows;
+            tally[t].expected_throws += touches_bad ? 1 : 0;
+            try {
+              if (!block_matches(original, chunked, a, range) || touches_bad)
+                ++tally[t].other_failures;
+            } catch (const format::FormatError& e) {
+              if (touches_bad &&
+                  e.chunk() == static_cast<std::ptrdiff_t>(bad_chunk) &&
+                  e.column() == static_cast<std::ptrdiff_t>(bad_column))
+                ++tally[t].named_throws;
+              else
+                ++tally[t].other_failures;
+            } catch (...) {
+              ++tally[t].other_failures;
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE(testing::Message() << "thread " << t);
+    EXPECT_GT(tally[t].expected_throws, 0u);
+    EXPECT_EQ(tally[t].named_throws, tally[t].expected_throws);
+    EXPECT_EQ(tally[t].other_failures, 0u);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ChunkedStore, OverflowingBudgetIsRejectedNamingTheValue) {
+  const Dataset original = mixed_dataset(50);
+  const std::string path = temp_path("budget") + ".pacb";
+  format::write_pacb_file(path, original);
+  // 2^44 + 1 MiB is 2^64 + 2^20 bytes, which used to wrap to a 1 MiB
+  // budget.
+  setenv("PAC_DATA_BUDGET_MB", "17592186044417", 1);
+  try {
+    ChunkedStore::open(path);
+    ADD_FAILURE() << "an overflowing PAC_DATA_BUDGET_MB was accepted";
+  } catch (const BudgetError& e) {
+    EXPECT_EQ(e.value(), "17592186044417");
+    EXPECT_NE(std::string(e.what()).find("17592186044417"), std::string::npos)
+        << e.what();
+  }
+  unsetenv("PAC_DATA_BUDGET_MB");
+  OpenOptions options;
+  options.backend = Backend::kChunked;
+  options.budget_mb = 17592186044417;
+  EXPECT_THROW(open_dataset(path, options), BudgetError);
+  std::remove(path.c_str());
+}
+
+TEST(OpenDataset, NegativeBudgetIsRejectedNamingTheValue) {
+  // pautoclass_cli --data-budget-mb -1 used to become an unbounded budget
+  // of 18446744073708503040 bytes.
+  const Dataset original = mixed_dataset(50);
+  const std::string path = temp_path("negbudget") + ".pacb";
+  format::write_pacb_file(path, original);
+  OpenOptions options;
+  options.budget_mb = -1;
+  try {
+    open_dataset(path, options);
+    ADD_FAILURE() << "a negative budget was accepted";
+  } catch (const BudgetError& e) {
+    EXPECT_EQ(e.value(), "-1");
+    EXPECT_NE(std::string(e.what()).find("-1"), std::string::npos)
+        << e.what();
+  }
+  // The same value through the environment.
+  setenv("PAC_DATA_BUDGET_MB", "-1", 1);
+  EXPECT_THROW(ChunkedStore::open(path), BudgetError);
+  unsetenv("PAC_DATA_BUDGET_MB");
   std::remove(path.c_str());
 }
 

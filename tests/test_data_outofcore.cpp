@@ -29,10 +29,12 @@ struct BackendPair {
   data::Dataset resident;
   data::Dataset chunked;
 
-  explicit BackendPair(std::size_t n, std::uint64_t seed)
+  BackendPair(std::size_t n, std::uint64_t seed)
+      : BackendPair(data::paper_dataset(n, seed).dataset, seed) {}
+  BackendPair(data::Dataset data, std::uint64_t seed)
       : path("/tmp/pac_ooc_" + std::to_string(::getpid()) + "_" +
              std::to_string(seed) + ".pacb"),
-        resident(data::paper_dataset(n, seed).dataset) {
+        resident(std::move(data)) {
     data::format::write_pacb_file(path, resident, /*chunk_rows=*/193);
     chunked = data::Dataset(data::ChunkedStore::open(path,
                                                      /*budget_bytes=*/4096));
@@ -40,11 +42,12 @@ struct BackendPair {
   ~BackendPair() { std::remove(path.c_str()); }
 };
 
-/// Run `cycles` full EM cycles single-rank and append every weight,
-/// parameter, class weight, and log-likelihood to `sink`.
-std::vector<double> em_trajectory(const data::Dataset& dataset, int threads,
+/// Run `cycles` full EM cycles single-rank and return the seed-item initial
+/// weights, then per cycle every weight, parameter, class weight, and
+/// log-likelihood.
+std::vector<double> em_trajectory(const ac::Model& model, int threads,
                                   int cycles) {
-  const ac::Model model = ac::Model::default_model(dataset);
+  const data::Dataset& dataset = model.dataset();
   ac::Reducer identity;
   ac::EmWorker worker(model, data::ItemRange{0, dataset.num_items()},
                       identity);
@@ -52,7 +55,8 @@ std::vector<double> em_trajectory(const data::Dataset& dataset, int threads,
   ac::EmConfig config;
   config.threads = threads;
   worker.random_init(c, 515, 0, config);
-  std::vector<double> sink;
+  const std::span<const double> init = worker.local_weights();
+  std::vector<double> sink(init.begin(), init.end());
   for (int cycle = 0; cycle < cycles; ++cycle) {
     worker.update_parameters(c);
     sink.push_back(worker.update_wts(c));
@@ -76,15 +80,39 @@ void expect_same_trajectory(const std::vector<double>& a,
 
 TEST(OutOfCore, EmTrajectoryBitIdenticalAcrossThreadCounts) {
   const BackendPair pair(1500, 51);
+  const ac::Model resident = ac::Model::default_model(pair.resident);
+  const ac::Model chunked = ac::Model::default_model(pair.chunked);
   for (const int threads : {1, 2, 4}) {
     SCOPED_TRACE(threads);
-    const std::vector<double> res = em_trajectory(pair.resident, threads, 4);
-    const std::vector<double> chk = em_trajectory(pair.chunked, threads, 4);
+    const std::vector<double> res = em_trajectory(resident, threads, 4);
+    const std::vector<double> chk = em_trajectory(chunked, threads, 4);
     expect_same_trajectory(res, chk, "threads");
     // And the thread count itself must not matter (the existing invariant,
     // re-pinned on the chunked backend).
-    expect_same_trajectory(chk, em_trajectory(pair.chunked, 1, 4),
+    expect_same_trajectory(chk, em_trajectory(chunked, 1, 4),
                            "threads-vs-1");
+  }
+}
+
+TEST(OutOfCore, MixedFamiliesBitIdenticalToResident) {
+  // All five term families, 5% missing values, 193-row chunks (so 256-item
+  // blocks straddle chunk borders) under a 4 KiB budget: every family's
+  // batched kernels, the lognormal term's per-block log x, and the
+  // seed-distance init must see the resident values bit for bit.
+  const BackendPair pair(data::five_family_mixture(1300, 56, 0.05).dataset,
+                         56);
+  const std::vector<ac::TermSpec> terms = {
+      {ac::TermKind::kSingleNormal, {0}},
+      {ac::TermKind::kSingleLognormal, {1}},
+      {ac::TermKind::kMultiNormal, {2, 3}},
+      {ac::TermKind::kIgnore, {4}},
+      {ac::TermKind::kSingleMultinomial, {5}}};
+  const ac::Model resident(pair.resident, terms);
+  const ac::Model chunked(pair.chunked, terms);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    expect_same_trajectory(em_trajectory(resident, threads, 4),
+                           em_trajectory(chunked, threads, 4), "mixed");
   }
 }
 
