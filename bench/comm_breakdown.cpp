@@ -6,11 +6,11 @@
 // compute / network / idle, plus the Allreduce traffic that P-AutoClass
 // generates per EM cycle.
 //
-// The traffic columns come from the instrumentation layer's *measured*
-// per-collective counters (mp.allreduce.calls / .bytes, recorded by the
-// Comm itself), not from a hand-derived formula; when tracing is compiled
-// out (-DPAC_TRACE=OFF) the harness falls back to the analytic payload
-// size and the World's coarse collective counts.
+// The traffic columns come from the *measured* per-collective counters
+// (mp.allreduce.calls / .bytes / .wait_seconds) that every rank's registry
+// records inside the Comm itself, not from a hand-derived formula.  The
+// harness also switches the event ring on, so it ends with the metrics
+// report and chrome trace of the largest processor count.
 #include "bench/common.hpp"
 
 int main(int argc, char** argv) {
@@ -42,9 +42,8 @@ int main(int argc, char** argv) {
     mp::World::Config cfg;
     cfg.num_ranks = static_cast<int>(p);
     cfg.machine = machine;
-    // Always instrument (when compiled in): this harness exists to report
-    // measured communication, not modeled formulas.
-    cfg.instrument = trace::compiled_in();
+    // Keep events too: the report below ends with the chrome trace.
+    cfg.instrument = true;
     mp::World world(cfg);
     const auto m = core::measure_base_cycle(world, model, j, cycles, 42);
     const auto& stats = m.stats;
@@ -57,34 +56,20 @@ int main(int argc, char** argv) {
       return format_fixed(total > 0 ? 100.0 * v / total : 0.0, 1) + "%";
     };
 
-    double per_rank_allreduces = 0.0;
-    double bytes_per_cycle = 0.0;
+    // Merged counters sum over ranks; divide by p for the per-rank view.
+    const double per_rank_allreduces =
+        static_cast<double>(
+            stats.metrics.counter_value("mp.allreduce.calls")) /
+        static_cast<double>(p);
+    const double bytes_per_cycle =
+        static_cast<double>(
+            stats.metrics.counter_value("mp.allreduce.bytes")) /
+        static_cast<double>(p) / static_cast<double>(cycles);
     double mean_wait_us = 0.0;
-    if (stats.instrumented) {
-      // Merged counters sum over ranks; divide by p for the per-rank view.
-      const double calls = static_cast<double>(
-          stats.metrics.counter_value("mp.allreduce.calls"));
-      const double bytes = static_cast<double>(
-          stats.metrics.counter_value("mp.allreduce.bytes"));
-      per_rank_allreduces = calls / static_cast<double>(p);
-      bytes_per_cycle =
-          bytes / static_cast<double>(p) / static_cast<double>(cycles);
-      if (const metrics::Histogram* h =
-              stats.metrics.find_histogram("mp.allreduce.wait_seconds");
-          h != nullptr && h->count() > 0)
-        mean_wait_us = 1e6 * h->mean();
-    } else {
-      const auto allreduce_index =
-          static_cast<std::size_t>(net::CollectiveKind::kAllreduce);
-      per_rank_allreduces =
-          static_cast<double>(stats.collective_calls[allreduce_index]) /
-          static_cast<double>(p);
-      // Statistics buffer + weight vector, per cycle, per rank contribution.
-      bytes_per_cycle = static_cast<double>(
-          (model.stats_per_class() * static_cast<std::size_t>(j) +
-           static_cast<std::size_t>(j) + 1) *
-          sizeof(double));
-    }
+    if (const metrics::Histogram* h =
+            stats.metrics.find_histogram("mp.allreduce.wait_seconds");
+        h != nullptr && h->count() > 0)
+      mean_wait_us = 1e6 * h->mean();
     table.add_row(
         {std::to_string(p), format_fixed(total, 3),
          pct(stats.rank_compute[slow]), pct(stats.rank_comm[slow]),

@@ -146,8 +146,8 @@ inline double mean_elapsed(const ac::Model& model, int procs,
 /// Emit the observability output of an instrumented run: the metrics
 /// report to stdout and the chrome://tracing JSON to `<name>.trace.json`
 /// (path overridable with --trace-json, empty string disables the file).
-/// No-op when the run was not instrumented (PAUTOCLASS_TRACE unset or the
-/// layer compiled out).
+/// No-op when the run kept no events (PAUTOCLASS_TRACE unset and the
+/// harness did not set World::Config::instrument).
 inline void emit_instrumentation(const Cli& cli, const mp::RunStats& stats,
                                  const std::string& name) {
   if (!stats.instrumented) return;

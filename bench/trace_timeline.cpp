@@ -40,20 +40,6 @@ int main(int argc, char** argv) {
             << " tuples, J=" << j << ", " << procs << " ranks on "
             << machine.name << "\n";
 
-  if (!m.stats.instrumented) {
-    std::cout << "tracing layer compiled out (-DPAC_TRACE=OFF): no events "
-                 "to report\n";
-    Table per_rank("Per-rank communication profile");
-    per_rank.set_header({"rank", "comm [ms]", "idle [ms]", "finish [s]"});
-    for (int r = 0; r < procs; ++r)
-      per_rank.add_row({std::to_string(r),
-                        format_fixed(1e3 * m.stats.rank_comm[r], 2),
-                        format_fixed(1e3 * m.stats.rank_idle[r], 2),
-                        format_fixed(m.stats.rank_finish[r], 4)});
-    per_rank.print(std::cout);
-    return 0;
-  }
-
   std::cout << "# " << m.stats.events.size() << " events, virtual time "
             << format_fixed(m.stats.virtual_time, 4) << " s\n\n";
 

@@ -22,7 +22,7 @@
 #                      the kernel/transport equality tests forced scalar.
 #   --build-dir   build tree to use (default: build)
 # Extra configure arguments can be passed via PAC_CMAKE_ARGS, e.g.
-#   PAC_CMAKE_ARGS="-DPAC_TRACE=OFF" scripts/check.sh --fast
+#   PAC_CMAKE_ARGS="-DCMAKE_BUILD_TYPE=Release" scripts/check.sh --fast
 set -e
 cd "$(dirname "$0")/.."
 

@@ -554,8 +554,7 @@ ConvergeOutcome EmWorker::converge(Classification& c,
   double previous_score = -std::numeric_limits<double>::infinity();
   int small_deltas = 0;
   std::vector<double> recent_deltas;  // ring of the last sigma_window deltas
-  trace::Recorder* rec =
-      trace::compiled_in() ? reducer_->recorder() : nullptr;
+  trace::Recorder* rec = reducer_->recorder();
   for (int cycle = 0; cycle < config.max_cycles; ++cycle) {
     PAC_TRACE_SCOPE(rec, "em", "base_cycle");
     update_parameters(c);   // M-step from current weights

@@ -38,9 +38,8 @@
 
 namespace pac::ac::detail {
 
-// The SIMD multinomial kernel treats every negative symbol as missing; the
-// scalar path compares against this exact sentinel, so the two only agree
-// because it is the sole negative value a validated column can hold.
+// See simd.cpp's multinomial_log_prob_portable: the batch kernels test
+// `v < 0` where log_prob tests this sentinel.
 static_assert(data::kMissingDiscrete == -1);
 
 namespace {
@@ -125,27 +124,11 @@ class SingleNormalTerm final : public Term {
     // unchanged, so every column stays bit-identical on either backend.
     const double log_error = std::log(error_);
     const auto view = block(range);
-    const double* x = view.data();
     const std::size_t n = view.size();
-    const bool vector = simd::active();
     for (std::size_t k = 0; k < num_classes; ++k) {
       const double* p = params + k * param_stride;
-      const double mean = p[0];
-      const double sigma = p[1];
-      const double log_sigma = p[2];
-      double* col = out + k * n;
-      if (vector) {
-        simd::gaussian_log_prob(x, n, mean, sigma, log_sigma, log_error, col);
-        continue;
-      }
-      for (std::size_t r = 0; r < n; ++r) {
-        double lp = 0.0;
-        if (!data::is_missing_real(x[r])) {
-          const double z = (x[r] - mean) / sigma;
-          lp = -0.5 * (kLog2Pi + z * z) - log_sigma + log_error;
-        }
-        col[r] += lp;
-      }
+      simd::gaussian_log_prob(view.data(), n, p[0], p[1], p[2], log_error,
+                              out + k * n);
     }
   }
 
@@ -350,22 +333,13 @@ class SingleMultinomialTerm final : public Term {
     // batch path is a pure table walk per class over one block fetch, with
     // the missing policy hoisted.
     const auto view = block(range);
-    const std::int32_t* v = view.data();
     const std::size_t n = view.size();
-    const bool vector = simd::active();
     for (std::size_t k = 0; k < num_classes; ++k) {
       const double* table = params + k * param_stride;
       const double missing_lp =
           missing_as_value_ ? table[num_values_ - 1] : 0.0;
-      double* col = out + k * n;
-      if (vector) {
-        simd::multinomial_log_prob(v, n, table, missing_lp, col);
-        continue;
-      }
-      for (std::size_t r = 0; r < n; ++r)
-        col[r] += v[r] == data::kMissingDiscrete
-                      ? missing_lp
-                      : table[static_cast<std::size_t>(v[r])];
+      simd::multinomial_log_prob(view.data(), n, table, missing_lp,
+                                 out + k * n);
     }
   }
 
@@ -571,32 +545,16 @@ class MultiNormalTerm final : public Term {
     // by update_params); the factor/log-det loads are hoisted per class and
     // reused across the whole block.
     const std::size_t d = dim_;
-    double diff_stack[32];
     PAC_CHECK(d <= 32);
-    std::span<double> diff(diff_stack, d);
-    const double dd = static_cast<double>(d);
     data::ColumnBlockView<double> views[32];
     const double* cols[32];
     fetch_blocks(range, views, cols);
     const std::size_t n = range.size();
-    const bool vector = simd::active();
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      const double* p = params + c * param_stride;
-      double* col = out + c * n;
-      if (vector) {
-        // Per-block base pointers with i0 = 0: the kernel's lane structure
-        // depends only on the in-block index.
-        simd::multinormal_log_prob(cols, d, 0, n, p, log_error_sum_, col);
-        continue;
-      }
-      const std::span<const double> chol(p + d, d * d);
-      const double logdet = p[d + d * d];
-      for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t k = 0; k < d; ++k) diff[k] = cols[k][r] - p[k];
-        const double maha = spd::mahalanobis2(chol, d, diff);
-        col[r] += -0.5 * (dd * kLog2Pi + logdet + maha) + log_error_sum_;
-      }
-    }
+    // Per-block base pointers with i0 = 0: the kernel's lane structure
+    // depends only on the in-block index.
+    for (std::size_t c = 0; c < num_classes; ++c)
+      simd::multinormal_log_prob(cols, d, 0, n, params + c * param_stride,
+                                 log_error_sum_, out + c * n);
   }
 
   void accumulate(std::size_t item, double w,
@@ -932,26 +890,10 @@ class SingleLognormalTerm final : public Term {
     std::vector<double> heap;
     const double* lx = log_block(range, scratch, heap);
     const std::size_t n = range.size();
-    const bool vector = simd::active();
     for (std::size_t k = 0; k < num_classes; ++k) {
       const double* p = params + k * param_stride;
-      const double mean = p[0];
-      const double sigma = p[1];
-      const double log_sigma = p[2];
-      double* col = out + k * n;
-      if (vector) {
-        simd::lognormal_log_prob(lx, n, mean, sigma, log_sigma, log_error,
-                                 col);
-        continue;
-      }
-      for (std::size_t r = 0; r < n; ++r) {
-        double lp = 0.0;
-        if (!data::is_missing_real(lx[r])) {
-          const double z = (lx[r] - mean) / sigma;
-          lp = -0.5 * (kLog2Pi + z * z) - log_sigma - lx[r] + log_error;
-        }
-        col[r] += lp;
-      }
+      simd::lognormal_log_prob(lx, n, p[0], p[1], p[2], log_error,
+                               out + k * n);
     }
   }
 

@@ -250,7 +250,7 @@ ac::SearchResult run_group_search(mp::Comm& comm, const ac::Model& model,
   const data::ItemRange range = partition_for(model, sub, parallel);
   ac::EmWorker worker(model, range, reducer,
                       parallel.strategy == Strategy::kFull);
-  trace::Recorder* rec = trace::compiled_in() ? comm.recorder() : nullptr;
+  trace::Recorder* rec = comm.recorder();
   PAC_TRACE_SCOPE(rec, "search", "group_loop");
 
   // Replicated-per-group state: every rank of a sub-world computes the
@@ -449,7 +449,7 @@ ParallelOutcome run_parallel_search(mp::World& world, const ac::Model& model,
       const data::ItemRange range = partition_for(model, comm, parallel);
       ac::EmWorker worker(model, range, reducer,
                           parallel.strategy == Strategy::kFull);
-      trace::Recorder* rec = trace::compiled_in() ? comm.recorder() : nullptr;
+      trace::Recorder* rec = comm.recorder();
       const ac::TryRunner runner = [&, rec](int try_index, int j) {
         return run_try(worker, model, config, try_index, j, rec);
       };

@@ -9,7 +9,7 @@ namespace pac::mp {
 
 namespace detail {
 
-void RankState::init_instrumentation(std::size_t ring_capacity) {
+void RankState::init_recorder(std::size_t ring_capacity) {
   recorder = std::make_unique<trace::Recorder>(world_rank, ring_capacity);
   // The rank's virtual clock is the trace time base (deterministic across
   // runs); `this` is stable for the run — World keeps each rank's state in
@@ -116,16 +116,10 @@ void Comm::deliver(int dest_group_rank, int tag, const void* bytes,
   if (nbytes > 0) std::memcpy(msg.payload.data(), bytes, nbytes);
   transport_->send(group_[dest_group_rank], std::move(msg));
   const Charged charged = op_end(start, departs, overhead, 0.0);
-  ++state_->messages_sent;
-  state_->bytes_sent += nbytes;
-  if constexpr (trace::compiled_in()) {
-    if (trace::Recorder* rec = state_->recorder.get()) {
-      state_->mp.send_calls->add(1);
-      state_->mp.send_bytes->add(nbytes);
-      state_->mp.send_seconds->observe(charged.comm);
-      rec->record_span("mp", "send", start, state_->clock);
-    }
-  }
+  state_->mp.send_calls->add(1);
+  state_->mp.send_bytes->add(nbytes);
+  state_->mp.send_seconds->observe(charged.comm);
+  state_->recorder->record_span("mp", "send", start, state_->clock);
 }
 
 Status Comm::absorb(Message&& msg, void* buffer, std::size_t capacity,
@@ -144,21 +138,16 @@ Status Comm::absorb(Message&& msg, void* buffer, std::size_t capacity,
       network_->pt2pt_time(nbytes, st.source, group_rank_, size());
   const double available = msg.send_time + transfer;
   op_end(start, available, transfer, available - start);
-  if constexpr (trace::compiled_in()) {
-    if (trace::Recorder* rec = state_->recorder.get()) {
-      state_->mp.recv_calls->add(1);
-      state_->mp.recv_bytes->add(nbytes);
-      state_->mp.recv_seconds->observe(state_->clock - start);
-      rec->record_span("mp", "recv", start, state_->clock);
-    }
-  }
+  state_->mp.recv_calls->add(1);
+  state_->mp.recv_bytes->add(nbytes);
+  state_->mp.recv_seconds->observe(state_->clock - start);
+  state_->recorder->record_span("mp", "recv", start, state_->clock);
   return st;
 }
 
 Status Comm::recv_bytes(int source, int tag, void* buffer,
-                        std::size_t capacity) {
+                        std::size_t capacity, double start) {
   const int world_source = source == kAnySource ? kAnySource : group_[source];
-  const double start = op_begin();
   Message msg = transport_->recv(context_, world_source, tag);
   return absorb(std::move(msg), buffer, capacity, start);
 }
@@ -168,17 +157,14 @@ void Comm::wait(Request& request) {
   PAC_REQUIRE_MSG(request.kind_ != Request::Kind::kNone,
                   "wait on a default-constructed Request");
   if (request.done_) return;
-  const double wait_start = state_->clock;
-  request.status_ =
-      recv_bytes(request.source_, request.tag_, request.buffer_,
-                 request.capacity_);
+  // Timed from op_begin, which books the gap since the previous operation
+  // as compute on the wall clock, not as waiting.
+  const double start = op_begin();
+  request.status_ = recv_bytes(request.source_, request.tag_,
+                               request.buffer_, request.capacity_, start);
   request.done_ = true;
-  if constexpr (trace::compiled_in()) {
-    if (state_->recorder != nullptr) {
-      state_->mp.wait_calls->add(1);
-      state_->mp.wait_seconds->observe(state_->clock - wait_start);
-    }
-  }
+  state_->mp.wait_calls->add(1);
+  state_->mp.wait_seconds->observe(state_->clock - start);
 }
 
 bool Comm::test(Request& request) {

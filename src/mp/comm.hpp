@@ -24,10 +24,11 @@
 // Collectives synchronize clocks the way a real blocking collective does:
 // everyone leaves at max(arrivals) + network cost.  RunStats reports
 // per-rank compute/communication/idle breakdowns — that is the data from
-// which the paper's Figures 6-8 are rebuilt.  Per-operation records (an
-// "mp" span per send, recv and collective, with metrics beside them) come
-// from one place: the per-rank trace::Recorder that World::Config::
-// instrument switches on, merged into RunStats::events at finalize.
+// which the paper's Figures 6-8 are rebuilt.  Every count and per-operation
+// record comes from each rank's trace::Recorder: its registry (always on)
+// holds the "mp.<op>.*" entries RunStats' totals are derived from, and its
+// event ring (an "mp" span per send, recv and collective) is kept only when
+// World::Config::instrument asks for it.
 //
 // Thread-safety contract: a Comm belongs to its rank's thread.  A rank must
 // never touch another rank's Comm or data; all sharing is via messages.
@@ -91,8 +92,8 @@ class Request {
 namespace detail {
 
 /// Cached metric handles for the message-passing hot paths, resolved once
-/// per rank when instrumentation is switched on so recording a collective
-/// costs four pointer dereferences, not four map lookups.
+/// per rank so recording a collective costs four pointer dereferences, not
+/// four map lookups.
 struct MpMetricHandles {
   struct PerCollective {
     metrics::Counter* calls = nullptr;
@@ -114,23 +115,20 @@ struct MpMetricHandles {
 /// Per-rank mutable state shared by all communicators of that rank.
 struct RankState {
   int world_rank = 0;
+  /// The clock and its ledger are the time model, with no registry twin;
+  /// as registry entries they would add lines to the golden reports.
   double clock = 0.0;         // virtual seconds
   double compute_time = 0.0;  // sum of charge() calls
   double comm_time = 0.0;     // modeled network time
   double idle_time = 0.0;     // waiting on slower ranks in collectives
-  std::uint64_t collectives = 0;
-  std::uint64_t messages_sent = 0;
-  std::uint64_t bytes_sent = 0;
-  /// Per-CollectiveKind call counts and modeled time (indexed by the enum).
-  std::array<std::uint64_t, kNumCollectiveKinds> collective_calls{};
-  std::array<double, kNumCollectiveKinds> collective_seconds{};
-  /// Instrumentation sink (null unless the World instruments this run).
-  /// Owned by this rank's thread; merged by World::run after the join.
+  /// The rank's only counter store and its event sink, owned by this rank's
+  /// thread; World::run derives RunStats from it after the join.
   std::unique_ptr<trace::Recorder> recorder;
   MpMetricHandles mp;
 
-  /// Create the recorder and resolve the metric handles (comm.cpp).
-  void init_instrumentation(std::size_t ring_capacity);
+  /// Create the recorder (`ring_capacity` 0: no event ring) and resolve
+  /// the metric handles (comm.cpp).
+  void init_recorder(std::size_t ring_capacity);
 };
 
 template <class T>
@@ -200,11 +198,13 @@ struct RunStats {
   /// (indexed by net::CollectiveKind).
   std::array<std::uint64_t, kNumCollectiveKinds> collective_calls{};
   std::array<double, kNumCollectiveKinds> collective_seconds{};
-  /// True when the run was instrumented (Config::instrument and the layer
-  /// compiled in): `metrics` holds the merged per-rank registries and
-  /// `events` the merged per-rank ring buffers, sorted by (start, rank).
-  bool instrumented = false;
+  /// Every rank's registry merged in rank order, on every backend; the
+  /// totals above are read from its "mp.*" entries.
   metrics::Registry metrics;
+  /// True when events were kept (Config::instrument): `events` holds the
+  /// merged rings sorted by (start, rank), on the socket and hybrid
+  /// backends this process's rank only.
+  bool instrumented = false;
   std::vector<trace::Event> events;
   /// Events lost to ring overflow across all ranks (0 = complete trace).
   std::uint64_t events_dropped = 0;
@@ -255,8 +255,8 @@ class Comm {
   const net::NetworkModel& network() const noexcept { return *network_; }
   const net::CostBook& costs() const noexcept { return *costs_; }
 
-  /// This rank's instrumentation sink, or nullptr when the run is not
-  /// instrumented (shared by all communicators of the rank, split or not).
+  /// This rank's instrumentation sink (shared by all communicators of the
+  /// rank, split or not); nullptr only on an invalid Comm.
   trace::Recorder* recorder() const noexcept {
     return state_ == nullptr ? nullptr : state_->recorder.get();
   }
@@ -429,8 +429,10 @@ class Comm {
   void deliver(int dest_group_rank, int tag, const void* bytes,
                std::size_t nbytes);
 
-  /// Blocking type-erased receive core (shared by recv and wait).
-  Status recv_bytes(int source, int tag, void* buffer, std::size_t capacity);
+  /// Blocking type-erased receive core (shared by recv and wait) of a
+  /// receive begun at `start` (op_begin).
+  Status recv_bytes(int source, int tag, void* buffer, std::size_t capacity,
+                    double start);
 
   /// Copy a matched message into `buffer`, close the receive begun at
   /// `start` (op_end: modeled transfer or measured wall time), and build the
@@ -550,12 +552,11 @@ class World {
     /// Unused: per-operation events come from `instrument` (RunStats::
     /// events).  Kept only because perfbench/search.cpp still sets it.
     bool trace = false;
-    /// Build a per-rank trace::Recorder (metrics + event ring) and merge
-    /// them into RunStats at finalize.  Defaults to the PAUTOCLASS_TRACE
-    /// environment toggle; a no-op when the layer is compiled out
-    /// (PAC_TRACE=OFF).
+    /// Keep a per-rank event ring and merge it into RunStats::events at
+    /// finalize.  Only the ring: every rank's registry is always on.
+    /// Defaults to the PAUTOCLASS_TRACE environment toggle.
     bool instrument = trace::env_enabled();
-    /// Per-rank event-ring capacity when instrumenting.
+    /// Per-rank event-ring capacity when instrumenting (0: no events).
     std::size_t instrument_ring = trace::EventRing::kDefaultCapacity;
 
     Backend backend = Backend::kInProcess;
@@ -629,7 +630,8 @@ Status Comm::recv(int source, int tag, std::span<T> buffer) {
   PAC_REQUIRE(valid());
   PAC_REQUIRE_MSG(source == kAnySource || (source >= 0 && source < size()),
                   "recv source out of range");
-  return recv_bytes(source, tag, buffer.data(), buffer.size_bytes());
+  return recv_bytes(source, tag, buffer.data(), buffer.size_bytes(),
+                    op_begin());
 }
 
 template <class T>

@@ -76,22 +76,14 @@ Comm::Round Comm::coll_begin(net::CollectiveKind kind, std::size_t bytes) {
 void Comm::coll_end(const Round& round, double done) {
   const Charged charged = op_end(round.arrival, done, round.cost,
                                  done - round.arrival - round.cost);
-  ++state_->collectives;
-  const auto kind_index = static_cast<std::size_t>(round.kind);
-  ++state_->collective_calls[kind_index];
-  state_->collective_seconds[kind_index] += charged.comm;
-  if constexpr (trace::compiled_in()) {
-    if (trace::Recorder* rec = state_->recorder.get()) {
-      const detail::MpMetricHandles::PerCollective& h =
-          state_->mp.collective[kind_index];
-      h.calls->add(1);
-      h.bytes->add(round.bytes);
-      h.seconds->observe(charged.comm);
-      h.wait_seconds->observe(charged.idle);
-      rec->record_span("mp", net::to_string(round.kind), round.arrival,
-                       state_->clock);
-    }
-  }
+  const detail::MpMetricHandles::PerCollective& h =
+      state_->mp.collective[static_cast<std::size_t>(round.kind)];
+  h.calls->add(1);
+  h.bytes->add(round.bytes);
+  h.seconds->observe(charged.comm);
+  h.wait_seconds->observe(charged.idle);
+  state_->recorder->record_span("mp", net::to_string(round.kind),
+                                round.arrival, state_->clock);
 }
 
 void Comm::coll_send(int dest, int tag, const void* bytes, std::size_t nbytes,

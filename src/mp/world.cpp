@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <numeric>
 #include <thread>
 
@@ -7,9 +8,111 @@
 #include "mp/transport/hybrid_transport.hpp"
 #include "mp/transport/inprocess.hpp"
 #include "mp/transport/socket_transport.hpp"
+#include "mp/wire.hpp"
 #include "util/log.hpp"
 
 namespace pac::mp {
+
+namespace {
+
+/// What one rank contributes to its world's RunStats: its clock ledger, its
+/// registry, and its event ring where this process holds it.
+struct RankShare {
+  double ledger[4];  // finish, compute, comm, idle
+  const metrics::Registry* metrics;
+  const trace::EventRing* events;  // null: held by another process
+};
+
+RankShare share_of(const detail::RankState& rs) {
+  return {{rs.clock, rs.compute_time, rs.comm_time, rs.idle_time},
+          &rs.recorder->metrics(),
+          &rs.recorder->events()};
+}
+
+/// Builds RunStats on every backend.  Ranks fold in rank order, so every
+/// merged sum adds the per-rank sums in one fixed order (the exact
+/// VirtualTime.* expectations pin it), and the event sort is stable over a
+/// rank-ordered concatenation.
+RunStats finalize(std::span<const RankShare> ranks, double wall_seconds,
+                  bool instrumented) {
+  RunStats stats;
+  stats.num_ranks = static_cast<int>(ranks.size());
+  stats.wall_seconds = wall_seconds;
+  stats.instrumented = instrumented;
+  for (const RankShare& rs : ranks) {
+    stats.rank_finish.push_back(rs.ledger[0]);
+    stats.rank_compute.push_back(rs.ledger[1]);
+    stats.rank_comm.push_back(rs.ledger[2]);
+    stats.rank_idle.push_back(rs.ledger[3]);
+    stats.virtual_time = std::max(stats.virtual_time, rs.ledger[0]);
+    stats.metrics.merge_from(*rs.metrics);
+    if (rs.events == nullptr) continue;
+    const std::vector<trace::Event> events = rs.events->snapshot();
+    stats.events.insert(stats.events.end(), events.begin(), events.end());
+    stats.events_dropped += rs.events->dropped();
+  }
+  std::stable_sort(stats.events.begin(), stats.events.end(),
+                   [](const trace::Event& a, const trace::Event& b) {
+                     return a.start < b.start;
+                   });
+  for (std::size_t k = 0; k < kNumCollectiveKinds; ++k) {
+    const std::string name =
+        std::string("mp.") +
+        net::to_string(static_cast<net::CollectiveKind>(k));
+    stats.collective_calls[k] = stats.metrics.counter_value(name + ".calls");
+    stats.collective_seconds[k] =
+        stats.metrics.histogram_sum(name + ".seconds");
+    stats.total_collectives += stats.collective_calls[k];
+  }
+  stats.total_messages = stats.metrics.counter_value("mp.send.calls");
+  stats.total_bytes = stats.metrics.counter_value("mp.send.bytes");
+  return stats;
+}
+
+/// Book one run's wire traffic.  The transport counts from world formation
+/// on, so a run's share is the difference of two snapshots; the shm peer
+/// count is fixed at bootstrap and stays absolute.
+void record_transport(metrics::Registry& reg,
+                      const transport::TransportStats& before,
+                      const transport::TransportStats& after) {
+  using TS = transport::TransportStats;
+  const auto add = [&](const char* name, std::uint64_t TS::*field) {
+    reg.counter(name).add(after.*field - before.*field);
+  };
+  add("mp.transport.messages_sent", &TS::messages_sent);
+  add("mp.transport.bytes_sent", &TS::bytes_sent);
+  add("mp.transport.messages_received", &TS::messages_received);
+  add("mp.transport.bytes_received", &TS::bytes_received);
+  if (after.shm_peers == 0) return;
+  reg.counter("mp.transport.shm.peers").add(after.shm_peers);
+  add("mp.transport.shm.messages_sent", &TS::shm_messages_sent);
+  add("mp.transport.shm.bytes_sent", &TS::shm_bytes_sent);
+  add("mp.transport.shm.messages_received", &TS::shm_messages_received);
+  add("mp.transport.shm.bytes_received", &TS::shm_bytes_received);
+  add("mp.transport.shm.wakeups", &TS::shm_wakeups);
+  add("mp.transport.shm.waits", &TS::shm_waits);
+}
+
+/// The blob the distributed finalize exchanges: the ledger, then
+/// metrics::encode of the registry.
+std::string encode_share(const RankShare& share) {
+  return std::string(reinterpret_cast<const char*>(share.ledger),
+                     sizeof share.ledger) +
+         metrics::encode(*share.metrics);
+}
+
+/// Inverse of encode_share, decoding into `registry`; throws pac::Error on a
+/// malformed blob.
+RankShare decode_share(std::string_view blob, metrics::Registry& registry) {
+  RankShare share{{}, &registry, nullptr};
+  PAC_REQUIRE_MSG(blob.size() >= sizeof share.ledger,
+                  "finalize blob of " << blob.size() << " bytes is truncated");
+  std::memcpy(share.ledger, blob.data(), sizeof share.ledger);
+  registry = metrics::decode(blob.substr(sizeof share.ledger));
+  return share;
+}
+
+}  // namespace
 
 World::World(Config config) : config_(std::move(config)) {
   PAC_REQUIRE_MSG(config_.num_ranks >= 1 && config_.num_ranks <= 4096,
@@ -35,12 +138,11 @@ RunStats World::run_modeled(const std::function<void(Comm&)>& fn) {
   const int p = config_.num_ranks;
   // One state per rank, in place for the whole run (never resized).
   std::vector<detail::RankState> ranks(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) ranks[r].world_rank = r;
-  for (auto& box : mailboxes_) box->reset();
-  if constexpr (trace::compiled_in()) {
-    if (config_.instrument)
-      for (auto& rs : ranks) rs.init_instrumentation(config_.instrument_ring);
+  for (int r = 0; r < p; ++r) {
+    ranks[r].world_rank = r;
+    ranks[r].init_recorder(config_.instrument ? config_.instrument_ring : 0);
   }
+  for (auto& box : mailboxes_) box->reset();
 
   std::vector<std::exception_ptr> errors(p);
   std::vector<char> aborted(p, 0);
@@ -90,49 +192,11 @@ RunStats World::run_modeled(const std::function<void(Comm&)>& fn) {
   for (int r = 0; r < p; ++r)
     if (errors[r]) std::rethrow_exception(errors[r]);
 
-  RunStats stats;
-  stats.num_ranks = p;
-  stats.wall_seconds =
-      std::chrono::duration<double>(stop - start).count();
-  stats.rank_finish.resize(p);
-  stats.rank_compute.resize(p);
-  stats.rank_comm.resize(p);
-  stats.rank_idle.resize(p);
-  for (int r = 0; r < p; ++r) {
-    const auto& rs = ranks[r];
-    stats.rank_finish[r] = rs.clock;
-    stats.rank_compute[r] = rs.compute_time;
-    stats.rank_comm[r] = rs.comm_time;
-    stats.rank_idle[r] = rs.idle_time;
-    stats.virtual_time = std::max(stats.virtual_time, rs.clock);
-    stats.total_collectives += rs.collectives;
-    stats.total_messages += rs.messages_sent;
-    stats.total_bytes += rs.bytes_sent;
-    for (std::size_t k = 0; k < rs.collective_calls.size(); ++k) {
-      stats.collective_calls[k] += rs.collective_calls[k];
-      stats.collective_seconds[k] += rs.collective_seconds[k];
-    }
-  }
-  // Finalize the instrumented run: fold every rank's registry and event
-  // ring into the merged RunStats view (ranks have joined; no locks
-  // needed).  Deterministic: ranks fold in rank order and the event sort
-  // is stable over a rank-ordered concatenation.
-  if constexpr (trace::compiled_in()) {
-    if (config_.instrument) {
-      stats.instrumented = true;
-      for (auto& rs : ranks) {
-        if (rs.recorder == nullptr) continue;
-        stats.metrics.merge_from(rs.recorder->metrics());
-        const std::vector<trace::Event> events = rs.recorder->events().snapshot();
-        stats.events.insert(stats.events.end(), events.begin(), events.end());
-        stats.events_dropped += rs.recorder->events().dropped();
-      }
-      std::stable_sort(stats.events.begin(), stats.events.end(),
-                       [](const trace::Event& a, const trace::Event& b) {
-                         return a.start < b.start;
-                       });
-    }
-  }
+  std::vector<RankShare> shares;
+  for (const detail::RankState& rs : ranks) shares.push_back(share_of(rs));
+  RunStats stats =
+      finalize(shares, std::chrono::duration<double>(stop - start).count(),
+               config_.instrument);
   // Leaked (never received) messages indicate a protocol bug in user code.
   for (int r = 0; r < p; ++r) {
     if (mailboxes_[r]->pending() > 0) {
@@ -142,24 +206,6 @@ RunStats World::run_modeled(const std::function<void(Comm&)>& fn) {
   }
   return stats;
 }
-
-namespace {
-
-/// Per-rank stats snapshot exchanged at the end of a distributed run so
-/// every process returns the same RunStats.  Trivially copyable on purpose.
-struct StatBlock {
-  double finish = 0.0;
-  double compute = 0.0;
-  double comm = 0.0;
-  double idle = 0.0;
-  std::uint64_t collectives = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
-  std::array<std::uint64_t, kNumCollectiveKinds> calls{};
-  std::array<double, kNumCollectiveKinds> seconds{};
-};
-
-}  // namespace
 
 RunStats World::run_distributed(const std::function<void(Comm&)>& fn) {
   const Config::Socket& sock = config_.socket;
@@ -198,9 +244,7 @@ RunStats World::run_distributed(const std::function<void(Comm&)>& fn) {
   // This process hosts exactly one rank; peers run in their own processes.
   detail::RankState rs;
   rs.world_rank = me;
-  if constexpr (trace::compiled_in()) {
-    if (config_.instrument) rs.init_instrumentation(config_.instrument_ring);
-  }
+  rs.init_recorder(config_.instrument ? config_.instrument_ring : 0);
 
   Comm comm;
   comm.state_ = &rs;
@@ -215,81 +259,27 @@ RunStats World::run_distributed(const std::function<void(Comm&)>& fn) {
   comm.group_rank_ = me;
   comm.context_ = 0;
 
+  const transport::TransportStats wire_before = socket_transport_->stats();
   const auto start = std::chrono::steady_clock::now();
   comm.barrier();  // align rank start times before user work
   fn(comm);
 
-  // Snapshot local stats, then allgather so every rank reports the whole
-  // world (the exchange itself is excluded from the snapshot).
-  StatBlock mine;
-  mine.finish = rs.clock;
-  mine.compute = rs.compute_time;
-  mine.comm = rs.comm_time;
-  mine.idle = rs.idle_time;
-  mine.collectives = rs.collectives;
-  mine.messages = rs.messages_sent;
-  mine.bytes = rs.bytes_sent;
-  mine.calls = rs.collective_calls;
-  mine.seconds = rs.collective_seconds;
-  std::vector<StatBlock> all(p);
-  comm.allgather<StatBlock>(std::span<const StatBlock>(&mine, 1),
-                            std::span<StatBlock>(all));
+  // Encode this rank's share before the exchange, so the exchange itself
+  // stays uncounted, then rebuild every rank's share from the blobs: every
+  // process returns the same RunStats.
+  record_transport(rs.recorder->metrics(), wire_before,
+                   socket_transport_->stats());
+  const std::vector<std::string> blobs =
+      wire::allgather_blobs(comm, encode_share(share_of(rs)));
   const auto stop = std::chrono::steady_clock::now();
-
-  RunStats stats;
-  stats.num_ranks = p;
-  stats.wall_seconds = std::chrono::duration<double>(stop - start).count();
-  stats.rank_finish.resize(p);
-  stats.rank_compute.resize(p);
-  stats.rank_comm.resize(p);
-  stats.rank_idle.resize(p);
-  for (int r = 0; r < p; ++r) {
-    const StatBlock& b = all[r];
-    stats.rank_finish[r] = b.finish;
-    stats.rank_compute[r] = b.compute;
-    stats.rank_comm[r] = b.comm;
-    stats.rank_idle[r] = b.idle;
-    stats.virtual_time = std::max(stats.virtual_time, b.finish);
-    stats.total_collectives += b.collectives;
-    stats.total_messages += b.messages;
-    stats.total_bytes += b.bytes;
-    for (std::size_t k = 0; k < b.calls.size(); ++k) {
-      stats.collective_calls[k] += b.calls[k];
-      stats.collective_seconds[k] += b.seconds[k];
-    }
-  }
-  // The instrumentation view is per-process: only this rank's events and
-  // metrics are available locally (peers live in other address spaces).
-  if constexpr (trace::compiled_in()) {
-    if (config_.instrument && rs.recorder != nullptr) {
-      stats.instrumented = true;
-      trace::Recorder& rec = *rs.recorder;
-      // Wire-level route breakdown from the transport (cumulative since
-      // world formation — the recorder is fresh per run, so these read as
-      // totals at the end of this run).
-      const transport::TransportStats ts = socket_transport_->stats();
-      auto& reg = rec.metrics();
-      reg.counter("mp.transport.messages_sent").add(ts.messages_sent);
-      reg.counter("mp.transport.bytes_sent").add(ts.bytes_sent);
-      reg.counter("mp.transport.messages_received").add(ts.messages_received);
-      reg.counter("mp.transport.bytes_received").add(ts.bytes_received);
-      if (ts.shm_peers > 0) {
-        reg.counter("mp.transport.shm.peers").add(ts.shm_peers);
-        reg.counter("mp.transport.shm.messages_sent").add(ts.shm_messages_sent);
-        reg.counter("mp.transport.shm.bytes_sent").add(ts.shm_bytes_sent);
-        reg.counter("mp.transport.shm.messages_received")
-            .add(ts.shm_messages_received);
-        reg.counter("mp.transport.shm.bytes_received")
-            .add(ts.shm_bytes_received);
-        reg.counter("mp.transport.shm.wakeups").add(ts.shm_wakeups);
-        reg.counter("mp.transport.shm.waits").add(ts.shm_waits);
-      }
-      stats.metrics.merge_from(rec.metrics());
-      stats.events = rec.events().snapshot();
-      stats.events_dropped = rec.events().dropped();
-    }
-  }
-  return stats;
+  std::vector<metrics::Registry> registries(blobs.size());
+  std::vector<RankShare> shares;
+  for (std::size_t r = 0; r < blobs.size(); ++r)
+    shares.push_back(decode_share(blobs[r], registries[r]));
+  // Events stay per-process: only this rank's ring is at hand.
+  shares[static_cast<std::size_t>(me)].events = &rs.recorder->events();
+  return finalize(shares, std::chrono::duration<double>(stop - start).count(),
+                  config_.instrument);
 }
 
 }  // namespace pac::mp

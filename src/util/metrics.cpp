@@ -1,10 +1,14 @@
 #include "util/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <iomanip>
 #include <limits>
 #include <ostream>
+
+#include "util/error.hpp"
 
 namespace pac::metrics {
 
@@ -15,6 +19,18 @@ int bucket_index(double v) noexcept {
   const int exponent = static_cast<int>(std::floor(std::log2(v)));
   const int index = exponent - Histogram::kBucketExponentOffset;
   return std::clamp(index, 0, Histogram::kBuckets - 1);
+}
+
+// Blob: u64 words, doubles by bit pattern.  A magic word, then the counters
+// and the histograms, each as a record count and records in name order.  A
+// record is the name (a length word and the bytes) and the value: one word
+// for a counter; count, sum, min, max and the buckets for a histogram.
+constexpr std::uint64_t kBlobMagic = 0x31525445'4d434150;  // "PACMETR1"
+constexpr std::size_t kCounterWords = 2;
+constexpr std::size_t kHistogramWords = 5 + Histogram::kBuckets;
+
+void put(std::string& out, std::uint64_t word) {
+  out.append(reinterpret_cast<const char*>(&word), sizeof word);
 }
 
 }  // namespace
@@ -108,6 +124,76 @@ double Registry::histogram_sum(std::string_view name) const noexcept {
 void Registry::merge_from(const Registry& other) {
   for (const auto& [name, c] : other.counters_) counter(name).add(c.value);
   for (const auto& [name, h] : other.histograms_) histogram(name).merge(h);
+}
+
+std::string encode(const Registry& registry) {
+  std::string out;
+  put(out, kBlobMagic);
+  put(out, registry.counters().size());
+  for (const auto& [name, c] : registry.counters()) {
+    put(out, name.size());
+    out += name;
+    put(out, c.value);
+  }
+  put(out, registry.histograms().size());
+  for (const auto& [name, h] : registry.histograms()) {
+    put(out, name.size());
+    out += name;
+    put(out, h.count());
+    for (const double v : {h.sum(), h.min(), h.max()})
+      put(out, std::bit_cast<std::uint64_t>(v));
+    for (int i = 0; i < Histogram::kBuckets; ++i) put(out, h.bucket(i));
+  }
+  return out;
+}
+
+Registry decode(std::string_view bytes) {
+  // Every read is bounded by the bytes left.
+  const auto word = [&bytes] {
+    PAC_REQUIRE_MSG(bytes.size() >= 8, "metrics blob truncated");
+    std::uint64_t w;
+    std::memcpy(&w, bytes.data(), 8);
+    bytes.remove_prefix(8);
+    return w;
+  };
+  const auto name = [&] {
+    const std::uint64_t n = word();
+    PAC_REQUIRE_MSG(n <= bytes.size(), "metrics blob truncated");
+    const std::string_view s = bytes.substr(0, n);
+    bytes.remove_prefix(n);
+    return s;
+  };
+  const auto records = [&](std::size_t min_words) {
+    const std::uint64_t n = word();
+    PAC_REQUIRE_MSG(n <= bytes.size() / (8 * min_words),
+                    "metrics blob declares " << n << " records in "
+                                             << bytes.size() << " bytes");
+    return n;
+  };
+  PAC_REQUIRE_MSG(word() == kBlobMagic, "not a metrics blob");
+  Registry registry;
+  for (std::uint64_t n = records(kCounterWords); n > 0; --n) {
+    Counter& c = registry.counter(name());
+    c.value = word();
+  }
+  for (std::uint64_t n = records(kHistogramWords); n > 0; --n) {
+    Histogram& h = registry.histogram(name());
+    h.count_ = word();
+    h.sum_ = std::bit_cast<double>(word());
+    h.min_ = std::bit_cast<double>(word());
+    h.max_ = std::bit_cast<double>(word());
+    std::uint64_t in_buckets = 0;
+    for (std::uint64_t& b : h.buckets_) {
+      b = word();
+      PAC_REQUIRE_MSG(b <= h.count_ - in_buckets,
+                      "metrics blob histogram buckets exceed its count");
+      in_buckets += b;
+    }
+    PAC_REQUIRE_MSG(in_buckets == h.count_,
+                    "metrics blob histogram buckets miss its count");
+  }
+  PAC_REQUIRE_MSG(bytes.empty(), "metrics blob has trailing bytes");
+  return registry;
 }
 
 void write_report(std::ostream& os, const Registry& registry,

@@ -1,12 +1,13 @@
 // Monotonic counters and streaming histograms for the instrumented runtime.
 //
 // A Registry is a named collection of Counters and Histograms owned by ONE
-// rank (thread): recording never takes a lock.  Cross-rank aggregation
-// happens after the SPMD ranks have joined, via Registry::merge_from — the
-// same pattern the paper's per-processor timers would use (gather at the
-// end of the run, never during it).  Counters and histograms are returned
-// by stable reference, so hot paths can resolve a handle once and record
-// through the pointer.
+// rank (thread): recording never takes a lock.  Every mp::World rank keeps
+// one as its only counter store, and mp::RunStats is derived from them after
+// the SPMD ranks have joined, via Registry::merge_from — the same pattern
+// the paper's per-processor timers would use (gather at the end of the run,
+// never during it); ranks in other processes ship theirs through encode.
+// Counters and histograms are returned by stable reference, so hot paths
+// can resolve a handle once and record through the pointer.
 //
 // Everything here is deterministic: names are ordered (std::map), merges
 // fold in call order, and no wall-clock source is involved — callers feed
@@ -21,6 +22,8 @@
 #include <string_view>
 
 namespace pac::metrics {
+
+class Registry;
 
 /// A monotonically increasing count (calls, bytes, cycles, ...).
 struct Counter {
@@ -63,6 +66,8 @@ class Histogram {
   double quantile(double q) const noexcept;
 
  private:
+  friend Registry decode(std::string_view bytes);
+
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;
@@ -105,6 +110,16 @@ class Registry {
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
+
+/// Binary form of a Registry for another process (World finalize on the
+/// socket and hybrid backends), in native byte order like every transport
+/// frame; decode(encode(r)) equals r, zero-valued entries included.
+std::string encode(const Registry& registry);
+
+/// Inverse of encode.  Every count and length is bounded by the bytes left
+/// before allocating; malformed, truncated or over-long input throws
+/// pac::Error.
+Registry decode(std::string_view bytes);
 
 /// Plain-text report: every counter, then every histogram with its summary
 /// statistics.  Deterministic (alphabetical) ordering.

@@ -1,8 +1,8 @@
 // Runtime dispatch plus the portable (and NEON) kernel implementations.
 //
-// The portable `*_log_prob` bodies are line-for-line the scalar batch loops
-// from terms.cpp, so a host with no vector unit — or a PAC_SIMD=0 run —
-// produces exactly the oracle's bits through this layer too.  The portable
+// The portable `*_log_prob` bodies are the terms' scalar batch loops: every
+// Term::log_prob_batch calls its kernel unconditionally, so a host with no
+// vector unit — or a PAC_SIMD=0 run — produces the oracle's bits here.  The portable
 // fast-math folds define the *reference association* (4 lanes, mod-4 item
 // assignment, ((l0+l1)+l2)+l3 combine, in-order tail) that the AVX2 TU must
 // reproduce bit-for-bit; keep the two in lockstep when editing either.
@@ -112,7 +112,7 @@ ScopedForceLevel::~ScopedForceLevel() {
 }
 
 // ===========================================================================
-// Portable kernels (the scalar batch loops from terms.cpp, verbatim).
+// Portable kernels (the terms' scalar batch loops).
 // ===========================================================================
 
 namespace {
@@ -143,6 +143,10 @@ void lognormal_log_prob_portable(const double* lx, std::size_t n, double mean,
   }
 }
 
+// Every negative symbol takes missing_lp, while Term::log_prob compares
+// against data::kMissingDiscrete; the two agree only because -1 is the sole
+// negative value a validated column can hold (static_asserted in
+// autoclass/terms.cpp, since util/ does not see data/).
 void multinomial_log_prob_portable(const std::int32_t* v, std::size_t n,
                                    const double* table, double missing_lp,
                                    double* out) noexcept {

@@ -91,11 +91,11 @@ class ScopedForceLevel {
 // ---------------------------------------------------------------------------
 // Bit-identical E-step block kernels (default tier).  Every kernel
 // *accumulates* into out[i] for i in [0, n) — one class column of a
-// class-major block — mirroring the corresponding Term::log_prob_batch
-// scalar loop operation for operation.  One log_prob_batch call covers all
+// class-major block — mirroring the corresponding Term::log_prob per item,
+// operation for operation.  One log_prob_batch call covers all
 // J classes of a block: it fetches (or transforms) the block's values once
-// and runs its kernel once per class column.  Callers only invoke these
-// when active(); each dispatches on level().
+// and runs its kernel once per class column.  Callers invoke these at every
+// level; each dispatches on level(), and kScalar runs the portable loop.
 // ---------------------------------------------------------------------------
 
 /// lp = -0.5*(kLog2Pi + z*z) - log_sigma + log_error with z = (x-mean)/sigma;

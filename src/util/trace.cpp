@@ -18,12 +18,12 @@ bool env_enabled() {
   return enabled;
 }
 
-EventRing::EventRing(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
+EventRing::EventRing(std::size_t capacity) : capacity_(capacity) {
   ring_.reserve(std::min<std::size_t>(capacity_, 1024));
 }
 
 void EventRing::record(const Event& e) {
+  if (capacity_ == 0) return;
   if (ring_.size() < capacity_) {
     ring_.push_back(e);
   } else {
@@ -50,11 +50,6 @@ std::vector<Event> EventRing::snapshot() const {
 
 Recorder::Recorder(int rank, std::size_t ring_capacity)
     : rank_(rank), events_(ring_capacity) {}
-
-void Recorder::record_span(const char* category, const char* name,
-                           double start, double end) {
-  events_.record(Event{category, name, rank_, start, end});
-}
 
 void Recorder::end_phase(const char* category, const char* name,
                          double start) {

@@ -1,7 +1,7 @@
 // The tracing half of the instrumented runtime: per-rank event ring buffers,
 // scoped phase timers, and the chrome://tracing exporter.
 //
-// Design rules (see DESIGN.md and ISSUE motivation):
+// Design rules (see DESIGN.md §6):
 //
 //   * Deterministic.  Timestamps are *virtual* seconds supplied by the
 //     caller (the rank's modeled clock), never wall time, so two runs of
@@ -10,12 +10,13 @@
 //   * Per-rank ownership.  A Recorder belongs to one rank's thread; events
 //     and metrics are recorded lock-free and merged only after the ranks
 //     join (mp::World::run finalize).
-//   * Zero-cost when disabled.  Compile-time: building with -DPAC_TRACE=OFF
-//     defines PAC_TRACE_ENABLED=0 and every recording statement (the
-//     PAC_TRACE_SCOPE macro, the guarded blocks in mp/em/core) compiles
-//     away.  Runtime: even when compiled in, no Recorder is created unless
-//     the World was configured to instrument (default: the PAUTOCLASS_TRACE
-//     environment toggle), so disabled runs only pay a null-pointer test.
+//   * Metrics always, events on request.  Every rank of every mp::World has
+//     a Recorder, and its metrics Registry is the rank's only counter store:
+//     RunStats is derived from it.  The event ring is the opt-in part:
+//     World::Config::instrument (default: the PAUTOCLASS_TRACE environment
+//     toggle) sizes it, and with it off no ring is allocated and recording
+//     a span costs one branch.  Code running outside a World (a null
+//     Recorder) records nothing.
 //
 // Event names/categories are static strings ("em"/"update_wts",
 // "mp"/"allreduce", ...) so recording never allocates for the event itself.
@@ -29,14 +30,7 @@
 
 #include "util/metrics.hpp"
 
-#ifndef PAC_TRACE_ENABLED
-#define PAC_TRACE_ENABLED 1
-#endif
-
 namespace pac::trace {
-
-/// True when the instrumentation layer is compiled in (PAC_TRACE=ON).
-constexpr bool compiled_in() noexcept { return PAC_TRACE_ENABLED != 0; }
 
 /// The PAUTOCLASS_TRACE environment toggle (unset/0/false/off/no = off),
 /// read once and cached.
@@ -53,12 +47,15 @@ struct Event {
 
 /// Fixed-capacity ring of Events: the newest events win, the number dropped
 /// is reported so a truncated trace is never mistaken for a complete one.
+/// Capacity 0 is the switched-off ring: it allocates nothing and keeps no
+/// events.
 class EventRing {
  public:
   static constexpr std::size_t kDefaultCapacity = 1 << 16;
 
   explicit EventRing(std::size_t capacity = kDefaultCapacity);
 
+  bool enabled() const noexcept { return capacity_ > 0; }
   void record(const Event& e);
   /// Total events ever recorded (>= size()).
   std::uint64_t recorded() const noexcept { return recorded_; }
@@ -78,6 +75,7 @@ class EventRing {
 
 /// Per-rank instrumentation sink: a metrics Registry plus an event ring and
 /// the rank's virtual-clock source.  Owned by exactly one rank thread.
+/// `ring_capacity` 0 keeps metrics only (record_span is a no-op).
 class Recorder {
  public:
   explicit Recorder(int rank,
@@ -96,9 +94,12 @@ class Recorder {
   const EventRing& events() const noexcept { return events_; }
 
   /// Append a completed span with explicit timestamps (the mp layer knows
-  /// its clock values directly).
+  /// its clock values directly); a no-op when the ring is off.
   void record_span(const char* category, const char* name, double start,
-                   double end);
+                   double end) {
+    if (events_.enabled())
+      events_.record(Event{category, name, rank_, start, end});
+  }
 
   /// Close a span opened at `start` at the current clock: appends the event
   /// and observes the duration in the "<category>.<name>" histogram.
@@ -111,39 +112,26 @@ class Recorder {
   EventRing events_;
 };
 
-/// RAII phase timer over virtual time.  Null recorder = no-op; use the
-/// PAC_TRACE_SCOPE macro so the whole statement (including the recorder
-/// expression) compiles away with PAC_TRACE=OFF.
+/// RAII phase timer over virtual time.  Null recorder = no-op.
 class ScopedPhase {
  public:
   ScopedPhase(Recorder* recorder, const char* category, const char* name)
-#if PAC_TRACE_ENABLED
       : recorder_(recorder),
         category_(category),
         name_(name),
-        start_(recorder ? recorder->now() : 0.0) {
-  }
+        start_(recorder ? recorder->now() : 0.0) {}
   ~ScopedPhase() {
     if (recorder_ != nullptr) recorder_->end_phase(category_, name_, start_);
   }
-#else
-  {
-    (void)recorder;
-    (void)category;
-    (void)name;
-  }
-#endif
 
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
 
-#if PAC_TRACE_ENABLED
  private:
   Recorder* recorder_;
   const char* category_;
   const char* name_;
   double start_;
-#endif
 };
 
 /// chrome://tracing (and Perfetto) "trace event" JSON: one complete ("X")
@@ -158,14 +146,8 @@ void write_events_csv(std::ostream& os, std::span<const Event> events);
 #define PAC_TRACE_CAT2(a, b) a##b
 #define PAC_TRACE_CAT(a, b) PAC_TRACE_CAT2(a, b)
 
-/// Opens a scoped phase timer when the layer is compiled in; expands to
-/// nothing (the recorder expression is not evaluated) when compiled out.
-#if PAC_TRACE_ENABLED
+/// Opens a scoped phase timer named after the enclosing line.
 #define PAC_TRACE_SCOPE(recorder_expr, category, name)          \
   ::pac::trace::ScopedPhase PAC_TRACE_CAT(pac_trace_scope_,     \
                                           __LINE__)((recorder_expr), \
                                                     (category), (name))
-#else
-#define PAC_TRACE_SCOPE(recorder_expr, category, name) \
-  static_assert(true, "tracing compiled out")
-#endif

@@ -5,12 +5,14 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "autoclass/checkpoint.hpp"
 #include "autoclass/search.hpp"
 #include "data/io.hpp"
 #include "data/synth.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace pac {
@@ -115,6 +117,63 @@ TEST_P(FuzzSeed, MutatedHeaderEitherParsesOrThrows) {
     } catch (const Error&) {
     }
   }
+}
+
+/// A registry blob of the shape World finalize ships between processes.
+std::string registry_blob() {
+  metrics::Registry reg;
+  reg.counter("mp.allreduce.calls").add(860);
+  reg.counter("mp.send.bytes").add(4096);
+  reg.counter("mp.wait.calls");
+  for (const double v : {1e-6, 2e-5, 0.003, 0.5})
+    reg.histogram("mp.allreduce.seconds").observe(v);
+  reg.histogram("mp.recv.seconds");
+  return metrics::encode(reg);
+}
+
+TEST_P(FuzzSeed, RegistryBlobGarbageNeverCrashes) {
+  // The decoder reads bytes from other processes: random bytes, random
+  // bytes behind a valid prefix, and a valid blob with flipped bytes must
+  // each decode or throw pac::Error, never crash or allocate wildly.
+  const std::uint64_t seed = GetParam();
+  Xoshiro256ss rng(seed * 53);
+  const std::string valid = registry_blob();
+  const auto random_bytes = [&](std::size_t n) {
+    std::string out(n, '\0');
+    for (char& c : out) c = static_cast<char>(uniform_index(rng, 256));
+    return out;
+  };
+  std::vector<std::string> inputs;
+  for (const std::size_t length : {1u, 12u, 64u, 4096u}) {
+    inputs.push_back(random_bytes(length));
+    inputs.push_back(valid.substr(0, 4 + uniform_index(rng, 24)) +
+                     random_bytes(length));
+  }
+  for (int round = 0; round < 40; ++round) {
+    std::string mutated = valid;
+    for (int flip = 0; flip < 3; ++flip)
+      mutated[uniform_index(rng, mutated.size())] =
+          static_cast<char>(uniform_index(rng, 256));
+    inputs.push_back(std::move(mutated));
+  }
+  for (const std::string& input : inputs) {
+    try {
+      (void)metrics::decode(input);
+    } catch (const Error&) {
+    }
+  }
+}
+
+TEST_P(FuzzSeed, TruncatedRegistryBlobAlwaysThrows) {
+  const std::uint64_t seed = GetParam();
+  const std::string valid = registry_blob();
+  ASSERT_NO_THROW((void)metrics::decode(valid));
+  EXPECT_THROW((void)metrics::decode(std::string_view()), Error);
+  for (int variant = 0; variant < 20; ++variant)
+    EXPECT_THROW(
+        (void)metrics::decode(truncate_at(valid, seed * 100 + variant)),
+        Error);
+  EXPECT_THROW((void)metrics::decode(valid + '\0'), Error);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeed,

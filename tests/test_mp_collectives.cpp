@@ -350,8 +350,6 @@ TEST(Split, SubgroupPt2PtDoesNotLeakIntoParent) {
 }
 
 TEST_P(CollectivesTest, InstrumentedAllreduceByteCountersExact) {
-  if (!trace::compiled_in())
-    GTEST_SKIP() << "tracing layer compiled out (-DPAC_TRACE=OFF)";
   World::Config cfg = zero_config(ranks());
   cfg.instrument = true;
   World world(cfg);

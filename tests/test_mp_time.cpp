@@ -278,8 +278,6 @@ TEST(VirtualTime, FasterNetworkFinishesSooner) {
 // Per-operation events come from the instrumentation recorder: one "mp"
 // span per send, recv and collective, stamped with the virtual clock.
 TEST(Trace, RecordsCollectivesAndMessages) {
-  if (!trace::compiled_in())
-    GTEST_SKIP() << "tracing layer compiled out (-DPAC_TRACE=OFF)";
   World::Config cfg = config_with(flat_machine(), 2);
   cfg.instrument = true;
   World world(cfg);
@@ -319,8 +317,6 @@ TEST(Trace, RecordsCollectivesAndMessages) {
 }
 
 TEST(Trace, PerRankEventsHaveMonotoneTimes) {
-  if (!trace::compiled_in())
-    GTEST_SKIP() << "tracing layer compiled out (-DPAC_TRACE=OFF)";
   World::Config cfg = config_with(flat_machine(), 3);
   cfg.instrument = true;
   World world(cfg);

@@ -327,6 +327,24 @@ TEST(TransportHybrid, WorldIsReusableAcrossRuns) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+TEST(TransportHybrid, WorldMetricsMergedAcrossProcesses) {
+  testutil::expect_world_view(run_hybrid_world(3, testutil::world_view_body));
+}
+
+TEST(TransportHybrid, TransportCountersCoverOneRun) {
+  const std::string address = unique_address();
+  constexpr int kRanks = 2;
+  const HybridSegments segs(kRanks);
+  testutil::expect_counters_per_run(
+      testutil::run_world_rounds(
+          kRanks, 2,
+          [&](int r) { return hybrid_config(address, r, kRanks, segs); },
+          testutil::world_view_body),
+      {"mp.transport.messages_sent", "mp.transport.bytes_sent",
+       "mp.transport.shm.peers", "mp.transport.shm.messages_sent",
+       "mp.transport.shm.bytes_sent"});
+}
+
 // ---------------------------------------------------------------------------
 // ShmRing unit tests: the SPSC channel by itself, two ends of one segment
 // in one process (dup'd fds, exactly how the world-level fixture works).

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <exception>
 #include <numeric>
@@ -233,6 +234,40 @@ TEST(TransportSocket, RunStatsIdenticalOnEveryRank) {
   EXPECT_GE(stats[0].total_messages, 1u);
   EXPECT_GE(stats[0].total_bytes, sizeof(int));
   EXPECT_GE(stats[0].total_collectives, 3u * 2u);  // allreduce + barrier
+}
+
+TEST(TransportSocket, WorldMetricsMergedAcrossProcesses) {
+  testutil::expect_world_view(run_socket_world(3, testutil::world_view_body));
+}
+
+TEST(TransportSocket, TransportCountersCoverOneRun) {
+  const std::string address = unique_address();
+  testutil::expect_counters_per_run(
+      testutil::run_world_rounds(
+          2, 2, [&](int r) { return socket_config(address, r, 2); },
+          testutil::world_view_body),
+      {"mp.transport.messages_sent", "mp.transport.bytes_sent"});
+}
+
+TEST(TransportSocket, WaitSecondsExcludeComputeBeforeTheWait) {
+  // Rank 0 posts a receive, computes for 100 ms, then waits for a message
+  // that arrived long before: only the wait itself is waiting.
+  const std::vector<RunStats> stats = run_socket_world(2, [](Comm& comm) {
+    if (comm.rank() == 1) {
+      comm.send_value<int>(0, 3, 42);
+      return;
+    }
+    int got = 0;
+    Request req = comm.irecv<int>(1, 3, std::span<int>(&got, 1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    comm.wait(req);
+    EXPECT_EQ(got, 42);
+  });
+  const metrics::Histogram* wait =
+      stats[0].metrics.find_histogram("mp.wait.seconds");
+  ASSERT_NE(wait, nullptr);
+  EXPECT_EQ(wait->count(), 1u);
+  EXPECT_LT(wait->sum(), 0.05);
 }
 
 TEST(TransportSocket, EmptyCollectivesCountOncePerRank) {

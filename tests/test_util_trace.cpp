@@ -1,9 +1,10 @@
-// Tests for the instrumentation layer: metrics registry, event ring,
-// scoped phase timers over a manual virtual clock, the merge path used by
-// mp::World, and the chrome://tracing exporter.
+// Tests for the instrumentation layer: metrics registry and its wire form,
+// event ring, scoped phase timers over a manual virtual clock, the merge
+// path used by mp::World, and the chrome://tracing exporter.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -93,6 +94,56 @@ TEST(Metrics, ReportListsRecordedEntries) {
   EXPECT_EQ(out.find("silent"), std::string::npos);
 }
 
+void expect_same_registry(const metrics::Registry& a,
+                          const metrics::Registry& b) {
+  ASSERT_EQ(a.counters().size(), b.counters().size());
+  for (const auto& [name, c] : a.counters())
+    EXPECT_EQ(b.counter_value(name), c.value) << name;
+  ASSERT_EQ(a.histograms().size(), b.histograms().size());
+  for (const auto& [name, h] : a.histograms()) {
+    SCOPED_TRACE(name);
+    const metrics::Histogram* other = b.find_histogram(name);
+    ASSERT_NE(other, nullptr);
+    EXPECT_EQ(other->count(), h.count());
+    // Bit patterns, not values: the wire must not round anything.
+    const double mine[3] = {h.sum(), h.min(), h.max()};
+    const double theirs[3] = {other->sum(), other->min(), other->max()};
+    EXPECT_EQ(std::memcmp(mine, theirs, sizeof(mine)), 0);
+    for (int i = 0; i < metrics::Histogram::kBuckets; ++i)
+      EXPECT_EQ(other->bucket(i), h.bucket(i)) << "bucket " << i;
+  }
+}
+
+TEST(MetricsWire, RoundTrip) {
+  const metrics::Registry empty;
+  const std::string empty_blob = metrics::encode(empty);
+  EXPECT_TRUE(metrics::decode(empty_blob).empty());
+
+  metrics::Registry reg;
+  reg.counter("mp.allreduce.calls").add(12);
+  reg.counter("mp.send.bytes").add(std::uint64_t{1} << 40);
+  reg.counter("zero.handle");  // pre-registered, never fired
+  metrics::Histogram& lat = reg.histogram("mp.allreduce.seconds");
+  for (const double v : {3e-9, 1.5e-6, 0.1, 0.1, 42.0, 1e9, 0.0})
+    lat.observe(v);
+  reg.histogram("em.update_wts").observe(0.25);
+  reg.histogram("zero.histogram");  // pre-registered, count 0
+  const std::string blob = metrics::encode(reg);
+  const metrics::Registry back = metrics::decode(blob);
+  expect_same_registry(reg, back);
+  EXPECT_EQ(back.find_histogram("zero.histogram")->count(), 0u);
+  EXPECT_EQ(metrics::encode(back), blob);
+}
+
+TEST(EventRing, ZeroCapacityRecordsNothing) {
+  trace::EventRing ring(0);
+  EXPECT_FALSE(ring.enabled());
+  ring.record(trace::Event{"t", "e", 0, 0.0, 1.0});
+  EXPECT_EQ(ring.recorded(), 0u);
+  EXPECT_EQ(ring.dropped(), 0u);
+  EXPECT_TRUE(ring.snapshot().empty());
+}
+
 TEST(EventRing, KeepsNewestAndCountsDropped) {
   trace::EventRing ring(4);
   for (int i = 0; i < 10; ++i)
@@ -109,8 +160,6 @@ TEST(EventRing, KeepsNewestAndCountsDropped) {
 }
 
 TEST(Recorder, ScopedPhasesNestOverVirtualClock) {
-  if (!trace::compiled_in())
-    GTEST_SKIP() << "ScopedPhase is a no-op with -DPAC_TRACE=OFF";
   trace::Recorder rec(0);
   double clock = 0.0;
   rec.set_clock([&clock] { return clock; });
@@ -137,26 +186,9 @@ TEST(Recorder, ScopedPhasesNestOverVirtualClock) {
 }
 
 TEST(Recorder, NullRecorderScopeIsNoOp) {
-  // The runtime-disabled path: a null recorder pointer must be safe.
+  // Code running outside a World has no recorder: a null pointer is safe.
   trace::ScopedPhase phase(nullptr, "em", "update_wts");
   PAC_TRACE_SCOPE(nullptr, "em", "update_wts");
-}
-
-TEST(Trace, CompileTimeToggleMatchesMacro) {
-#if PAC_TRACE_ENABLED
-  EXPECT_TRUE(trace::compiled_in());
-#else
-  EXPECT_FALSE(trace::compiled_in());
-  // Compiled out, the macro must not evaluate its recorder expression.
-  bool evaluated = false;
-  auto poison = [&]() -> trace::Recorder* {
-    evaluated = true;
-    return nullptr;
-  };
-  PAC_TRACE_SCOPE(poison(), "em", "never");
-  (void)poison;
-  EXPECT_FALSE(evaluated);
-#endif
 }
 
 TEST(Trace, ChromeTraceExportIsWellFormed) {
@@ -207,8 +239,6 @@ TEST(Trace, EventsCsvRoundTripsFields) {
 }
 
 TEST(WorldIntegration, InstrumentedRunMergesPerRankRecorders) {
-  if (!trace::compiled_in())
-    GTEST_SKIP() << "tracing layer compiled out (-DPAC_TRACE=OFF)";
   mp::World::Config cfg;
   cfg.num_ranks = 4;
   cfg.machine = net::ideal_machine();
@@ -231,21 +261,84 @@ TEST(WorldIntegration, InstrumentedRunMergesPerRankRecorders) {
     EXPECT_LE(stats.events[i - 1].start, stats.events[i].start);
 }
 
-TEST(WorldIntegration, UninstrumentedRunRecordsNothing) {
+TEST(WorldIntegration, UninstrumentedRunRecordsMetricsButNoEvents) {
   mp::World::Config cfg;
   cfg.num_ranks = 2;
   cfg.machine = net::ideal_machine();
   cfg.instrument = false;
   mp::World world(cfg);
   mp::RunStats stats = world.run([](mp::Comm& comm) {
-    EXPECT_EQ(comm.recorder(), nullptr);
+    // The registry is every rank's counter store; only the ring is off.
+    ASSERT_NE(comm.recorder(), nullptr);
+    EXPECT_FALSE(comm.recorder()->events().enabled());
     double v = 1.0;
     comm.allreduce_inplace<double>(std::span<double>(&v, 1),
                                    mp::ReduceOp::kSum);
   });
   EXPECT_FALSE(stats.instrumented);
-  EXPECT_TRUE(stats.metrics.empty());
+  EXPECT_EQ(stats.metrics.counter_value("mp.allreduce.calls"), 2u);
+  EXPECT_EQ(stats.collective_calls[static_cast<std::size_t>(
+                net::CollectiveKind::kAllreduce)],
+            2u);
   EXPECT_TRUE(stats.events.empty());
+  EXPECT_EQ(stats.events_dropped, 0u);
+}
+
+TEST(WorldIntegration, EventRingToggleLeavesRunStatsUnchanged) {
+  // `instrument` switches the event ring and nothing else: every number of
+  // RunStats and the metrics report come out the same either way.
+  const auto run = [](bool instrument) {
+    mp::World::Config cfg;
+    cfg.num_ranks = 3;
+    cfg.machine = net::meiko_cs2();
+    cfg.instrument = instrument;
+    mp::World world(cfg);
+    return world.run([](mp::Comm& comm) {
+      trace::ScopedPhase phase(comm.recorder(), "test", "body");
+      comm.charge(1e-3 * static_cast<double>(comm.rank() + 1));
+      std::vector<double> v(8, static_cast<double>(comm.rank()));
+      comm.allreduce_inplace<double>(v, mp::ReduceOp::kSum);
+      if (comm.rank() == 0) comm.send_value<int>(2, 5, 7);
+      if (comm.rank() == 2) {
+        int got = 0;
+        mp::Request req = comm.irecv<int>(0, 5, std::span<int>(&got, 1));
+        comm.wait(req);
+      }
+      comm.broadcast<double>(v, 1);
+      mp::Comm pair = comm.split(comm.rank() % 2, comm.rank());
+      (void)pair.allreduce_scalar(1.0);
+      comm.barrier();
+    });
+  };
+  const mp::RunStats on = run(true);
+  const mp::RunStats off = run(false);
+  ASSERT_TRUE(on.instrumented);
+  EXPECT_FALSE(off.instrumented);
+  EXPECT_FALSE(on.events.empty());
+  EXPECT_TRUE(off.events.empty());
+
+  const auto same_bytes = [](const auto& a, const auto& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+  };
+  EXPECT_EQ(on.num_ranks, off.num_ranks);
+  EXPECT_EQ(std::memcmp(&on.virtual_time, &off.virtual_time, sizeof(double)),
+            0);
+  EXPECT_TRUE(same_bytes(on.rank_finish, off.rank_finish));
+  EXPECT_TRUE(same_bytes(on.rank_compute, off.rank_compute));
+  EXPECT_TRUE(same_bytes(on.rank_comm, off.rank_comm));
+  EXPECT_TRUE(same_bytes(on.rank_idle, off.rank_idle));
+  EXPECT_EQ(on.total_collectives, off.total_collectives);
+  EXPECT_EQ(on.total_messages, off.total_messages);
+  EXPECT_EQ(on.total_bytes, off.total_bytes);
+  EXPECT_TRUE(same_bytes(on.collective_calls, off.collective_calls));
+  EXPECT_TRUE(same_bytes(on.collective_seconds, off.collective_seconds));
+  EXPECT_GT(on.total_messages, 0u);
+  std::ostringstream report_on, report_off;
+  metrics::write_report(report_on, on.metrics, "run");
+  metrics::write_report(report_off, off.metrics, "run");
+  EXPECT_EQ(report_on.str(), report_off.str());
+  EXPECT_NE(report_on.str().find("test.body"), std::string::npos);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cstring>
 #include <exception>
+#include <initializer_list>
 #include <string>
 #include <thread>
 #include <utility>
@@ -90,13 +91,15 @@ inline World::Config hybrid_config(const std::string& address, int rank,
   return cfg;
 }
 
-/// Run `fn` on an n-rank world, one thread per rank, each with its own
-/// World built by `make_config(rank)`.  Rethrows the first rank failure;
-/// returns every rank's RunStats.
+/// Run `fn` `rounds` times on an n-rank world, one thread per rank, each
+/// with its own World built by `make_config(rank)` and reused across the
+/// rounds.  Rethrows the first rank failure; returns every rank's RunStats,
+/// indexed [rank][round].
 template <class MakeConfig, class Fn>
-std::vector<RunStats> run_world_threads(int n, MakeConfig make_config,
-                                        Fn fn) {
-  std::vector<RunStats> stats(static_cast<std::size_t>(n));
+std::vector<std::vector<RunStats>> run_world_rounds(int n, int rounds,
+                                                    MakeConfig make_config,
+                                                    Fn fn) {
+  std::vector<std::vector<RunStats>> stats(static_cast<std::size_t>(n));
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
   std::vector<std::thread> ranks;
   ranks.reserve(static_cast<std::size_t>(n));
@@ -104,8 +107,9 @@ std::vector<RunStats> run_world_threads(int n, MakeConfig make_config,
     ranks.emplace_back([&, r] {
       try {
         World world(make_config(r));
-        stats[static_cast<std::size_t>(r)] =
-            world.run([&](Comm& comm) { fn(comm); });
+        for (int round = 0; round < rounds; ++round)
+          stats[static_cast<std::size_t>(r)].push_back(
+              world.run([&](Comm& comm) { fn(comm); }));
       } catch (...) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();
       }
@@ -114,6 +118,16 @@ std::vector<RunStats> run_world_threads(int n, MakeConfig make_config,
   for (std::thread& t : ranks) t.join();
   for (const std::exception_ptr& e : errors)
     if (e) std::rethrow_exception(e);
+  return stats;
+}
+
+/// One round of run_world_rounds: every rank's RunStats.
+template <class MakeConfig, class Fn>
+std::vector<RunStats> run_world_threads(int n, MakeConfig make_config,
+                                        Fn fn) {
+  std::vector<RunStats> stats;
+  for (std::vector<RunStats>& rank : run_world_rounds(n, 1, make_config, fn))
+    stats.push_back(std::move(rank.front()));
   return stats;
 }
 
@@ -360,6 +374,62 @@ inline void fast_math_cycle_suite(Comm& comm, const ac::Model& model,
   sink.push_back(worker.update_wts(c));
   const std::span<const double> w = worker.local_weights();
   sink.insert(sink.end(), w.begin(), w.end());
+}
+
+/// Body for the world-view checks: per-rank collectives and one message.
+constexpr int kViewAllreduces = 4;
+inline void world_view_body(Comm& comm) {
+  for (int i = 0; i < kViewAllreduces; ++i)
+    (void)comm.allreduce_scalar(static_cast<double>(comm.rank()));
+  if (comm.rank() == 0) comm.send_value<int>(comm.size() - 1, 1, 5);
+  if (comm.rank() == comm.size() - 1) (void)comm.recv_value<int>(0, 1);
+}
+
+/// Every process of a distributed world returns the same RunStats, and its
+/// metrics are the merge of every rank's registry, not its own.
+inline void expect_world_view(const std::vector<RunStats>& stats) {
+  ASSERT_FALSE(stats.empty());
+  const RunStats& first = stats.front();
+  const auto p = static_cast<std::uint64_t>(stats.size());
+  const auto allreduce =
+      static_cast<std::size_t>(net::CollectiveKind::kAllreduce);
+  EXPECT_EQ(first.metrics.counter_value("mp.allreduce.calls"),
+            p * kViewAllreduces);
+  EXPECT_EQ(first.collective_calls[allreduce], p * kViewAllreduces);
+  EXPECT_EQ(first.metrics.counter_value("mp.send.calls"), 1u);
+  EXPECT_EQ(first.metrics.counter_value("mp.recv.calls"), 1u);
+  const std::string merged = metrics::encode(first.metrics);
+  for (const RunStats& s : stats) {
+    EXPECT_EQ(s.rank_finish, first.rank_finish);
+    EXPECT_EQ(s.rank_compute, first.rank_compute);
+    EXPECT_EQ(s.rank_comm, first.rank_comm);
+    EXPECT_EQ(s.rank_idle, first.rank_idle);
+    EXPECT_EQ(s.virtual_time, first.virtual_time);
+    EXPECT_EQ(s.total_collectives, first.total_collectives);
+    EXPECT_EQ(s.total_messages, first.total_messages);
+    EXPECT_EQ(s.total_bytes, first.total_bytes);
+    EXPECT_EQ(s.collective_calls, first.collective_calls);
+    EXPECT_EQ(s.collective_seconds, first.collective_seconds);
+    EXPECT_TRUE(metrics::encode(s.metrics) == merged)
+        << "merged registries differ between processes";
+  }
+}
+
+/// Two identical runs on one world book equal sent traffic under
+/// `counters`: the mp.transport.* counters cover one run, not every run
+/// since the world formed.
+inline void expect_counters_per_run(
+    const std::vector<std::vector<RunStats>>& runs,
+    std::initializer_list<const char*> counters) {
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    ASSERT_EQ(runs[r].size(), 2u);
+    for (const char* name : counters) {
+      SCOPED_TRACE(std::string(name) + " on rank " + std::to_string(r));
+      const std::uint64_t first = runs[r][0].metrics.counter_value(name);
+      EXPECT_GT(first, 0u);
+      EXPECT_EQ(runs[r][1].metrics.counter_value(name), first);
+    }
+  }
 }
 
 }  // namespace pac::mp::testutil
