@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -170,9 +169,7 @@ void run_update_wts(benchmark::State& state, const ac::Model& model,
   ac::Reducer identity;
   ac::EmWorker worker(model, data::ItemRange{0, n}, identity);
   ac::Classification c(model, j);
-  ac::EmConfig config;
-  config.fast_math = -1;  // pin the exact tier regardless of PAC_FAST_MATH
-  worker.random_init(c, 7, 0, config);
+  worker.random_init(c, 7, 0, ac::EmConfig{});
   worker.update_parameters(c);
   for (auto _ : state)
     benchmark::DoNotOptimize(scalar ? worker.update_wts_scalar(c)
@@ -314,24 +311,17 @@ BENCHMARK(BM_UpdateWtsMixed);
 
 /// One full M-step per iteration from a fixed post-E-step state.  `scalar`
 /// selects the per-item virtual accumulate chain instead of the
-/// accumulate_batch kernels; `threads` sizes the intra-rank pool;
-/// `fast_math` > 0 routes accumulation through the reassociated
-/// accumulate_batch_fast folds (the tier the *FastMath variants measure);
-/// `level` pins the SIMD dispatch for the measurement.  The default-tier
-/// M-step fold is order-pinned and has no vector form, so the interesting
-/// vector numbers here are the fast-tier ones.
+/// accumulate_batch kernels; `threads` sizes the intra-rank pool.  The
+/// M-step fold is order-pinned and has no vector form, so no SIMD level is
+/// pinned here.
 void run_update_params(benchmark::State& state, const ac::Model& model,
-                       std::size_t j, bool scalar, int threads = 1,
-                       int fast_math = -1,
-                       simd::Level level = simd::Level::kScalar) {
-  const simd::ScopedForceLevel pin(level);
+                       std::size_t j, bool scalar, int threads = 1) {
   const std::size_t n = model.dataset().num_items();
   ac::Reducer identity;
   ac::EmWorker worker(model, data::ItemRange{0, n}, identity);
   ac::Classification c(model, j);
   ac::EmConfig config;
   config.threads = threads;
-  config.fast_math = fast_math;
   worker.random_init(c, 7, 0, config);
   worker.update_parameters(c);
   worker.update_wts(c);
@@ -351,15 +341,6 @@ void BM_UpdateParamsGaussian(benchmark::State& state) {
   run_update_params(state, ac::Model::default_model(ld.dataset), 8, false);
 }
 BENCHMARK(BM_UpdateParamsGaussian);
-
-void BM_UpdateParamsGaussianFastMath(benchmark::State& state) {
-  // The opt-in PAC_FAST_MATH tier on the headline M-step workload: the
-  // vectorized moment folds, measured at the host's best dispatch level.
-  const data::LabeledDataset ld = gaussian_heavy_dataset(4000);
-  run_update_params(state, ac::Model::default_model(ld.dataset), 8, false,
-                    /*threads=*/1, /*fast_math=*/1, simd::Level::kAvx2);
-}
-BENCHMARK(BM_UpdateParamsGaussianFastMath);
 
 void BM_UpdateParamsScalarGaussian(benchmark::State& state) {
   // The oracle on the identical workload: the kernel acceptance bar is
@@ -412,25 +393,6 @@ void BM_UpdateParamsMultiNormal(benchmark::State& state) {
                     false);
 }
 BENCHMARK(BM_UpdateParamsMultiNormal);
-
-void BM_UpdateParamsMultiNormalFastMath(benchmark::State& state) {
-  // Fast-tier lane-parallel scatter accumulation for the block term.
-  constexpr std::size_t kDim = 4;
-  std::vector<data::CorrelatedComponent> mix(3);
-  for (std::size_t c = 0; c < mix.size(); ++c) {
-    mix[c].weight = 1.0;
-    mix[c].mean.assign(kDim, static_cast<double>(c) * 3.0);
-    mix[c].chol.assign(kDim * kDim, 0.0);
-    for (std::size_t i = 0; i < kDim; ++i) {
-      mix[c].chol[i * kDim + i] = 0.8;
-      if (i > 0) mix[c].chol[i * kDim + i - 1] = 0.2;
-    }
-  }
-  const data::LabeledDataset ld = data::correlated_mixture(mix, 4000, 21);
-  run_update_params(state, ac::Model::correlated_model(ld.dataset), 4, false,
-                    /*threads=*/1, /*fast_math=*/1, simd::Level::kAvx2);
-}
-BENCHMARK(BM_UpdateParamsMultiNormalFastMath);
 
 void BM_UpdateParamsLognormal(benchmark::State& state) {
   const std::size_t n = 4000;
@@ -517,7 +479,6 @@ void run_ooc_cycle(benchmark::State& state, bool chunked) {
   ac::Classification c(model, 8);
   ac::EmConfig config;
   config.threads = 2;
-  config.fast_math = -1;
   worker.random_init(c, 7, 0, config);
   for (auto _ : state) {
     worker.update_parameters(c);
@@ -725,53 +686,6 @@ bool check_simd_kernel_equality() {
   return true;
 }
 
-/// Smoke-tier gate for the PAC_FAST_MATH tier: the reassociated M-step must
-/// stay within tolerance of the exact fold AND be dispatch-level invariant
-/// (the fixed association is part of the contract, so AVX2 and portable
-/// fast folds must agree bit for bit).
-bool check_fast_math_tolerance() {
-  const data::LabeledDataset ld = gaussian_heavy_dataset(1000);
-  const ac::Model model = ac::Model::default_model(ld.dataset);
-  std::vector<std::vector<double>> stats;
-  struct Variant {
-    int fast_math;
-    pac::simd::Level level;
-  };
-  for (const Variant v : {Variant{-1, pac::simd::Level::kScalar},
-                          Variant{1, pac::simd::Level::kAvx2},
-                          Variant{1, pac::simd::Level::kScalar}}) {
-    const pac::simd::ScopedForceLevel pin(v.level);
-    ac::Reducer identity;
-    ac::EmWorker worker(model, data::ItemRange{0, 1000}, identity);
-    ac::Classification c(model, 6);
-    ac::EmConfig config;
-    config.fast_math = v.fast_math;
-    worker.random_init(c, 9, 0, config);
-    worker.update_parameters(c);
-    const auto s = worker.statistics();
-    stats.emplace_back(s.begin(), s.end());
-  }
-  for (std::size_t i = 0; i < stats[0].size(); ++i) {
-    const double denom =
-        std::max(std::max(std::abs(stats[0][i]), std::abs(stats[1][i])), 1.0);
-    if (std::abs(stats[1][i] - stats[0][i]) > 1e-10 * denom) {
-      std::fprintf(stderr,
-                   "micro_kernels: fast-math tolerance FAILED (slot %zu)\n",
-                   i);
-      return false;
-    }
-  }
-  if (stats[1].size() != stats[2].size() ||
-      std::memcmp(stats[1].data(), stats[2].data(),
-                  stats[1].size() * sizeof(double)) != 0) {
-    std::fprintf(
-        stderr,
-        "micro_kernels: fast-math dispatch-level invariance FAILED\n");
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 // BENCHMARK_MAIN() plus a --smoke flag: the CI tier maps it to a minimal
@@ -814,7 +728,6 @@ int main(int argc, char** argv) {
   if (smoke && !check_estep_kernel_equality()) return 1;
   if (smoke && !check_mstep_kernel_equality()) return 1;
   if (smoke && !check_simd_kernel_equality()) return 1;
-  if (smoke && !check_fast_math_tolerance()) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -38,8 +38,7 @@ import sys
 
 # (label, reference bench, kernel bench): speedup = ref_time / kernel_time.
 # A pair is skipped (with a note) when either side is missing from both
-# reports being compared -- older baselines predate the *Simd/*FastMath
-# variants.
+# reports being compared -- older baselines predate the *Simd variants.
 PAIRS = [
     ("estep-batch-kernel", "BM_UpdateWtsScalarGaussian", "BM_UpdateWtsGaussian"),
     ("estep-simd", "BM_UpdateWtsScalarGaussian", "BM_UpdateWtsGaussianSimd"),
@@ -50,8 +49,6 @@ PAIRS = [
     # (bit-identical output).
     ("estep-normalize-lanes", "BM_NormalizeRowsScalar/4", "BM_NormalizeRowsLanes/4"),
     ("mstep-batch-kernel", "BM_UpdateParamsScalarGaussian", "BM_UpdateParamsGaussian"),
-    ("mstep-fastmath", "BM_UpdateParamsGaussian", "BM_UpdateParamsGaussianFastMath"),
-    ("mstep-fastmath-multinormal", "BM_UpdateParamsMultiNormal", "BM_UpdateParamsMultiNormalFastMath"),
     # One EM cycle (update_parameters + update_wts, five term families,
     # J=8, 2 pool threads) on resident data vs the same values streamed
     # from a .pacb under an evicting chunk budget.  Below 1x by design; a

@@ -70,7 +70,7 @@ if [ "$SIMD" = both ]; then
   # must hold at every dispatch level (DESIGN.md's tier contract).
   echo "== re-running kernel/transport suites with PAC_SIMD=0 =="
   PAC_SIMD=0 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'Kernel|Simd|FastMath|ThreadInvariance|Transport'
+    -R 'Kernel|Simd|ThreadInvariance|Transport'
 fi
 
 SMOKE=""

@@ -215,6 +215,8 @@ void save_search_result_file(const std::string& path,
   std::ofstream out(path);
   PAC_REQUIRE_MSG(out.good(), "cannot open '" << path << "' for writing");
   save_search_result(out, result);
+  out.flush();
+  PAC_REQUIRE_MSG(out.good(), "failed writing checkpoint '" << path << "'");
 }
 
 SearchResult load_search_result_file(const std::string& path,

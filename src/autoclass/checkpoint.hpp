@@ -54,7 +54,8 @@ void save_search_result(std::ostream& out, const SearchResult& result);
 
 SearchResult load_search_result(std::istream& in, const Model& model);
 
-/// Convenience file variants.
+/// Convenience file variants.  The save throws pac::Error naming `path` when
+/// the file cannot be opened or the write fails (e.g. a full device).
 void save_search_result_file(const std::string& path,
                              const SearchResult& result);
 SearchResult load_search_result_file(const std::string& path,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "autoclass/report.hpp"
 #include "util/error.hpp"
@@ -94,15 +92,6 @@ std::vector<std::size_t> draw_seed_items(const CounterRng& rng, std::size_t n,
 
 }  // namespace detail
 
-bool resolve_fast_math(int setting) noexcept {
-  if (setting > 0) return true;
-  if (setting < 0) return false;
-  const char* env = std::getenv("PAC_FAST_MATH");
-  if (env == nullptr) return false;
-  return std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0 ||
-         std::strcmp(env, "true") == 0 || std::strcmp(env, "yes") == 0;
-}
-
 void Reducer::gather_weight_matrix(std::span<const double> local,
                                    std::span<double> full,
                                    data::ItemRange range, std::size_t j) {
@@ -144,7 +133,6 @@ void EmWorker::random_init(Classification& c, std::uint64_t seed,
   if (!partition_params_)
     full_weights_.assign(data_->num_items() * j, 0.0);
   threads_ = ThreadPool::resolve(config.threads);
-  fast_math_ = resolve_fast_math(config.fast_math);
   if (threads_ <= 1) {
     pool_.reset();
   } else if (pool_ == nullptr || pool_->threads() != threads_) {
@@ -427,18 +415,10 @@ void EmWorker::accumulate_statistics(const Classification& c) {
         // pointers, and moment registers hoisted out of the item loop.
         // (term, class) slots are disjoint, and within every slot the items
         // still fold in increasing order, so the block partial is
-        // bit-identical to the scalar chain's.  The fast tier routes each
-        // term through accumulate_batch_fast (reassociated 4-lane moments
-        // where a term provides them, the exact kernel otherwise).
-        for (std::size_t t = 0; t < model_->num_terms(); ++t) {
-          const Term& term = model_->term(t);
-          double* term_stats = stats.data() + model_->stats_offset(t);
-          if (fast_math_) {
-            term.accumulate_batch_fast(block, weights, j, term_stats, spc);
-          } else {
-            term.accumulate_batch(block, weights, j, term_stats, spc);
-          }
-        }
+        // bit-identical to the scalar chain's.
+        for (std::size_t t = 0; t < model_->num_terms(); ++t)
+          model_->term(t).accumulate_batch(
+              block, weights, j, stats.data() + model_->stats_offset(t), spc);
       });
 }
 

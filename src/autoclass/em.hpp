@@ -110,14 +110,9 @@ struct EmConfig {
   /// thread count*: per-block partials are folded in block-index order, so
   /// every value is bit-identical for any setting.
   int threads = 0;
-  /// Opt-in fast-math tier (DESIGN.md §5): > 0 enables the reassociated
-  /// 4-lane folds in the M-step moment sums (Term::accumulate_batch_fast);
-  /// < 0 forces them off; 0 = read the PAC_FAST_MATH environment variable
-  /// (unset/0/off = exact tier).  The E-step is the exact one in both
-  /// tiers.  Fast-math results are still deterministic — the lane
-  /// association is fixed by contract, so they are identical across SIMD
-  /// levels, thread counts, and transports — but they are only
-  /// tolerance-equal to the default tier, not bit-identical.
+  /// Unused: every M-step runs the exact Term::accumulate_batch, whatever
+  /// this holds.  Kept only because perfbench/search.cpp and
+  /// perfbench/serve.cpp still set it.
   int fast_math = 0;
 };
 
@@ -307,14 +302,7 @@ class EmWorker {
   std::vector<double> block_stats_;  // per-block J x stats_per_class partials
   std::vector<double> scratch_;      // per-thread E-step block scratch
   std::size_t threads_ = 1;          // resolved at random_init
-  bool fast_math_ = false;           // resolved at random_init
   std::unique_ptr<ThreadPool> pool_; // non-null only when threads_ > 1
 };
-
-/// Resolve an EmConfig::fast_math setting against PAC_FAST_MATH (exposed
-/// for tests and benches): > 0 on, < 0 off, 0 = environment (values "1",
-/// "on", "true", "yes" enable; anything else, or unset, keeps the exact
-/// tier).
-bool resolve_fast_math(int setting) noexcept;
 
 }  // namespace pac::ac

@@ -29,12 +29,6 @@ void Term::log_prob_batch(data::ItemRange range, const double* params,
   }
 }
 
-void Term::accumulate_batch_fast(data::ItemRange range, const double* weights,
-                                 std::size_t num_classes, double* stats,
-                                 std::size_t stats_stride) const {
-  accumulate_batch(range, weights, num_classes, stats, stats_stride);
-}
-
 void Term::accumulate_batch(data::ItemRange range, const double* weights,
                             std::size_t num_classes, double* stats,
                             std::size_t stats_stride) const {

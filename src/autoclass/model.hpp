@@ -132,27 +132,12 @@ class Term {
   /// per-item floating-point expression or reorder items within a slot.
   /// The scalar accumulate stays the oracle the equality tests diff
   /// against; the default implementation loops over it, so new term
-  /// families are correct before they are fast.
+  /// families are correct before they are fast.  This is the only M-step
+  /// kernel: no setting selects a reassociated fold, so the statistics are
+  /// the same bits at every SIMD level, thread count and transport.
   virtual void accumulate_batch(data::ItemRange range, const double* weights,
                                 std::size_t num_classes, double* stats,
                                 std::size_t stats_stride) const;
-
-  /// Fast-math M-step kernel (the opt-in PAC_FAST_MATH tier): same inputs
-  /// and slot layout as accumulate_batch, but each class's fold may use the
-  /// fixed 4-lane reassociation documented in util/simd.hpp — lane j sums
-  /// items with in-block index ≡ j (mod 4), lanes combine as
-  /// ((l0+l1)+l2)+l3, tail items fold in order, and skipped items (w <= 0 /
-  /// missing) contribute exactly +0.0.  The association is fixed by
-  /// contract, never by the instruction set, so results stay deterministic
-  /// and identical across SIMD levels, thread counts, and transports; they
-  /// are validated against the scalar oracle by the relative-error
-  /// tolerance suite instead of memcmp (DESIGN.md §5).  The default defers
-  /// to the bit-identical accumulate_batch, so term families without a fast
-  /// kernel are simply exact.
-  virtual void accumulate_batch_fast(data::ItemRange range,
-                                     const double* weights,
-                                     std::size_t num_classes, double* stats,
-                                     std::size_t stats_stride) const;
 
   /// MAP update: statistics -> parameters (applies the term's prior).
   virtual void update_params(std::span<const double> stats,

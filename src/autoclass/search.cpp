@@ -18,11 +18,6 @@ const Classification& SearchResult::top() const {
   return best.front().classification;
 }
 
-double SearchResult::top_score(ScoreKind kind) const {
-  PAC_REQUIRE(!best.empty());
-  return score_of(best.front().classification, kind);
-}
-
 double score_of(const Classification& c, ScoreKind kind) {
   return kind == ScoreKind::kCheesemanStutz ? c.cs_score : c.bic_score;
 }

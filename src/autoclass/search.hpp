@@ -71,7 +71,6 @@ struct SearchResult {
   std::int64_t cycle_overshoot = 0;
 
   const Classification& top() const;
-  double top_score(ScoreKind kind) const;
 };
 
 /// Runs one try: must initialize, converge, and prune a J-class

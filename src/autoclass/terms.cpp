@@ -153,17 +153,6 @@ class SingleNormalTerm final : public Term {
                   stats + k * stats_stride);
   }
 
-  // Fast tier: the same three moments in the fixed 4-lane association
-  // (tolerance-validated, still deterministic at every dispatch level).
-  void accumulate_batch_fast(data::ItemRange range, const double* weights,
-                             std::size_t num_classes, double* stats,
-                             std::size_t stats_stride) const override {
-    const auto view = block(range);
-    for (std::size_t k = 0; k < num_classes; ++k)
-      simd::gaussian_accumulate_fast(view.data(), weights + k, num_classes,
-                                     view.size(), stats + k * stats_stride);
-  }
-
   void update_params(std::span<const double> stats,
                      std::span<double> params) const override {
     const double sw = stats[0];
@@ -604,21 +593,6 @@ class MultiNormalTerm final : public Term {
     }
   }
 
-  // Fast tier: the weighted outer-product fold in the fixed 4-lane
-  // association (tolerance-validated, deterministic at every level).
-  void accumulate_batch_fast(data::ItemRange range, const double* weights,
-                             std::size_t num_classes, double* stats,
-                             std::size_t stats_stride) const override {
-    const std::size_t d = dim_;
-    PAC_CHECK(d <= 32);
-    data::ColumnBlockView<double> views[32];
-    const double* cols[32];
-    fetch_blocks(range, views, cols);
-    for (std::size_t c = 0; c < num_classes; ++c)
-      simd::multinormal_accumulate_fast(cols, d, 0, range.size(), weights + c,
-                                        num_classes, stats + c * stats_stride);
-  }
-
   void update_params(std::span<const double> stats,
                      std::span<double> params) const override {
     const std::size_t d = dim_;
@@ -917,18 +891,6 @@ class SingleLognormalTerm final : public Term {
     for (std::size_t k = 0; k < num_classes; ++k)
       moment_fold(lx, range.size(), weights + k, num_classes,
                   stats + k * stats_stride);
-  }
-
-  // Fast tier: identical moment shape to the normal term, over log x.
-  void accumulate_batch_fast(data::ItemRange range, const double* weights,
-                             std::size_t num_classes, double* stats,
-                             std::size_t stats_stride) const override {
-    double scratch[kScratchBlock];
-    std::vector<double> heap;
-    const double* lx = log_block(range, scratch, heap);
-    for (std::size_t k = 0; k < num_classes; ++k)
-      simd::gaussian_accumulate_fast(lx, weights + k, num_classes,
-                                     range.size(), stats + k * stats_stride);
   }
 
   void update_params(std::span<const double> stats,

@@ -111,8 +111,7 @@ void reap_stragglers(std::map<pid_t, int>& rank_of,
 /// Tuning variables forwarded explicitly from the launcher's environment to
 /// every rank, so a rank's kernel configuration is pinned at launch time
 /// rather than depending on whatever exec happens to inherit.
-constexpr const char* kForwardedEnv[] = {"PAC_SIMD", "PAC_EM_THREADS",
-                                         "PAC_FAST_MATH"};
+constexpr const char* kForwardedEnv[] = {"PAC_SIMD", "PAC_EM_THREADS"};
 
 /// Nonzero per-launch host identity: ranks of one launch share a host by
 /// construction, so one token for all of them is exactly right.

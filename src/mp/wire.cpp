@@ -77,13 +77,6 @@ void send_blob(Comm& comm, int dest, int tag, std::uint32_t kind,
   comm.send<char>(dest, tag, buf);
 }
 
-std::string recv_blob(Comm& comm, int source, int tag,
-                      std::uint32_t expected_kind, Status* status) {
-  const Status st = comm.probe(source, tag);
-  if (status != nullptr) *status = st;
-  return receive_frame(comm, st, expected_kind);
-}
-
 bool try_recv_blob(Comm& comm, int source, int tag,
                    std::uint32_t expected_kind, std::string& payload,
                    Status* status) {

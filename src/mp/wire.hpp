@@ -31,13 +31,10 @@ inline constexpr std::size_t kMaxBlobBytes = std::size_t{1} << 26;  // 64 MiB
 void send_blob(Comm& comm, int dest, int tag, std::uint32_t kind,
                std::string_view payload);
 
-/// Blocking receive of one framed blob (source/tag may be the wildcards);
-/// throws pac::Error when the frame is malformed or not of `expected_kind`.
-std::string recv_blob(Comm& comm, int source, int tag,
-                      std::uint32_t expected_kind, Status* status = nullptr);
-
-/// Non-blocking variant: false (and `payload` untouched) when no matching
-/// message is queued.
+/// Non-blocking receive of one framed blob (source/tag may be the
+/// wildcards): false (and `payload` untouched) when no matching message is
+/// queued; throws pac::Error when the frame is malformed or not of
+/// `expected_kind`.
 bool try_recv_blob(Comm& comm, int source, int tag,
                    std::uint32_t expected_kind, std::string& payload,
                    Status* status = nullptr);

@@ -159,6 +159,14 @@ void Server::accept_loop() {
     }
     std::lock_guard<std::mutex> lk(conns_mutex_);
     if (stopping_.load()) return;  // raced with stop(); drop the socket
+    // Reap finished connections.  A finished reader has nothing left to do
+    // but return, so the join is immediate; dropping the list's reference
+    // closes the fd unless a queued request still holds the connection.
+    std::erase_if(conns_, [](const std::shared_ptr<Connection>& done) {
+      if (!done->finished.load()) return false;
+      done->reader.join();
+      return true;
+    });
     conn->id = next_conn_id_++;
     conn->reader = std::thread([this, conn] { reader_loop(conn); });
     conns_.push_back(conn);
@@ -171,10 +179,14 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
   const std::string what = "serve client #" + std::to_string(conn->id);
   // Whatever ends this loop — clean shutdown, EOF, or a corrupt stream —
   // the peer must see the socket close rather than block on a response
-  // that will never come.
+  // that will never come.  Marking the connection finished is the last
+  // act, so the accept thread may then join this reader.
   struct CloseOnExit {
-    const Connection* conn;
-    ~CloseOnExit() { ::shutdown(conn->fd.get(), SHUT_RDWR); }
+    Connection* conn;
+    ~CloseOnExit() {
+      ::shutdown(conn->fd.get(), SHUT_RDWR);
+      conn->finished.store(true);
+    }
   } closer{conn.get()};
   try {
     while (!stopping_.load()) {

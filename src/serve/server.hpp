@@ -1,7 +1,10 @@
 // pac_serve core: a long-lived classification server.
 //
 // Threading model (DESIGN.md §7):
-//   - one accept thread hands each connection to a reader thread;
+//   - one accept thread hands each connection to a reader thread; a reader
+//     marks its connection finished as its last act, and the accept thread
+//     joins and drops finished connections before it adds a new one (the
+//     fd closes with the last shared_ptr, which a queued request may hold);
 //   - readers decode + admission-validate requests and enqueue them
 //     (malformed requests fail individually, before batching);
 //   - ONE batch worker owns the metrics Registry and the inference hot
@@ -114,6 +117,7 @@ class Server {
     std::mutex send_mutex;
     std::uint64_t send_seq = 0;
     std::thread reader;
+    std::atomic<bool> finished{false};  // set by the reader as it exits
   };
 
   struct QueueItem {

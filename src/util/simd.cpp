@@ -2,10 +2,7 @@
 //
 // The portable `*_log_prob` bodies are the terms' scalar batch loops: every
 // Term::log_prob_batch calls its kernel unconditionally, so a host with no
-// vector unit — or a PAC_SIMD=0 run — produces the oracle's bits here.  The portable
-// fast-math folds define the *reference association* (4 lanes, mod-4 item
-// assignment, ((l0+l1)+l2)+l3 combine, in-order tail) that the AVX2 TU must
-// reproduce bit-for-bit; keep the two in lockstep when editing either.
+// vector unit — or a PAC_SIMD=0 run — produces the oracle's bits here.
 #include "util/simd.hpp"
 
 #include <atomic>
@@ -86,8 +83,6 @@ Level level() noexcept {
   return l;
 }
 
-bool active() noexcept { return level() != Level::kScalar; }
-
 const char* describe() noexcept {
   static thread_local char buf[128];
   static const Level env_level = compute_env_level();
@@ -167,117 +162,6 @@ void multinormal_log_prob_portable(const double* const* cols, std::size_t d,
     for (std::size_t k = 0; k < d; ++k) diff[k] = cols[k][i0 + i] - params[k];
     const double maha = spd::mahalanobis2(chol, d, diff);
     out[i] += -0.5 * (dd * kLog2Pi + logdet + maha) + log_error_sum;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Portable fast-math folds — the reference for the fixed 4-lane association.
-// ---------------------------------------------------------------------------
-
-inline double fold4(const double lane[4]) noexcept {
-  return ((lane[0] + lane[1]) + lane[2]) + lane[3];
-}
-
-void gaussian_accumulate_fast_portable(const double* x, const double* weights,
-                                       std::size_t wstride, std::size_t n,
-                                       double* stats) noexcept {
-  double sw[4] = {0.0, 0.0, 0.0, 0.0};
-  double swx[4] = {0.0, 0.0, 0.0, 0.0};
-  double swx2[4] = {0.0, 0.0, 0.0, 0.0};
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < n4; i += 4) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      const double wr = weights[(i + j) * wstride];
-      const double xr = x[i + j];
-      // Skipped items (w <= 0 or missing) contribute exactly +0.0 so every
-      // lane performs the same three additions per group.
-      const bool ok = wr > 0.0 && !std::isnan(xr);
-      const double w = ok ? wr : 0.0;
-      const double xv = ok ? xr : 0.0;
-      sw[j] += w;
-      const double wx = w * xv;
-      swx[j] += wx;
-      swx2[j] += wx * xv;
-    }
-  }
-  double tsw = fold4(sw);
-  double tswx = fold4(swx);
-  double tswx2 = fold4(swx2);
-  for (std::size_t i = n4; i < n; ++i) {
-    const double wr = weights[i * wstride];
-    const double xr = x[i];
-    const bool ok = wr > 0.0 && !std::isnan(xr);
-    const double w = ok ? wr : 0.0;
-    const double xv = ok ? xr : 0.0;
-    tsw += w;
-    const double wx = w * xv;
-    tswx += wx;
-    tswx2 += wx * xv;
-  }
-  stats[0] += tsw;
-  stats[1] += tswx;
-  stats[2] += tswx2;
-}
-
-void multinormal_accumulate_fast_portable(const double* const* cols,
-                                          std::size_t d, std::size_t i0,
-                                          std::size_t n, const double* weights,
-                                          std::size_t wstride,
-                                          double* stats) noexcept {
-  // Lane accumulators: sw, swx[k], and the lower triangle swxx[k][l]
-  // addressed by the triangular index k*(k+1)/2 + l (d <= 32 -> 528 slots).
-  double sw_l[4] = {0.0, 0.0, 0.0, 0.0};
-  double swx_l[32][4] = {};
-  double swxx_l[528][4] = {};
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < n4; i += 4) {
-    double w[4];
-    for (std::size_t j = 0; j < 4; ++j) {
-      const double wr = weights[(i + j) * wstride];
-      w[j] = wr > 0.0 ? wr : 0.0;
-    }
-    for (std::size_t j = 0; j < 4; ++j) sw_l[j] += w[j];
-    for (std::size_t k = 0; k < d; ++k) {
-      const double* colk = cols[k] + i0 + i;
-      double wx[4];
-      for (std::size_t j = 0; j < 4; ++j) {
-        wx[j] = w[j] * colk[j];
-        swx_l[k][j] += wx[j];
-      }
-      double(*rows)[4] = swxx_l + k * (k + 1) / 2;
-      for (std::size_t l = 0; l <= k; ++l) {
-        const double* coll = cols[l] + i0 + i;
-        for (std::size_t j = 0; j < 4; ++j) rows[l][j] += wx[j] * coll[j];
-      }
-    }
-  }
-  double acc_sw = fold4(sw_l);
-  double acc_swx[32];
-  double acc_swxx[528];
-  for (std::size_t k = 0; k < d; ++k) {
-    acc_swx[k] = fold4(swx_l[k]);
-    for (std::size_t l = 0; l <= k; ++l) {
-      const std::size_t ti = k * (k + 1) / 2 + l;
-      acc_swxx[ti] = fold4(swxx_l[ti]);
-    }
-  }
-  for (std::size_t i = n4; i < n; ++i) {
-    const double wr = weights[i * wstride];
-    const double w = wr > 0.0 ? wr : 0.0;
-    acc_sw += w;
-    for (std::size_t k = 0; k < d; ++k) {
-      const double wxk = w * cols[k][i0 + i];
-      acc_swx[k] += wxk;
-      double* row = acc_swxx + k * (k + 1) / 2;
-      for (std::size_t l = 0; l <= k; ++l) row[l] += wxk * cols[l][i0 + i];
-    }
-  }
-  stats[0] += acc_sw;
-  for (std::size_t k = 0; k < d; ++k) {
-    stats[1 + k] += acc_swx[k];
-    double* row = stats + 1 + d + k * d;
-    for (std::size_t l = 0; l <= k; ++l)
-      row[l] += acc_swxx[k * (k + 1) / 2 + l];
   }
 }
 
@@ -427,32 +311,6 @@ void log_lanes(const double* x, double* y, std::size_t n) noexcept {
   }
 #endif
   for (std::size_t i = 0; i < n; ++i) y[i] = pac::log(x[i]);
-}
-
-void gaussian_accumulate_fast(const double* x, const double* weights,
-                              std::size_t wstride, std::size_t n,
-                              double* stats) noexcept {
-#if PAC_SIMD_HAVE_X86
-  if (level() == Level::kAvx2) {
-    avx2::gaussian_accumulate_fast(x, weights, wstride, n, stats);
-    return;
-  }
-#endif
-  gaussian_accumulate_fast_portable(x, weights, wstride, n, stats);
-}
-
-void multinormal_accumulate_fast(const double* const* cols, std::size_t d,
-                                 std::size_t i0, std::size_t n,
-                                 const double* weights, std::size_t wstride,
-                                 double* stats) noexcept {
-#if PAC_SIMD_HAVE_X86
-  if (level() == Level::kAvx2) {
-    avx2::multinormal_accumulate_fast(cols, d, i0, n, weights, wstride, stats);
-    return;
-  }
-#endif
-  multinormal_accumulate_fast_portable(cols, d, i0, n, weights, wstride,
-                                       stats);
 }
 
 }  // namespace pac::simd

@@ -1,6 +1,6 @@
 // Runtime-dispatched SIMD layer for the batched E/M-step kernels.
 //
-// Three tiers (DESIGN.md §5):
+// Two tiers (DESIGN.md §5):
 //
 //   1. *Scalar oracle* — the per-item virtual chains and the scalar batch
 //      kernels in terms.cpp.  Always available; the thing every other tier
@@ -13,19 +13,11 @@
 //      the scalar path.  No FMA, no reassociation (the whole project builds
 //      with -ffp-contract=off so the scalar oracle cannot silently contract
 //      either).  The M-step moment folds are order-pinned reductions and
-//      therefore have *no* default-tier vector form.
-//   3. *Tolerance-checked fast math* (`*_accumulate_fast`) — opt-in via
-//      EmConfig::fast_math / PAC_FAST_MATH.  Reassociates the M-step moment
-//      sums into a fixed 4-lane fold: lane j sums items with index ≡ j
-//      (mod 4) below the last full group, lanes combine as
-//      ((l0+l1)+l2)+l3, then the tail items fold in item order.  The
-//      association is a constant of the *contract*, not of the instruction
-//      set, so fast-math results are still deterministic — identical across
-//      AVX2/NEON/portable dispatch, thread counts, and transports — merely
-//      not bit-identical to the scalar-order oracle (validated by a
-//      relative-error tolerance oracle instead of memcmp).  The E-step row
-//      normalization has no fast form: the exact lane kernels below already
-//      outrun a reassociated per-row fold.
+//      therefore have no vector form over items.
+//
+// No environment variable or config field selects another numeric tier:
+// the SIMD level, like the thread count, the transport and the data
+// backend, changes only the speed, never a computed bit.
 //
 // Dispatch: `level()` resolves once from the environment and the CPU —
 // AVX2 on x86-64 hosts that support it, NEON on aarch64, otherwise the
@@ -55,9 +47,6 @@ Level detected_level() noexcept;
 /// disables it or a ScopedForceLevel override is active.  Resolved once
 /// (first call) and cached.
 Level level() noexcept;
-
-/// True when the vector kernels should run (level() != kScalar).
-bool active() noexcept;
 
 /// One-line human-readable dispatch summary for logs / --print-simd.
 const char* describe() noexcept;
@@ -89,7 +78,7 @@ class ScopedForceLevel {
 };
 
 // ---------------------------------------------------------------------------
-// Bit-identical E-step block kernels (default tier).  Every kernel
+// Bit-identical E-step block kernels (tier 2).  Every kernel
 // *accumulates* into out[i] for i in [0, n) — one class column of a
 // class-major block — mirroring the corresponding Term::log_prob per item,
 // operation for operation.  One log_prob_batch call covers all
@@ -125,7 +114,7 @@ void multinormal_log_prob(const double* const* cols, std::size_t d,
                           double log_error_sum, double* out) noexcept;
 
 // ---------------------------------------------------------------------------
-// Lane-exact exp and log (default tier): y[i] = pac::exp(x[i]) /
+// Lane-exact exp and log (tier 2): y[i] = pac::exp(x[i]) /
 // pac::log(x[i]) bit for bit, lanes = items.  Each vector lane runs the
 // scalar function's operation sequence; a lane outside the range the
 // vector body covers (exp: |x| >= 512, NaN or ±inf; log: anything but a
@@ -137,28 +126,5 @@ void multinormal_log_prob(const double* const* cols, std::size_t d,
 
 void exp_lanes(const double* x, double* y, std::size_t n) noexcept;
 void log_lanes(const double* x, double* y, std::size_t n) noexcept;
-
-// ---------------------------------------------------------------------------
-// Fast-math M-step folds (tolerance tier).  Weighted-moment reductions in
-// the fixed 4-lane association documented above; items with w <= 0 or a
-// missing value contribute exactly +0.0 instead of being skipped.  These
-// run at ANY dispatch level (a portable unrolled fold stands in when no
-// vector unit is active) so PAC_FAST_MATH means the same association
-// everywhere.
-// ---------------------------------------------------------------------------
-
-/// stats[0..2] += (sum w, sum w*x, sum (w*x)*x) over the block, weights
-/// strided by wstride; NaN x lanes masked to zero.
-void gaussian_accumulate_fast(const double* x, const double* weights,
-                              std::size_t wstride, std::size_t n,
-                              double* stats) noexcept;
-
-/// Weighted outer-product fold for the multivariate normal statistics
-/// layout [sw | swx[d] | swxx[d*d] lower triangle]: each slot accumulates
-/// in the fixed 4-lane association.  Requires d <= 32.
-void multinormal_accumulate_fast(const double* const* cols, std::size_t d,
-                                 std::size_t i0, std::size_t n,
-                                 const double* weights, std::size_t wstride,
-                                 double* stats) noexcept;
 
 }  // namespace pac::simd

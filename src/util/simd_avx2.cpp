@@ -5,11 +5,9 @@
 // Bit-identity discipline for the `*_log_prob` kernels: each 4-wide vector
 // op is the scalar oracle's op applied per lane — same operand order, same
 // association, no FMA intrinsics, and the build keeps -ffp-contract=off so
-// the compiler cannot contract either side.  The `*_accumulate_fast`
-// kernels instead reproduce the portable reference association in simd.cpp
-// (4 lanes mod-4, ((l0+l1)+l2)+l3 fold, in-order tail) exactly.  The
-// exp/log lane kernels follow the scalar pac::exp / pac::log of math.cpp
-// the same way, reading the same constants from exp_log_data.hpp.
+// the compiler cannot contract either side.  The exp/log lane kernels
+// follow the scalar pac::exp / pac::log of math.cpp the same way, reading
+// the same constants from exp_log_data.hpp.
 #include "util/simd_internal.hpp"
 
 #if PAC_SIMD_HAVE_X86
@@ -31,20 +29,6 @@ namespace {
 /// out[0..3] += lp, for the 4 items a vector covers.
 inline void accumulate_out(__m256d lp, double* out) noexcept {
   _mm256_storeu_pd(out, _mm256_add_pd(_mm256_loadu_pd(out), lp));
-}
-
-/// Strided 4-wide weight load (the E-step weight matrix is class-strided).
-inline __m256d load_weights(const double* weights,
-                            std::size_t wstride) noexcept {
-  return _mm256_set_pd(weights[3 * wstride], weights[2 * wstride],
-                       weights[wstride], weights[0]);
-}
-
-/// The reference lane fold: ((l0 + l1) + l2) + l3.
-inline double fold4(__m256d v) noexcept {
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, v);
-  return ((lane[0] + lane[1]) + lane[2]) + lane[3];
 }
 
 }  // namespace
@@ -181,101 +165,6 @@ void multinormal_log_prob(const double* const* cols, std::size_t d,
       const double maha = spd::mahalanobis2(chol, d, diff);
       out[i] += -0.5 * (dd * kLog2Pi + logdet + maha) + log_error_sum;
     }
-  }
-}
-
-void gaussian_accumulate_fast(const double* x, const double* weights,
-                              std::size_t wstride, std::size_t n,
-                              double* stats) noexcept {
-  const __m256d vzero = _mm256_setzero_pd();
-  __m256d sw = vzero, swx = vzero, swx2 = vzero;
-  const std::size_t n4 = n & ~std::size_t{3};
-  std::size_t i = 0;
-  for (; i < n4; i += 4) {
-    __m256d w = load_weights(weights + i * wstride, wstride);
-    __m256d xv = _mm256_loadu_pd(x + i);
-    const __m256d ok = _mm256_and_pd(_mm256_cmp_pd(w, vzero, _CMP_GT_OQ),
-                                     _mm256_cmp_pd(xv, xv, _CMP_ORD_Q));
-    w = _mm256_and_pd(w, ok);
-    xv = _mm256_and_pd(xv, ok);
-    sw = _mm256_add_pd(sw, w);
-    const __m256d wx = _mm256_mul_pd(w, xv);
-    swx = _mm256_add_pd(swx, wx);
-    swx2 = _mm256_add_pd(swx2, _mm256_mul_pd(wx, xv));
-  }
-  double tsw = fold4(sw);
-  double tswx = fold4(swx);
-  double tswx2 = fold4(swx2);
-  for (; i < n; ++i) {
-    const double wr = weights[i * wstride];
-    const double xr = x[i];
-    const bool ok = wr > 0.0 && !std::isnan(xr);
-    const double w = ok ? wr : 0.0;
-    const double xv = ok ? xr : 0.0;
-    tsw += w;
-    const double wx = w * xv;
-    tswx += wx;
-    tswx2 += wx * xv;
-  }
-  stats[0] += tsw;
-  stats[1] += tswx;
-  stats[2] += tswx2;
-}
-
-void multinormal_accumulate_fast(const double* const* cols, std::size_t d,
-                                 std::size_t i0, std::size_t n,
-                                 const double* weights, std::size_t wstride,
-                                 double* stats) noexcept {
-  const __m256d vzero = _mm256_setzero_pd();
-  __m256d sw_v = vzero;
-  __m256d swx_v[32];
-  __m256d swxx_v[528];  // lower triangle, index k*(k+1)/2 + l
-  for (std::size_t k = 0; k < d; ++k) swx_v[k] = vzero;
-  for (std::size_t t = 0; t < d * (d + 1) / 2; ++t) swxx_v[t] = vzero;
-  __m256d xs[32];
-  const std::size_t n4 = n & ~std::size_t{3};
-  std::size_t i = 0;
-  for (; i < n4; i += 4) {
-    __m256d w = load_weights(weights + i * wstride, wstride);
-    w = _mm256_and_pd(w, _mm256_cmp_pd(w, vzero, _CMP_GT_OQ));
-    sw_v = _mm256_add_pd(sw_v, w);
-    for (std::size_t k = 0; k < d; ++k)
-      xs[k] = _mm256_loadu_pd(cols[k] + i0 + i);
-    for (std::size_t k = 0; k < d; ++k) {
-      const __m256d wx = _mm256_mul_pd(w, xs[k]);
-      swx_v[k] = _mm256_add_pd(swx_v[k], wx);
-      __m256d* rows = swxx_v + k * (k + 1) / 2;
-      for (std::size_t l = 0; l <= k; ++l)
-        rows[l] = _mm256_add_pd(rows[l], _mm256_mul_pd(wx, xs[l]));
-    }
-  }
-  double acc_sw = fold4(sw_v);
-  double acc_swx[32];
-  double acc_swxx[528];
-  for (std::size_t k = 0; k < d; ++k) {
-    acc_swx[k] = fold4(swx_v[k]);
-    for (std::size_t l = 0; l <= k; ++l) {
-      const std::size_t ti = k * (k + 1) / 2 + l;
-      acc_swxx[ti] = fold4(swxx_v[ti]);
-    }
-  }
-  for (; i < n; ++i) {
-    const double wr = weights[i * wstride];
-    const double w = wr > 0.0 ? wr : 0.0;
-    acc_sw += w;
-    for (std::size_t k = 0; k < d; ++k) {
-      const double wxk = w * cols[k][i0 + i];
-      acc_swx[k] += wxk;
-      double* row = acc_swxx + k * (k + 1) / 2;
-      for (std::size_t l = 0; l <= k; ++l) row[l] += wxk * cols[l][i0 + i];
-    }
-  }
-  stats[0] += acc_sw;
-  for (std::size_t k = 0; k < d; ++k) {
-    stats[1 + k] += acc_swx[k];
-    double* row = stats + 1 + d + k * d;
-    for (std::size_t l = 0; l <= k; ++l)
-      row[l] += acc_swxx[k * (k + 1) / 2 + l];
   }
 }
 

@@ -42,15 +42,6 @@ void multinormal_log_prob(const double* const* cols, std::size_t d,
 void exp_lanes(const double* x, double* y, std::size_t n) noexcept;
 void log_lanes(const double* x, double* y, std::size_t n) noexcept;
 
-void gaussian_accumulate_fast(const double* x, const double* weights,
-                              std::size_t wstride, std::size_t n,
-                              double* stats) noexcept;
-
-void multinormal_accumulate_fast(const double* const* cols, std::size_t d,
-                                 std::size_t i0, std::size_t n,
-                                 const double* weights, std::size_t wstride,
-                                 double* stats) noexcept;
-
 }  // namespace pac::simd::avx2
 
 #endif  // PAC_SIMD_HAVE_X86

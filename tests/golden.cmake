@@ -7,7 +7,7 @@
 #
 # Registered per program by tests/CMakeLists.txt.  Regenerate a golden file
 # only for an intended change to the modeled figures, from a scratch cwd:
-#   PAUTOCLASS_TRACE=0 PAC_FAST_MATH=0 <build>/bench/<program> \
+#   PAUTOCLASS_TRACE=0 <build>/bench/<program> \
 #     > tests/golden/<program>.txt
 foreach(var PROGRAM GOLDEN WORKDIR)
   if(NOT DEFINED ${var})

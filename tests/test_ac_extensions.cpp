@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "autoclass/checkpoint.hpp"
 #include "autoclass/report.hpp"
@@ -434,20 +436,42 @@ TEST(Checkpoint, RejectsGarbageInput) {
   EXPECT_THROW(load_classification(truncated, model), pac::Error);
 }
 
-TEST(Checkpoint, FileRoundTrip) {
-  const data::LabeledDataset ld = data::paper_dataset(200, 22);
-  const Model model = Model::default_model(ld.dataset);
+/// A one-try search result to save in the file tests.
+SearchResult one_try_search(const Model& model) {
   SearchConfig config;
   config.start_j_list = {3};
   config.max_tries = 1;
   config.em.max_cycles = 15;
-  const SearchResult result = sequential_search(model, config);
+  return sequential_search(model, config);
+}
+
+TEST(Checkpoint, FileRoundTrip) {
+  const data::LabeledDataset ld = data::paper_dataset(200, 22);
+  const Model model = Model::default_model(ld.dataset);
+  const SearchResult result = one_try_search(model);
   const std::string path = "/tmp/pac_test_checkpoint.search";
   save_search_result_file(path, result);
   const SearchResult loaded = load_search_result_file(path, model);
   EXPECT_EQ(loaded.top().cs_score, result.top().cs_score);
   EXPECT_THROW(load_search_result_file("/nonexistent/x.search", model),
                pac::Error);
+}
+
+TEST(Checkpoint, FailedWriteThrowsNamingThePath) {
+  // /dev/full opens fine and fails every write with ENOSPC: the save must
+  // report that, not return as if the checkpoint were on disk.
+  const std::string path = "/dev/full";
+  if (!std::filesystem::exists(path)) GTEST_SKIP() << path << " is absent";
+  const data::LabeledDataset ld = data::paper_dataset(200, 22);
+  const Model model = Model::default_model(ld.dataset);
+  const SearchResult result = one_try_search(model);
+  try {
+    save_search_result_file(path, result);
+    FAIL() << "saving to " << path << " returned normally";
+  } catch (const pac::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

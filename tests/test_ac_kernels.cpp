@@ -489,8 +489,8 @@ TEST(UpdateWtsKernel, PartitionedRanksBitEqualScalarRanks) {
 /// Run `cycles` full cycles twice over the same init — once through the
 /// accumulate_batch kernels, once through the per-item scalar chain — and
 /// require bit-equal statistics, parameters, and E-step results every step.
-void expect_mstep_bit_equal(const Model& model, std::size_t j,
-                            std::uint64_t seed, int cycles = 3) {
+void expect_mstep_bit_equal_once(const Model& model, std::size_t j,
+                                 std::uint64_t seed, int cycles) {
   const data::ItemRange all{0, model.dataset().num_items()};
   Reducer ra, rb;
   EmWorker a(model, all, ra);
@@ -507,6 +507,27 @@ void expect_mstep_bit_equal(const Model& model, std::size_t j,
     const double lb = b.update_wts(cb);
     ASSERT_EQ(la, lb) << "cycle " << cycle;
     expect_bit_identical(a.local_weights(), b.local_weights());
+  }
+}
+
+/// The comparison once as the environment stands and once with
+/// PAC_FAST_MATH=1, which used to select a reassociated M-step fold: no
+/// environment variable may change a computed bit.  The caller's setting
+/// is restored, so later tests see the environment they were run with.
+void expect_mstep_bit_equal(const Model& model, std::size_t j,
+                            std::uint64_t seed, int cycles = 3) {
+  expect_mstep_bit_equal_once(model, j, seed, cycles);
+  const char* prior = std::getenv("PAC_FAST_MATH");
+  const std::string saved = prior != nullptr ? prior : "";
+  setenv("PAC_FAST_MATH", "1", 1);
+  {
+    SCOPED_TRACE("PAC_FAST_MATH=1");
+    expect_mstep_bit_equal_once(model, j, seed, cycles);
+  }
+  if (prior != nullptr) {
+    setenv("PAC_FAST_MATH", saved.c_str(), 1);
+  } else {
+    unsetenv("PAC_FAST_MATH");
   }
 }
 
@@ -964,7 +985,6 @@ TEST(SimdDispatch, ScopedForceLevelClampsAndRestores) {
     simd::ScopedForceLevel scalar(simd::Level::kScalar);
     EXPECT_EQ(scalar.effective(), simd::Level::kScalar);
     EXPECT_EQ(simd::level(), simd::Level::kScalar);
-    EXPECT_FALSE(simd::active());
     {
       // Nested non-scalar requests clamp to what the host supports.
       simd::ScopedForceLevel vec(simd::Level::kAvx2);
@@ -1092,244 +1112,6 @@ TEST(SimdKernels, ThreadInvariantWithVectorKernelsForced) {
   data::LabeledDataset ld = data::paper_dataset(900, 66);
   data::inject_missing(ld.dataset, 0.15, 21);
   expect_thread_invariant(Model::default_model(ld.dataset), 4, 302);
-}
-
-// ---- fast-math tier: tolerance oracle ----
-
-/// Relative-error check for the tolerance tier: every slot must agree with
-/// the oracle to `rel` (relative to the larger magnitude, floored at 1).
-void expect_close(std::span<const double> a, std::span<const double> b,
-                  double rel) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double denom =
-        std::max({std::abs(a[i]), std::abs(b[i]), 1.0});
-    ASSERT_LE(std::abs(a[i] - b[i]), rel * denom) << "slot " << i;
-  }
-}
-
-/// Per-family error bound: the reassociated fold differs from the in-order
-/// oracle only by summation order over <= a few thousand items, so the
-/// relative error stays within a few ulps times log2(n).  Both tiers run
-/// over all J classes with the real stats_per_class() stride, on both
-/// backends.
-void expect_fast_accumulate_within_tolerance(const Model& model, double rel) {
-  on_both_backends(model, [rel](const Model& m) {
-    const std::size_t n = m.dataset().num_items();
-    const std::size_t spc = m.stats_per_class();
-    const data::ItemRange all{0, n};
-    const std::vector<double> w = synthetic_weights(n, kClasses);
-    for (std::size_t t = 0; t < m.num_terms(); ++t) {
-      const Term& term = m.term(t);
-      if (term.stats_size() == 0) continue;
-      std::vector<double> exact(kClasses * spc, 0.125);
-      std::vector<double> fast = exact;
-      term.accumulate_batch(all, w.data(), kClasses,
-                            exact.data() + m.stats_offset(t), spc);
-      term.accumulate_batch_fast(all, w.data(), kClasses,
-                                 fast.data() + m.stats_offset(t), spc);
-      expect_close(fast, exact, rel);
-    }
-  });
-}
-
-TEST(FastMathKernels, GaussianAccumulateWithinTolerance) {
-  data::LabeledDataset ld = data::paper_dataset(1100, 71);
-  data::inject_missing(ld.dataset, 0.15, 22);
-  expect_fast_accumulate_within_tolerance(Model::default_model(ld.dataset),
-                                          1e-12);
-}
-
-TEST(FastMathKernels, LognormalAccumulateWithinTolerance) {
-  Dataset d(Schema({Attribute::real("mass", 0.01)}), 800);
-  Xoshiro256ss rng(72);
-  for (std::size_t i = 0; i < 800; ++i)
-    d.set_real(i, 0, std::exp(1.0 + 0.5 * normal01(rng)));
-  for (std::size_t i = 3; i < 800; i += 11) d.set_missing(i, 0);
-  TermSpec spec;
-  spec.kind = TermKind::kSingleLognormal;
-  spec.attributes = {0};
-  expect_fast_accumulate_within_tolerance(Model(d, {spec}), 1e-12);
-}
-
-TEST(FastMathKernels, MultiNormalAccumulateWithinTolerance) {
-  const double r = 0.85;
-  const std::vector<data::CorrelatedComponent> mix = {
-      {0.5, {0.0, 0.0}, {1.0, 0.0, r, std::sqrt(1 - r * r)}},
-      {0.5, {4.0, 2.0}, {1.0, 0.0, -r, std::sqrt(1 - r * r)}},
-  };
-  const data::LabeledDataset ld = data::correlated_mixture(mix, 900, 73);
-  expect_fast_accumulate_within_tolerance(Model::correlated_model(ld.dataset),
-                                          1e-11);
-}
-
-TEST(FastMathKernels, MultinomialFastFoldIsExact) {
-  // No fast kernel for the bincount family: accumulate_batch_fast must
-  // defer to the bit-identical batch kernel.
-  const std::vector<data::CategoricalComponent> mix = {
-      {0.5, {{0.7, 0.2, 0.1}, {0.6, 0.4}}},
-      {0.5, {{0.1, 0.2, 0.7}, {0.3, 0.7}}},
-  };
-  data::LabeledDataset ld = data::categorical_mixture(mix, 700, 74);
-  data::inject_missing(ld.dataset, 0.2, 23);
-  on_both_backends(Model::default_model(ld.dataset), [](const Model& m) {
-    const std::size_t n = m.dataset().num_items();
-    const std::size_t spc = m.stats_per_class();
-    const std::vector<double> w = synthetic_weights(n, kClasses);
-    for (std::size_t t = 0; t < m.num_terms(); ++t) {
-      const Term& term = m.term(t);
-      std::vector<double> exact(kClasses * spc, 0.0);
-      std::vector<double> fast = exact;
-      term.accumulate_batch(data::ItemRange{0, n}, w.data(), kClasses,
-                            exact.data() + m.stats_offset(t), spc);
-      term.accumulate_batch_fast(data::ItemRange{0, n}, w.data(), kClasses,
-                                 fast.data() + m.stats_offset(t), spc);
-      expect_bit_identical(fast, exact);
-    }
-  });
-}
-
-/// The fast tier's association is fixed by contract, not by the ISA: the
-/// AVX2 and portable folds must agree bit-for-bit, not just to tolerance.
-void expect_fast_fold_level_invariant(const Model& model) {
-  const std::size_t n = model.dataset().num_items();
-  const std::size_t spc = model.stats_per_class();
-  const std::vector<double> w = synthetic_weights(n, kClasses);
-  for (std::size_t t = 0; t < model.num_terms(); ++t) {
-    const Term& term = model.term(t);
-    if (term.stats_size() == 0) continue;
-    std::vector<double> vec_stats(kClasses * spc, 0.125);
-    std::vector<double> portable_stats = vec_stats;
-    {
-      simd::ScopedForceLevel vec(simd::Level::kAvx2);
-      term.accumulate_batch_fast(data::ItemRange{0, n}, w.data(), kClasses,
-                                 vec_stats.data() + model.stats_offset(t),
-                                 spc);
-    }
-    {
-      simd::ScopedForceLevel scalar(simd::Level::kScalar);
-      term.accumulate_batch_fast(data::ItemRange{0, n}, w.data(), kClasses,
-                                 portable_stats.data() + model.stats_offset(t),
-                                 spc);
-    }
-    expect_bit_identical(vec_stats, portable_stats);
-  }
-}
-
-TEST(FastMathKernels, FastFoldIsDispatchLevelInvariant) {
-  data::LabeledDataset ld = data::paper_dataset(1000, 75);
-  data::inject_missing(ld.dataset, 0.1, 24);
-  expect_fast_fold_level_invariant(Model::default_model(ld.dataset));
-  const double r = 0.7;
-  const std::vector<data::CorrelatedComponent> mix = {
-      {0.5, {0.0, 0.0}, {1.0, 0.0, r, std::sqrt(1 - r * r)}},
-      {0.5, {2.0, 2.0}, {1.0, 0.0, -r, std::sqrt(1 - r * r)}},
-  };
-  const data::LabeledDataset cld = data::correlated_mixture(mix, 1000, 76);
-  expect_fast_fold_level_invariant(Model::correlated_model(cld.dataset));
-}
-
-TEST(FastMathKernels, ResolveFastMathPolicy) {
-  EXPECT_TRUE(resolve_fast_math(1));
-  EXPECT_FALSE(resolve_fast_math(-1));
-  unsetenv("PAC_FAST_MATH");
-  EXPECT_FALSE(resolve_fast_math(0));
-  setenv("PAC_FAST_MATH", "1", 1);
-  EXPECT_TRUE(resolve_fast_math(0));
-  setenv("PAC_FAST_MATH", "on", 1);
-  EXPECT_TRUE(resolve_fast_math(0));
-  setenv("PAC_FAST_MATH", "0", 1);
-  EXPECT_FALSE(resolve_fast_math(0));
-  setenv("PAC_FAST_MATH", "off", 1);
-  EXPECT_FALSE(resolve_fast_math(0));
-  unsetenv("PAC_FAST_MATH");
-}
-
-// ---- fast-math tier: full-EM trajectory tolerance and determinism ----
-
-ThreadRun run_fast_math(const Model& model, std::size_t j, std::uint64_t seed,
-                        int threads, int fast_math, int cycles = 8) {
-  EmConfig config;
-  config.threads = threads;
-  config.fast_math = fast_math;
-  config.max_cycles = cycles;
-  return run_with_config(model, j, seed, config);
-}
-
-TEST(FastMathEm, TrajectoryWithinToleranceOfExactTier) {
-  data::LabeledDataset ld = data::paper_dataset(1000, 81);
-  data::inject_missing(ld.dataset, 0.1, 25);
-  const Model model = Model::default_model(ld.dataset);
-  const ThreadRun exact = run_fast_math(model, 4, 401, 1, -1);
-  const ThreadRun fast = run_fast_math(model, 4, 401, 1, 1);
-  // A fixed modest cycle count keeps the comparison on the same EM path;
-  // the reassociation error itself is ~1e-15 per fold and grows mildly.
-  expect_close(fast.params, exact.params, 1e-7);
-  expect_close(fast.class_weights, exact.class_weights, 1e-7);
-  ASSERT_LE(std::abs(fast.log_likelihood - exact.log_likelihood),
-            1e-7 * std::max(1.0, std::abs(exact.log_likelihood)));
-  ASSERT_LE(std::abs(fast.cs_score - exact.cs_score),
-            1e-7 * std::max(1.0, std::abs(exact.cs_score)));
-  EXPECT_EQ(fast.labels, exact.labels);
-}
-
-TEST(FastMathEm, MultiNormalTrajectoryWithinTolerance) {
-  const double r = 0.85;
-  const std::vector<data::CorrelatedComponent> mix = {
-      {0.5, {0.0, 0.0}, {1.0, 0.0, r, std::sqrt(1 - r * r)}},
-      {0.5, {4.0, 2.0}, {1.0, 0.0, -r, std::sqrt(1 - r * r)}},
-  };
-  const data::LabeledDataset ld = data::correlated_mixture(mix, 800, 82);
-  const Model model = Model::correlated_model(ld.dataset);
-  const ThreadRun exact = run_fast_math(model, 3, 402, 1, -1);
-  const ThreadRun fast = run_fast_math(model, 3, 402, 1, 1);
-  expect_close(fast.params, exact.params, 1e-6);
-  ASSERT_LE(std::abs(fast.cs_score - exact.cs_score),
-            1e-6 * std::max(1.0, std::abs(exact.cs_score)));
-  EXPECT_EQ(fast.labels, exact.labels);
-}
-
-TEST(FastMathEm, ThreadAndDispatchLevelInvariant) {
-  // The fast tier is deterministic: {1, 4} threads x {vector, forced-scalar}
-  // dispatch must all produce bit-identical trajectories — only the *exact*
-  // tier comparison is a tolerance check.
-  data::LabeledDataset ld = data::paper_dataset(900, 83);
-  data::inject_missing(ld.dataset, 0.1, 26);
-  const Model model = Model::default_model(ld.dataset);
-  ThreadRun base;
-  {
-    simd::ScopedForceLevel vec(simd::Level::kAvx2);
-    base = run_fast_math(model, 3, 403, 1, 1);
-  }
-  for (const int threads : {1, 4}) {
-    for (const bool force_scalar : {false, true}) {
-      if (threads == 1 && !force_scalar) continue;  // the base run
-      const simd::Level request =
-          force_scalar ? simd::Level::kScalar : simd::Level::kAvx2;
-      simd::ScopedForceLevel guard(request);
-      const ThreadRun run = run_fast_math(model, 3, 403, threads, 1);
-      expect_bit_identical(run.weights, base.weights);
-      expect_bit_identical(run.params, base.params);
-      expect_bit_identical(run.class_weights, base.class_weights);
-      ASSERT_EQ(run.log_likelihood, base.log_likelihood)
-          << threads << " threads, force_scalar=" << force_scalar;
-      ASSERT_EQ(run.cs_score, base.cs_score);
-    }
-  }
-}
-
-TEST(FastMathEm, EnvVariableMatchesExplicitConfig) {
-  // EmConfig::fast_math = 0 reads PAC_FAST_MATH; the trajectory must match
-  // the tier requested explicitly, bit for bit.
-  data::LabeledDataset ld = data::paper_dataset(500, 84);
-  const Model model = Model::default_model(ld.dataset);
-  const ThreadRun explicit_fast = run_fast_math(model, 3, 404, 1, 1);
-  setenv("PAC_FAST_MATH", "1", 1);
-  const ThreadRun via_env = run_fast_math(model, 3, 404, 1, 0);
-  unsetenv("PAC_FAST_MATH");
-  expect_bit_identical(via_env.weights, explicit_fast.weights);
-  expect_bit_identical(via_env.params, explicit_fast.params);
-  ASSERT_EQ(via_env.cs_score, explicit_fast.cs_score);
 }
 
 }  // namespace

@@ -35,7 +35,6 @@ using testutil::collective_suite;
 using testutil::cycle_suite;
 using testutil::estep_suite;
 using testutil::expect_bit_identical;
-using testutil::fast_math_cycle_suite;
 using testutil::HybridSegments;
 using testutil::hybrid_config;
 using testutil::run_hybrid_world;
@@ -203,31 +202,6 @@ TEST(TransportHybrid, EmCycleAndThreadsBitIdenticalAcrossBackends) {
                 modeled[static_cast<std::size_t>(comm.rank())]);
   });
   expect_bit_identical(hybrid, threaded);
-  expect_bit_identical(hybrid, modeled);
-}
-
-TEST(TransportHybrid, FastMathTierDeterministicOnHybrid) {
-  constexpr int kRanks = 3;
-  data::LabeledDataset ld = data::mixed_mixture(
-      {{0.5, {0.0, 1.0}, {1.0, 0.5}, {{0.8, 0.2}, {0.1, 0.6, 0.3}}},
-       {0.5, {3.0, -1.0}, {0.7, 1.2}, {{0.3, 0.7}, {0.5, 0.2, 0.3}}}},
-      600, 17);
-  data::inject_missing(ld.dataset, 0.05, 9);
-  const ac::Model model = ac::Model::default_model(ld.dataset);
-
-  std::vector<std::vector<double>> hybrid(kRanks), modeled(kRanks);
-  run_hybrid_world(kRanks, [&](Comm& comm) {
-    fast_math_cycle_suite(comm, model, /*threads=*/2,
-                          hybrid[static_cast<std::size_t>(comm.rank())]);
-  });
-  World::Config cfg;
-  cfg.num_ranks = kRanks;
-  cfg.machine = net::ideal_machine();
-  World world(cfg);
-  world.run([&](Comm& comm) {
-    fast_math_cycle_suite(comm, model, /*threads=*/4,
-                          modeled[static_cast<std::size_t>(comm.rank())]);
-  });
   expect_bit_identical(hybrid, modeled);
 }
 

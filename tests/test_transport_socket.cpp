@@ -34,7 +34,6 @@ using testutil::collective_suite;
 using testutil::cycle_suite;
 using testutil::estep_suite;
 using testutil::expect_bit_identical;
-using testutil::fast_math_cycle_suite;
 using testutil::run_socket_world;
 using testutil::socket_config;
 using testutil::unique_address;
@@ -392,43 +391,6 @@ TEST(TransportSocket, MStepKernelAndThreadsBitIdenticalAcrossBackends) {
   expect_bit_identical(kernel, scalar);
   expect_bit_identical(kernel, threaded);
   expect_bit_identical(kernel, modeled);
-}
-
-TEST(TransportSocket, FastMathTierDeterministicAcrossBackendsAndThreads) {
-  // The PAC_FAST_MATH tier reassociates folds but stays deterministic: its
-  // fixed 4-lane association is part of the contract, so socket ranks,
-  // the in-process modeled backend, and different intra-rank thread counts
-  // must still produce bit-identical trajectories.  Tolerance-vs-exact
-  // coverage lives in test_ac_kernels; this pins tier determinism to the
-  // distributed pipeline.
-  constexpr int kRanks = 3;
-  data::LabeledDataset ld = data::mixed_mixture(
-      {{0.5, {0.0, 1.0}, {1.0, 0.5}, {{0.8, 0.2}, {0.1, 0.6, 0.3}}},
-       {0.5, {3.0, -1.0}, {0.7, 1.2}, {{0.3, 0.7}, {0.5, 0.2, 0.3}}}},
-      600, 17);
-  data::inject_missing(ld.dataset, 0.05, 9);
-  const ac::Model model = ac::Model::default_model(ld.dataset);
-
-  std::vector<std::vector<double>> socket_fast(kRanks), threaded(kRanks),
-      modeled(kRanks);
-  run_socket_world(kRanks, [&](Comm& comm) {
-    fast_math_cycle_suite(comm, model, /*threads=*/1,
-                          socket_fast[static_cast<std::size_t>(comm.rank())]);
-  });
-  run_socket_world(kRanks, [&](Comm& comm) {
-    fast_math_cycle_suite(comm, model, /*threads=*/2,
-                          threaded[static_cast<std::size_t>(comm.rank())]);
-  });
-  World::Config cfg;
-  cfg.num_ranks = kRanks;
-  cfg.machine = net::ideal_machine();
-  World world(cfg);
-  world.run([&](Comm& comm) {
-    fast_math_cycle_suite(comm, model, /*threads=*/4,
-                          modeled[static_cast<std::size_t>(comm.rank())]);
-  });
-  expect_bit_identical(socket_fast, threaded);
-  expect_bit_identical(socket_fast, modeled);
 }
 
 TEST(TransportSocket, GroupSearchMergesBitIdenticalToInProcess) {

@@ -351,31 +351,6 @@ inline void cycle_suite(Comm& comm, const ac::Model& model, bool scalar,
   sink.insert(sink.end(), w.begin(), w.end());
 }
 
-/// One rank's full cycle under the opt-in fast-math tier (reassociated
-/// folds): statistics, parameters, and E-step outputs appended to `sink`.
-inline void fast_math_cycle_suite(Comm& comm, const ac::Model& model,
-                                  int threads, std::vector<double>& sink) {
-  core::ParallelConfig pc;
-  pc.charge_costs = false;
-  core::ParallelReducer reducer(comm, model, pc);
-  const data::ItemRange part = data::block_partition(
-      model.dataset().num_items(), comm.size(), comm.rank());
-  ac::EmWorker worker(model, part, reducer);
-  ac::Classification c(model, 3);
-  ac::EmConfig config;
-  config.threads = threads;
-  config.fast_math = 1;
-  worker.random_init(c, 2028, 0, config);
-  worker.update_parameters(c);
-  const std::span<const double> stats = worker.statistics();
-  sink.insert(sink.end(), stats.begin(), stats.end());
-  const std::span<const double> params = c.all_params();
-  sink.insert(sink.end(), params.begin(), params.end());
-  sink.push_back(worker.update_wts(c));
-  const std::span<const double> w = worker.local_weights();
-  sink.insert(sink.end(), w.begin(), w.end());
-}
-
 /// Body for the world-view checks: per-rank collectives and one message.
 constexpr int kViewAllreduces = 4;
 inline void world_view_body(Comm& comm) {
