@@ -28,14 +28,12 @@ int main(int argc, char** argv) {
 
   // Under pac_launch this process is one rank of a multi-process world:
   // gate stdout and file side effects to rank 0 so the run behaves like a
-  // single program.
+  // single program.  A bad stream drops every write; swapping in a local
+  // buffer instead would leave std::cout pointing at a destroyed streambuf
+  // when the exit-time flush runs.
   const bool launched = mp::transport::pacnet_launched();
   const bool primary = mp::transport::is_primary();
-  std::ofstream devnull;
-  if (!primary) {
-    devnull.open("/dev/null");
-    std::cout.rdbuf(devnull.rdbuf());
-  }
+  if (!primary) std::cout.setstate(std::ios::badbit);
 
   std::string header_path = cli.get_string("header", "");
   std::string data_path = cli.get_string("data", "");

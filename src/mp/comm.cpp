@@ -32,15 +32,10 @@ void RankState::init_recorder(std::size_t ring_capacity) {
   mp.recv_calls = &reg.counter("mp.recv.calls");
   mp.recv_bytes = &reg.counter("mp.recv.bytes");
   mp.recv_seconds = &reg.histogram("mp.recv.seconds");
-  mp.wait_calls = &reg.counter("mp.wait.calls");
-  mp.wait_seconds = &reg.histogram("mp.wait.seconds");
 }
 
-std::byte* scratch_buffer(std::size_t slot, std::size_t bytes) {
-  constexpr std::size_t kSlots = 4;
-  thread_local std::array<std::vector<std::byte>, kSlots> arenas;
-  PAC_CHECK(slot < kSlots);
-  std::vector<std::byte>& arena = arenas[slot];
+std::byte* scratch_buffer(std::size_t bytes) {
+  thread_local std::vector<std::byte> arena;
   if (arena.size() < bytes) arena.resize(bytes);
   return arena.data();
 }
@@ -122,8 +117,13 @@ void Comm::deliver(int dest_group_rank, int tag, const void* bytes,
   state_->recorder->record_span("mp", "send", start, state_->clock);
 }
 
-Status Comm::absorb(Message&& msg, void* buffer, std::size_t capacity,
-                    double start) {
+Status Comm::recv_bytes(int source, int tag, void* buffer,
+                        std::size_t capacity) {
+  // Timed from op_begin, which books the gap since the previous operation
+  // as compute on the wall clock, not as receive time.
+  const double start = op_begin();
+  const int world_source = source == kAnySource ? kAnySource : group_[source];
+  const Message msg = transport_->recv(context_, world_source, tag);
   const std::size_t nbytes = msg.payload.size();
   PAC_REQUIRE_MSG(nbytes <= capacity, "recv buffer too small: "
                                           << capacity
@@ -142,64 +142,6 @@ Status Comm::absorb(Message&& msg, void* buffer, std::size_t capacity,
   state_->mp.recv_bytes->add(nbytes);
   state_->mp.recv_seconds->observe(state_->clock - start);
   state_->recorder->record_span("mp", "recv", start, state_->clock);
-  return st;
-}
-
-Status Comm::recv_bytes(int source, int tag, void* buffer,
-                        std::size_t capacity, double start) {
-  const int world_source = source == kAnySource ? kAnySource : group_[source];
-  Message msg = transport_->recv(context_, world_source, tag);
-  return absorb(std::move(msg), buffer, capacity, start);
-}
-
-void Comm::wait(Request& request) {
-  PAC_REQUIRE(valid());
-  PAC_REQUIRE_MSG(request.kind_ != Request::Kind::kNone,
-                  "wait on a default-constructed Request");
-  if (request.done_) return;
-  // Timed from op_begin, which books the gap since the previous operation
-  // as compute on the wall clock, not as waiting.
-  const double start = op_begin();
-  request.status_ = recv_bytes(request.source_, request.tag_,
-                               request.buffer_, request.capacity_, start);
-  request.done_ = true;
-  state_->mp.wait_calls->add(1);
-  state_->mp.wait_seconds->observe(state_->clock - start);
-}
-
-bool Comm::test(Request& request) {
-  PAC_REQUIRE(valid());
-  PAC_REQUIRE_MSG(request.kind_ != Request::Kind::kNone,
-                  "test on a default-constructed Request");
-  if (request.done_) return true;
-  const int world_source = request.source_ == kAnySource
-                               ? kAnySource
-                               : group_[request.source_];
-  Message msg;
-  if (!transport_->try_recv(context_, world_source, request.tag_, msg))
-    return false;
-  request.status_ =
-      absorb(std::move(msg), request.buffer_, request.capacity_, op_begin());
-  request.done_ = true;
-  return true;
-}
-
-Status Comm::probe(int source, int tag) {
-  PAC_REQUIRE(valid());
-  PAC_REQUIRE(source == kAnySource || (source >= 0 && source < size()));
-  const int world_source = source == kAnySource ? kAnySource : group_[source];
-  int matched_source = 0, matched_tag = 0;
-  std::size_t matched_bytes = 0;
-  // Blocked-probe time is communication time on the wall clock; the
-  // modeled clock does not move.
-  const double start = op_begin();
-  transport_->peek(context_, world_source, tag, matched_source, matched_tag,
-                   matched_bytes);
-  op_end(start, start, 0.0, 0.0);
-  Status st;
-  st.source = group_rank_of(matched_source);
-  st.tag = matched_tag;
-  st.bytes = matched_bytes;
   return st;
 }
 
@@ -247,7 +189,6 @@ Comm Comm::split(int color, int key) {
   sub.transport_ = transport_;
   sub.time_ = time_;
   sub.distributed_ = distributed_;
-  sub.kahan_ = kahan_;
   sub.group_.reserve(members.size());
   for (std::size_t i = 0; i < members.size(); ++i) {
     sub.group_.push_back(group_[members[i].rank]);

@@ -5,11 +5,15 @@
 // concurrently — SPMD, exactly like `mpirun -np P`.  Ranks communicate only
 // through their Comm:
 //
-//   * tagged point-to-point send/recv with MPI matching semantics,
-//   * deterministic collectives (Barrier, Bcast, Reduce, Allreduce, Gather,
-//     Allgather, Scatter, Scan, Alltoall, ReduceScatter, Exscan) that
+//   * tagged point-to-point send/recv and a non-blocking probe (iprobe)
+//     with MPI matching semantics,
+//   * deterministic collectives (Barrier, Bcast, Allreduce, Allgather) that
 //     combine contributions in rank order, and
 //   * communicator splitting (Comm::split) for subgroup algorithms.
+//
+// That is the whole surface P-AutoClass calls: local sums plus an Allreduce
+// per EM step, and Bcast/Allgather/Barrier/split and tagged messages around
+// the search.  Add an operation when a program needs it.
 //
 // Every collective has one implementation for every backend: a leader-based
 // algorithm over point-to-point frames on the communicator's private
@@ -49,7 +53,6 @@
 #include "mp/transport/time_source.hpp"
 #include "net/machine.hpp"
 #include "util/error.hpp"
-#include "util/math.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 
@@ -65,29 +68,6 @@ using net::kNumCollectiveKinds;
 
 class World;
 class Comm;
-
-/// Handle for a nonblocking operation (isend/irecv).  Sends complete
-/// immediately (minimpi buffers); receives complete in wait()/test() when a
-/// matching message has arrived.  A Request must be completed (wait/test
-/// returning true) before its buffer is reused.
-class Request {
- public:
-  Request() = default;
-  bool done() const noexcept { return done_; }
-  /// Valid once done(): source/tag/bytes of the matched message.
-  const Status& status() const noexcept { return status_; }
-
- private:
-  friend class Comm;
-  enum class Kind { kNone, kSend, kRecv };
-  Kind kind_ = Kind::kNone;
-  void* buffer_ = nullptr;
-  std::size_t capacity_ = 0;
-  int source_ = kAnySource;
-  int tag_ = kAnyTag;
-  bool done_ = false;
-  Status status_;
-};
 
 namespace detail {
 
@@ -108,8 +88,6 @@ struct MpMetricHandles {
   metrics::Counter* recv_calls = nullptr;
   metrics::Counter* recv_bytes = nullptr;
   metrics::Histogram* recv_seconds = nullptr;  // transfer + blocked time
-  metrics::Counter* wait_calls = nullptr;
-  metrics::Histogram* wait_seconds = nullptr;  // nonblocking-wait latency
 };
 
 /// Per-rank mutable state shared by all communicators of that rank.
@@ -137,7 +115,6 @@ T apply_op(ReduceOp op, T a, T b) noexcept {
     case ReduceOp::kSum: return static_cast<T>(a + b);
     case ReduceOp::kMin: return b < a ? b : a;
     case ReduceOp::kMax: return a < b ? b : a;
-    case ReduceOp::kProd: return static_cast<T>(a * b);
   }
   return a;
 }
@@ -156,27 +133,25 @@ void combine_elems(ReduceOp op, void* acc, const void* src,
   for (std::size_t i = 0; i < n; ++i) a[i] = apply_op(op, a[i], s[i]);
 }
 
-/// How a reducing collective folds its contributions.
+/// How a reducing collective folds its contributions: one rank-ordered
+/// elementwise fold, the same on every backend.
 struct Reduction {
   ReduceOp op = ReduceOp::kSum;
   CombineFn combine = nullptr;
   std::size_t elem_size = 1;
-  /// Compensated (Kahan) summation; only ever set for double sums.
-  bool kahan = false;
 };
 
 template <class T>
-Reduction reduction_for(ReduceOp op, bool kahan) noexcept {
-  return Reduction{op, &combine_elems<T>, sizeof(T),
-                   kahan && op == ReduceOp::kSum && std::is_same_v<T, double>};
+Reduction reduction_for(ReduceOp op) noexcept {
+  return Reduction{op, &combine_elems<T>, sizeof(T)};
 }
 
-/// Thread-local grow-only scratch arenas.  The EM hot path runs thousands
-/// of small allreduces per search; the leaders' folds borrow these instead
-/// of allocating per call.  Slots let one operation use several disjoint
-/// buffers; alignment is operator-new's (sufficient for every trivially
-/// copyable element type minimpi moves).  May return nullptr for 0 bytes.
-std::byte* scratch_buffer(std::size_t slot, std::size_t bytes);
+/// Thread-local grow-only scratch arena.  The EM hot path runs thousands
+/// of small allreduces per search; the leader's fold borrows it instead of
+/// allocating per call.  Alignment is operator-new's (sufficient for every
+/// trivially copyable element type minimpi moves).  May return nullptr for
+/// 0 bytes.
+std::byte* scratch_buffer(std::size_t bytes);
 
 }  // namespace detail
 
@@ -252,7 +227,6 @@ class Comm {
   /// additionally fills the per-route shm_* breakdown).
   transport::TransportStats transport_stats() const noexcept;
 
-  const net::NetworkModel& network() const noexcept { return *network_; }
   const net::CostBook& costs() const noexcept { return *costs_; }
 
   /// This rank's instrumentation sink (shared by all communicators of the
@@ -288,59 +262,10 @@ class Comm {
     return v;
   }
 
-  /// Nonblocking send: identical to send (minimpi sends are buffered), but
-  /// returns a completed Request for symmetry with MPI code.
-  template <class T>
-  Request isend(int dest, int tag, std::span<const T> data) {
-    send<T>(dest, tag, data);
-    Request req;
-    req.kind_ = Request::Kind::kSend;
-    req.done_ = true;
-    return req;
-  }
-
-  /// Nonblocking receive: posts the (source, tag, buffer) triple; the
-  /// message is matched and copied in wait()/test().
-  template <class T>
-  Request irecv(int source, int tag, std::span<T> buffer) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    PAC_REQUIRE(valid());
-    PAC_REQUIRE(source == kAnySource || (source >= 0 && source < size()));
-    Request req;
-    req.kind_ = Request::Kind::kRecv;
-    req.buffer_ = buffer.data();
-    req.capacity_ = buffer.size_bytes();
-    req.source_ = source;
-    req.tag_ = tag;
-    return req;
-  }
-
-  /// Block until `request` completes.
-  void wait(Request& request);
-
-  /// Nonblocking completion test; true if the request is (now) complete.
-  bool test(Request& request);
-
-  /// Wait for every request in the span.
-  void wait_all(std::span<Request> requests) {
-    for (Request& r : requests) wait(r);
-  }
-
-  /// Block until a matching message is available without receiving it;
-  /// returns its source/tag/size (MPI_Probe).  The caller can then size a
-  /// buffer and recv with the exact envelope.
-  Status probe(int source, int tag);
-
-  /// Non-blocking probe (MPI_Iprobe); true if a matching message is queued.
+  /// Non-blocking probe (MPI_Iprobe); true if a matching message is queued,
+  /// with its source/tag/size in `status`.  wire::try_recv_blob drains the
+  /// group search's leaderboard exchange through it.
   bool iprobe(int source, int tag, Status& status);
-
-  /// Combined exchange, deadlock-free for symmetric neighbour patterns.
-  template <class T>
-  Status sendrecv(int dest, int send_tag, std::span<const T> send_data,
-                  int source, int recv_tag, std::span<T> recv_buffer) {
-    send<T>(dest, send_tag, send_data);
-    return recv<T>(source, recv_tag, recv_buffer);
-  }
 
   // ---- collectives (must be called by every rank of the group, with
   //      matching arguments, in the same order) ----
@@ -351,12 +276,8 @@ class Comm {
   template <class T>
   void broadcast(std::span<T> data, int root);
 
-  /// Elementwise reduction into `out` at `root` (other ranks may pass an
-  /// empty span).  Deterministic: folds rank 0, 1, ..., P-1.
-  template <class T>
-  void reduce(std::span<const T> in, std::span<T> out, ReduceOp op, int root);
-
-  /// Reduction delivered to every rank (the workhorse of P-AutoClass).
+  /// Elementwise reduction delivered to every rank (the workhorse of
+  /// P-AutoClass).  Deterministic: folds rank 0, 1, ..., P-1.
   template <class T>
   void allreduce(std::span<const T> in, std::span<T> out, ReduceOp op);
 
@@ -374,10 +295,6 @@ class Comm {
     return out;
   }
 
-  /// Concatenate every rank's `in` block at `root` (out size = P * in size).
-  template <class T>
-  void gather(std::span<const T> in, std::span<T> out, int root);
-
   /// Concatenate every rank's block on every rank.
   template <class T>
   void allgather(std::span<const T> in, std::span<T> out);
@@ -389,29 +306,6 @@ class Comm {
     allgather<T>(std::span<const T>(&value, 1), std::span<T>(out));
     return out;
   }
-
-  /// Distribute contiguous blocks of `in` at `root` (in size = P * out size).
-  template <class T>
-  void scatter(std::span<const T> in, std::span<T> out, int root);
-
-  /// Inclusive prefix reduction: out on rank r = fold(in_0 .. in_r).
-  template <class T>
-  void scan(std::span<const T> in, std::span<T> out, ReduceOp op);
-
-  /// Personalized exchange: block s of rank r's `in` lands as block r of
-  /// rank s's `out`; both spans have size P * block.
-  template <class T>
-  void alltoall(std::span<const T> in, std::span<T> out, std::size_t block);
-
-  /// Elementwise reduction of P*block inputs followed by a scatter: rank r
-  /// receives block r of the reduced vector (MPI_Reduce_scatter_block).
-  template <class T>
-  void reduce_scatter(std::span<const T> in, std::span<T> out, ReduceOp op);
-
-  /// Exclusive prefix reduction: rank 0's output is untouched; rank r > 0
-  /// gets fold(in_0 .. in_{r-1}) (MPI_Exscan).
-  template <class T>
-  void exscan(std::span<const T> in, std::span<T> out, ReduceOp op);
 
   /// Partition the group by `color` (ranks with equal color form a new
   /// communicator, ordered by (key, rank)).  A negative color yields an
@@ -429,16 +323,10 @@ class Comm {
   void deliver(int dest_group_rank, int tag, const void* bytes,
                std::size_t nbytes);
 
-  /// Blocking type-erased receive core (shared by recv and wait) of a
-  /// receive begun at `start` (op_begin).
-  Status recv_bytes(int source, int tag, void* buffer, std::size_t capacity,
-                    double start);
-
-  /// Copy a matched message into `buffer`, close the receive begun at
-  /// `start` (op_end: modeled transfer or measured wall time), and build the
-  /// Status.  The single completion path of recv, wait and test.
-  Status absorb(Message&& msg, void* buffer, std::size_t capacity,
-                double start);
+  /// Blocking type-erased receive core: match, copy the message into
+  /// `buffer`, close the receive (op_end: modeled transfer or measured wall
+  /// time), and build the Status.
+  Status recv_bytes(int source, int tag, void* buffer, std::size_t capacity);
 
   /// Group rank of member `world_rank`.
   int group_rank_of(int world_rank) const noexcept;
@@ -465,7 +353,7 @@ class Comm {
   //      over pt2pt frames on coll_context(), for every backend ----
 
   /// Context reserved for this comm's internal collective traffic, so user
-  /// wildcard receives/probes never observe collective frames.
+  /// wildcard receives and iprobes never observe collective frames.
   int coll_context() const noexcept { return context_ + (1 << 28); }
 
   /// One collective call in flight: what it is charged for, when this rank
@@ -495,10 +383,10 @@ class Comm {
   /// arrival.
   double coll_gather(const Round& round, const void* in, void* all,
                      std::size_t nbytes);
-  /// Leader side: send every other rank r `nbytes` from `blocks + r *
-  /// stride` (stride 0: the same bytes to all), stamped `done`.
-  void coll_release(const Round& round, const void* blocks,
-                    std::size_t stride, std::size_t nbytes, double done);
+  /// Leader side: send every other rank the same `nbytes` from `bytes`,
+  /// stamped `done`.
+  void coll_release(const Round& round, const void* bytes,
+                    std::size_t nbytes, double done);
   /// Non-leader side: send `up` stamped with the arrival, receive `down`
   /// from `leader`, and return the completion time it carries.
   double coll_exchange(const Round& round, int leader, const void* up,
@@ -506,19 +394,9 @@ class Comm {
                        std::size_t down_bytes);
 
   void broadcast_bytes(void* data, std::size_t nbytes, int root);
-  void reduce_bytes(const void* in, void* out, std::size_t nbytes,
-                    const detail::Reduction& reduction, int root);
   void allreduce_bytes(const void* in, void* out, std::size_t nbytes,
                        const detail::Reduction& reduction);
-  void gather_bytes(const void* in, void* out, std::size_t nbytes, int root);
   void allgather_bytes(const void* in, void* out, std::size_t nbytes);
-  void scatter_bytes(const void* in, void* out, std::size_t nbytes, int root);
-  void scan_bytes(const void* in, void* out, std::size_t nbytes,
-                  const detail::Reduction& reduction, bool exclusive);
-  void alltoall_bytes(const void* in, void* out, std::size_t block_bytes);
-  void reduce_scatter_bytes(const void* in, void* out,
-                            std::size_t block_bytes,
-                            const detail::Reduction& reduction);
 
   detail::RankState* state_ = nullptr;
   const net::NetworkModel* network_ = nullptr;
@@ -530,7 +408,6 @@ class Comm {
   int context_ = 0;
   int split_seq_ = 0;  // per-comm counter for deterministic split keys
   std::uint32_t coll_seq_ = 0;  // tag counter for collective frames
-  bool kahan_ = false;
   bool distributed_ = false;
 };
 
@@ -547,8 +424,6 @@ class World {
 
     int num_ranks = 1;
     net::Machine machine = net::ideal_machine();
-    /// Use compensated summation in floating-point sum reductions.
-    bool kahan_reductions = false;
     /// Unused: per-operation events come from `instrument` (RunStats::
     /// events).  Kept only because perfbench/search.cpp still sets it.
     bool trace = false;
@@ -630,8 +505,7 @@ Status Comm::recv(int source, int tag, std::span<T> buffer) {
   PAC_REQUIRE(valid());
   PAC_REQUIRE_MSG(source == kAnySource || (source >= 0 && source < size()),
                   "recv source out of range");
-  return recv_bytes(source, tag, buffer.data(), buffer.size_bytes(),
-                    op_begin());
+  return recv_bytes(source, tag, buffer.data(), buffer.size_bytes());
 }
 
 template <class T>
@@ -643,33 +517,12 @@ void Comm::broadcast(std::span<T> data, int root) {
 }
 
 template <class T>
-void Comm::reduce(std::span<const T> in, std::span<T> out, ReduceOp op,
-                  int root) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PAC_REQUIRE(valid());
-  PAC_REQUIRE(root >= 0 && root < size());
-  if (rank() == root) PAC_REQUIRE(out.size() == in.size());
-  reduce_bytes(in.data(), out.data(), in.size_bytes(),
-               detail::reduction_for<T>(op, /*kahan=*/false), root);
-}
-
-template <class T>
 void Comm::allreduce(std::span<const T> in, std::span<T> out, ReduceOp op) {
   static_assert(std::is_trivially_copyable_v<T>);
   PAC_REQUIRE(valid());
   PAC_REQUIRE(out.size() == in.size());
   allreduce_bytes(in.data(), out.data(), in.size_bytes(),
-                  detail::reduction_for<T>(op, kahan_));
-}
-
-template <class T>
-void Comm::gather(std::span<const T> in, std::span<T> out, int root) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PAC_REQUIRE(valid());
-  PAC_REQUIRE(root >= 0 && root < size());
-  if (rank() == root)
-    PAC_REQUIRE(out.size() == in.size() * static_cast<std::size_t>(size()));
-  gather_bytes(in.data(), out.data(), in.size_bytes(), root);
+                  detail::reduction_for<T>(op));
 }
 
 template <class T>
@@ -678,57 +531,6 @@ void Comm::allgather(std::span<const T> in, std::span<T> out) {
   PAC_REQUIRE(valid());
   PAC_REQUIRE(out.size() == in.size() * static_cast<std::size_t>(size()));
   allgather_bytes(in.data(), out.data(), in.size_bytes());
-}
-
-template <class T>
-void Comm::scatter(std::span<const T> in, std::span<T> out, int root) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PAC_REQUIRE(valid());
-  PAC_REQUIRE(root >= 0 && root < size());
-  if (rank() == root)
-    PAC_REQUIRE(in.size() == out.size() * static_cast<std::size_t>(size()));
-  scatter_bytes(in.data(), out.data(), out.size_bytes(), root);
-}
-
-template <class T>
-void Comm::scan(std::span<const T> in, std::span<T> out, ReduceOp op) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PAC_REQUIRE(valid());
-  PAC_REQUIRE(out.size() == in.size());
-  scan_bytes(in.data(), out.data(), in.size_bytes(),
-             detail::reduction_for<T>(op, /*kahan=*/false),
-             /*exclusive=*/false);
-}
-
-template <class T>
-void Comm::alltoall(std::span<const T> in, std::span<T> out,
-                    std::size_t block) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PAC_REQUIRE(valid());
-  const auto p = static_cast<std::size_t>(size());
-  PAC_REQUIRE(in.size() == block * p);
-  PAC_REQUIRE(out.size() == block * p);
-  alltoall_bytes(in.data(), out.data(), block * sizeof(T));
-}
-
-template <class T>
-void Comm::reduce_scatter(std::span<const T> in, std::span<T> out,
-                          ReduceOp op) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PAC_REQUIRE(valid());
-  PAC_REQUIRE(in.size() == out.size() * static_cast<std::size_t>(size()));
-  reduce_scatter_bytes(in.data(), out.data(), out.size_bytes(),
-                       detail::reduction_for<T>(op, /*kahan=*/false));
-}
-
-template <class T>
-void Comm::exscan(std::span<const T> in, std::span<T> out, ReduceOp op) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PAC_REQUIRE(valid());
-  PAC_REQUIRE(out.size() == in.size());
-  scan_bytes(in.data(), out.data(), in.size_bytes(),
-             detail::reduction_for<T>(op, /*kahan=*/false),
-             /*exclusive=*/true);
 }
 
 }  // namespace pac::mp

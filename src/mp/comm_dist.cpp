@@ -4,11 +4,10 @@
 // provide (the in-process mailboxes, sockets, shared-memory rings).
 //
 // Algorithms are linear and rooted at a leader — group rank 0, or the
-// user's root for the rooted kinds.  Reductions gather every contribution
-// at the leader and fold r = 0, 1, ..., P-1 (the compensated Kahan path
-// included), so results match across backends by construction.  Eager
-// buffered sends make the exchanges deadlock-free; alltoall is the one
-// leaderless exchange.
+// broadcast's root.  An allreduce gathers every contribution at the leader
+// and folds r = 0, 1, ..., P-1 elementwise, one fold for every backend, so
+// results match across backends by construction.  Eager buffered sends make
+// the exchanges deadlock-free.
 //
 // Time: every frame a rank contributes carries its arrival time in
 // Message::send_time; the leader stamps each release frame with the
@@ -47,17 +46,6 @@ const std::byte* block(const void* base, int r, std::size_t nbytes) {
 /// `out`.
 void fold_rank_ordered(const std::byte* all, void* out, std::size_t nbytes,
                        int p, const detail::Reduction& reduction) {
-  if (reduction.kahan) {
-    const std::size_t n = nbytes / sizeof(double);
-    double* dst = static_cast<double*>(out);
-    for (std::size_t i = 0; i < n; ++i) {
-      KahanSum k;
-      for (int r = 0; r < p; ++r)
-        k.add(reinterpret_cast<const double*>(block(all, r, nbytes))[i]);
-      dst[i] = k.value();
-    }
-    return;
-  }
   copy_bytes(out, all, nbytes);
   const std::size_t n = nbytes / reduction.elem_size;
   for (int r = 1; r < p; ++r)
@@ -121,11 +109,10 @@ double Comm::coll_gather(const Round& round, const void* in, void* all,
   return latest;
 }
 
-void Comm::coll_release(const Round& round, const void* blocks,
-                        std::size_t stride, std::size_t nbytes, double done) {
+void Comm::coll_release(const Round& round, const void* bytes,
+                        std::size_t nbytes, double done) {
   for (int r = 0; r < size(); ++r)
-    if (r != group_rank_)
-      coll_send(r, round.tag, block(blocks, r, stride), nbytes, done);
+    if (r != group_rank_) coll_send(r, round.tag, bytes, nbytes, done);
 }
 
 double Comm::coll_exchange(const Round& round, int leader, const void* up,
@@ -141,7 +128,7 @@ void Comm::barrier() {
   double done;
   if (group_rank_ == 0) {
     done = coll_gather(round, nullptr, nullptr, 0) + round.cost;
-    coll_release(round, nullptr, 0, 0, done);
+    coll_release(round, nullptr, 0, done);
   } else {
     done = coll_exchange(round, 0, nullptr, 0, nullptr, 0);
   }
@@ -155,26 +142,9 @@ void Comm::broadcast_bytes(void* data, std::size_t nbytes, int root) {
     // Empty arrival frames: the root must not leave before the last rank
     // arrives.
     done = coll_gather(round, nullptr, nullptr, 0) + round.cost;
-    coll_release(round, data, 0, nbytes, done);
+    coll_release(round, data, nbytes, done);
   } else {
     done = coll_exchange(round, root, nullptr, 0, data, nbytes);
-  }
-  coll_end(round, done);
-}
-
-void Comm::reduce_bytes(const void* in, void* out, std::size_t nbytes,
-                        const detail::Reduction& reduction, int root) {
-  const Round round = coll_begin(net::CollectiveKind::kReduce, nbytes);
-  const int p = size();
-  double done;
-  if (group_rank_ == root) {
-    std::byte* all =
-        detail::scratch_buffer(0, nbytes * static_cast<std::size_t>(p));
-    done = coll_gather(round, in, all, nbytes) + round.cost;
-    coll_release(round, nullptr, 0, 0, done);
-    fold_rank_ordered(all, out, nbytes, p, reduction);
-  } else {
-    done = coll_exchange(round, root, in, nbytes, nullptr, 0);
   }
   coll_end(round, done);
 }
@@ -186,25 +156,12 @@ void Comm::allreduce_bytes(const void* in, void* out, std::size_t nbytes,
   double done;
   if (group_rank_ == 0) {
     std::byte* all =
-        detail::scratch_buffer(0, nbytes * static_cast<std::size_t>(p));
+        detail::scratch_buffer(nbytes * static_cast<std::size_t>(p));
     done = coll_gather(round, in, all, nbytes) + round.cost;
     fold_rank_ordered(all, out, nbytes, p, reduction);
-    coll_release(round, out, 0, nbytes, done);
+    coll_release(round, out, nbytes, done);
   } else {
     done = coll_exchange(round, 0, in, nbytes, out, nbytes);
-  }
-  coll_end(round, done);
-}
-
-void Comm::gather_bytes(const void* in, void* out, std::size_t nbytes,
-                        int root) {
-  const Round round = coll_begin(net::CollectiveKind::kGather, nbytes);
-  double done;
-  if (group_rank_ == root) {
-    done = coll_gather(round, in, out, nbytes) + round.cost;
-    coll_release(round, nullptr, 0, 0, done);
-  } else {
-    done = coll_exchange(round, root, in, nbytes, nullptr, 0);
   }
   coll_end(round, done);
 }
@@ -215,86 +172,9 @@ void Comm::allgather_bytes(const void* in, void* out, std::size_t nbytes) {
   double done;
   if (group_rank_ == 0) {
     done = coll_gather(round, in, out, nbytes) + round.cost;
-    coll_release(round, out, 0, total, done);
+    coll_release(round, out, total, done);
   } else {
     done = coll_exchange(round, 0, in, nbytes, out, total);
-  }
-  coll_end(round, done);
-}
-
-void Comm::scatter_bytes(const void* in, void* out, std::size_t nbytes,
-                         int root) {
-  const Round round = coll_begin(net::CollectiveKind::kScatter, nbytes);
-  double done;
-  if (group_rank_ == root) {
-    done = coll_gather(round, nullptr, nullptr, 0) + round.cost;
-    coll_release(round, in, nbytes, nbytes, done);
-    copy_bytes(out, block(in, root, nbytes), nbytes);
-  } else {
-    done = coll_exchange(round, root, nullptr, 0, out, nbytes);
-  }
-  coll_end(round, done);
-}
-
-void Comm::scan_bytes(const void* in, void* out, std::size_t nbytes,
-                      const detail::Reduction& reduction, bool exclusive) {
-  const Round round = coll_begin(exclusive ? net::CollectiveKind::kExscan
-                                           : net::CollectiveKind::kScan,
-                                 nbytes);
-  const int p = size();
-  double done;
-  if (group_rank_ == 0) {
-    std::byte* all =
-        detail::scratch_buffer(0, nbytes * static_cast<std::size_t>(p));
-    done = coll_gather(round, in, all, nbytes) + round.cost;
-    std::byte* running = detail::scratch_buffer(1, nbytes);
-    copy_bytes(running, all, nbytes);
-    // Rank 0: inclusive scan is its own input; exclusive leaves out alone.
-    if (!exclusive) copy_bytes(out, running, nbytes);
-    const std::size_t n = nbytes / reduction.elem_size;
-    for (int r = 1; r < p; ++r) {
-      if (exclusive) coll_send(r, round.tag, running, nbytes, done);
-      reduction.combine(reduction.op, running, block(all, r, nbytes), n);
-      if (!exclusive) coll_send(r, round.tag, running, nbytes, done);
-    }
-  } else {
-    done = coll_exchange(round, 0, in, nbytes, out, nbytes);
-  }
-  coll_end(round, done);
-}
-
-void Comm::alltoall_bytes(const void* in, void* out, std::size_t block_bytes) {
-  const Round round = coll_begin(net::CollectiveKind::kAlltoall, block_bytes);
-  // Leaderless: every rank sees every arrival, so each computes the same
-  // completion time.
-  for (int d = 0; d < size(); ++d)
-    if (d != group_rank_)
-      coll_send(d, round.tag, block(in, d, block_bytes), block_bytes,
-                round.arrival);
-  const double latest =
-      coll_gather(round, block(in, group_rank_, block_bytes), out,
-                  block_bytes);
-  coll_end(round, latest + round.cost);
-}
-
-void Comm::reduce_scatter_bytes(const void* in, void* out,
-                                std::size_t block_bytes,
-                                const detail::Reduction& reduction) {
-  const Round round =
-      coll_begin(net::CollectiveKind::kReduceScatter, block_bytes);
-  const int p = size();
-  const std::size_t total = block_bytes * static_cast<std::size_t>(p);
-  double done;
-  if (group_rank_ == 0) {
-    std::byte* all =
-        detail::scratch_buffer(0, total * static_cast<std::size_t>(p));
-    done = coll_gather(round, in, all, total) + round.cost;
-    std::byte* folded = detail::scratch_buffer(1, total);
-    fold_rank_ordered(all, folded, total, p, reduction);
-    coll_release(round, folded, block_bytes, block_bytes, done);
-    copy_bytes(out, folded, block_bytes);
-  } else {
-    done = coll_exchange(round, 0, in, total, out, block_bytes);
   }
   coll_end(round, done);
 }

@@ -65,26 +65,6 @@ bool Mailbox::try_pop(int context, int source, int tag, Message& out) {
   return true;
 }
 
-void Mailbox::peek(int context, int source, int tag, int& matched_source,
-                   int& matched_tag, std::size_t& matched_bytes) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    if (aborted_) throw Aborted{};
-    const auto it = std::find_if(queue_.begin(), queue_.end(),
-                                 [&](const Message& m) {
-                                   return matches(m, context, source, tag);
-                                 });
-    if (it != queue_.end()) {
-      matched_source = it->source;
-      matched_tag = it->tag;
-      matched_bytes = it->payload.size();
-      return;
-    }
-    if (starved(source)) throw_starved(source, tag);
-    cv_.wait(lock);
-  }
-}
-
 bool Mailbox::try_peek(int context, int source, int tag, int& matched_source,
                        int& matched_tag, std::size_t& matched_bytes) {
   std::lock_guard<std::mutex> lock(mutex_);

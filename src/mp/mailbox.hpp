@@ -43,14 +43,12 @@ class Mailbox {
   Message pop(int context, int source, int tag);
 
   /// Non-blocking variant; returns false if no match is queued.
+  /// InProcessTransport::recv polls with it before it parks in pop().
   bool try_pop(int context, int source, int tag, Message& out);
 
-  /// Blocking match *without* consuming: fills source/tag/size of the
-  /// earliest matching message.  Throws Aborted on teardown.
-  void peek(int context, int source, int tag, int& matched_source,
-            int& matched_tag, std::size_t& matched_bytes);
-
-  /// Non-blocking peek; returns false if no match is queued.
+  /// Non-blocking match *without* consuming: fills source/tag/size of the
+  /// earliest matching message; returns false if none is queued.  Backs
+  /// Transport::try_peek, i.e. Comm::iprobe.
   bool try_peek(int context, int source, int tag, int& matched_source,
                 int& matched_tag, std::size_t& matched_bytes);
 
@@ -71,7 +69,7 @@ class Mailbox {
   void set_expected_sources(int n);
 
   /// Record that `source` can never deliver again (its stream reached a
-  /// clean shutdown or died).  A blocked pop/peek waiting specifically on
+  /// clean shutdown or died).  A blocked pop waiting specifically on
   /// that source — or a wildcard wait once every source is closed — throws
   /// TransportError instead of hanging forever.
   void mark_source_closed(int source);

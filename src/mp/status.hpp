@@ -20,8 +20,10 @@ struct Status {
   std::size_t bytes = 0;
 };
 
-/// Built-in reduction operators for the fast arithmetic paths.
-enum class ReduceOp { kSum, kMin, kMax, kProd };
+/// Built-in reduction operators.  The EM reductions are all sums; kMin and
+/// kMax serve extrema (micro_kernels' hot scalar allreduce uses kMax) and a
+/// cross-rank divergence guard needs both.
+enum class ReduceOp { kSum, kMin, kMax };
 
 /// Thrown inside rank threads when the world is torn down because another
 /// rank failed.  The World swallows these and rethrows the original error.

@@ -15,7 +15,7 @@ namespace pac::mp::transport {
 class InProcessTransport final : public Transport {
  public:
   /// `boxes[r]` is world rank r's mailbox; `rank` is the owning rank (the
-  /// only rank allowed to call recv/peek on this instance).
+  /// only rank allowed to call recv/try_peek on this instance).
   InProcessTransport(std::vector<Mailbox*> boxes, int rank)
       : boxes_(std::move(boxes)), rank_(rank) {}
 
@@ -41,17 +41,6 @@ class InProcessTransport final : public Transport {
       std::this_thread::yield();
     }
     return inbox().pop(context, source_world_rank, tag);
-  }
-
-  bool try_recv(int context, int source_world_rank, int tag,
-                Message& out) override {
-    return inbox().try_pop(context, source_world_rank, tag, out);
-  }
-
-  void peek(int context, int source_world_rank, int tag, int& matched_source,
-            int& matched_tag, std::size_t& matched_bytes) override {
-    inbox().peek(context, source_world_rank, tag, matched_source, matched_tag,
-                 matched_bytes);
   }
 
   bool try_peek(int context, int source_world_rank, int tag,

@@ -346,18 +346,6 @@ Message SocketTransport::recv(int context, int source_world_rank, int tag) {
   return inbox_.pop(context, source_world_rank, tag);
 }
 
-bool SocketTransport::try_recv(int context, int source_world_rank, int tag,
-                               Message& out) {
-  return inbox_.try_pop(context, source_world_rank, tag, out);
-}
-
-void SocketTransport::peek(int context, int source_world_rank, int tag,
-                           int& matched_source, int& matched_tag,
-                           std::size_t& matched_bytes) {
-  inbox_.peek(context, source_world_rank, tag, matched_source, matched_tag,
-              matched_bytes);
-}
-
 bool SocketTransport::try_peek(int context, int source_world_rank, int tag,
                                int& matched_source, int& matched_tag,
                                std::size_t& matched_bytes) {

@@ -86,10 +86,6 @@ class SocketTransport : public Transport {
 
   void send(int dest_world_rank, Message msg) override;
   Message recv(int context, int source_world_rank, int tag) override;
-  bool try_recv(int context, int source_world_rank, int tag,
-                Message& out) override;
-  void peek(int context, int source_world_rank, int tag, int& matched_source,
-            int& matched_tag, std::size_t& matched_bytes) override;
   bool try_peek(int context, int source_world_rank, int tag,
                 int& matched_source, int& matched_tag,
                 std::size_t& matched_bytes) override;

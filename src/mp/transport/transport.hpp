@@ -1,8 +1,9 @@
 // pacnet: the transport abstraction under minimpi's point-to-point layer.
 //
 // A Transport moves tagged messages between world ranks and answers the
-// mailbox-style matching queries (blocking/non-blocking receive and probe
-// with MPI wildcard semantics).  Two backends implement it:
+// two mailbox-style matching queries Comm needs, with MPI wildcard
+// semantics: a blocking receive (recv, collectives) and a non-blocking peek
+// (iprobe).  Three backends implement it:
 //
 //   * InProcessTransport — the original ranks-as-threads path: send pushes
 //     straight into the destination rank's Mailbox.  Deterministic,
@@ -68,16 +69,9 @@ class Transport {
   /// if the wait can never be satisfied (peer death, transport failure).
   virtual Message recv(int context, int source_world_rank, int tag) = 0;
 
-  /// Non-blocking receive; false if no match is queued.
-  virtual bool try_recv(int context, int source_world_rank, int tag,
-                        Message& out) = 0;
-
-  /// Blocking match without consuming (MPI_Probe).
-  virtual void peek(int context, int source_world_rank, int tag,
-                    int& matched_source, int& matched_tag,
-                    std::size_t& matched_bytes) = 0;
-
-  /// Non-blocking peek (MPI_Iprobe); false if no match is queued.
+  /// Non-blocking peek (MPI_Iprobe); false if no match is queued.  Comm::
+  /// iprobe needs it: wire::try_recv_blob drains the group search's
+  /// leaderboard exchange through it.
   virtual bool try_peek(int context, int source_world_rank, int tag,
                         int& matched_source, int& matched_tag,
                         std::size_t& matched_bytes) = 0;

@@ -148,7 +148,7 @@ RunStats World::run_modeled(const std::function<void(Comm&)>& fn) {
   std::vector<char> aborted(p, 0);
 
   // The mailbox data path, factored behind the Transport interface: one
-  // instance per rank so recv/peek always act on the owner's inbox.
+  // instance per rank so recv and try_peek always act on the owner's inbox.
   std::vector<Mailbox*> boxes;
   boxes.reserve(p);
   for (auto& box : mailboxes_) boxes.push_back(box.get());
@@ -163,7 +163,6 @@ RunStats World::run_modeled(const std::function<void(Comm&)>& fn) {
     comm.network_ = config_.machine.network.get();
     comm.costs_ = &config_.machine.costs;
     comm.transport_ = &transports[rank];
-    comm.kahan_ = config_.kahan_reductions;
     comm.group_.resize(p);
     for (int r = 0; r < p; ++r) comm.group_[r] = r;
     comm.group_rank_ = rank;
@@ -253,7 +252,6 @@ RunStats World::run_distributed(const std::function<void(Comm&)>& fn) {
   comm.transport_ = socket_transport_.get();
   comm.time_ = &socket_transport_->time();
   comm.distributed_ = true;
-  comm.kahan_ = config_.kahan_reductions;
   comm.group_.resize(p);
   std::iota(comm.group_.begin(), comm.group_.end(), 0);
   comm.group_rank_ = me;

@@ -146,6 +146,17 @@ void Server::stop() {
   conns_.clear();
 }
 
+void Server::reap_finished() {
+  // A finished reader has nothing left to do but return, so the join is
+  // immediate; dropping the list's reference closes the fd unless a queued
+  // request still holds the connection.
+  std::erase_if(conns_, [](const std::shared_ptr<Connection>& done) {
+    if (!done->finished.load()) return false;
+    done->reader.join();
+    return true;
+  });
+}
+
 void Server::accept_loop() {
   while (!stopping_.load()) {
     std::shared_ptr<Connection> conn;
@@ -155,18 +166,19 @@ void Server::accept_loop() {
       conn->fd = std::move(fd);
     } catch (const std::exception&) {
       if (stopping_.load()) return;
-      continue;  // transient accept failure; keep serving
+      // Keep serving.  Out of fds (EMFILE), no accept can succeed until a
+      // finished connection's fd closes, and that happens only when it is
+      // reaped: reap here too, then back off instead of spinning.
+      {
+        std::lock_guard<std::mutex> lk(conns_mutex_);
+        reap_finished();
+      }
+      std::this_thread::sleep_for(kAcceptRetryDelay);
+      continue;
     }
     std::lock_guard<std::mutex> lk(conns_mutex_);
     if (stopping_.load()) return;  // raced with stop(); drop the socket
-    // Reap finished connections.  A finished reader has nothing left to do
-    // but return, so the join is immediate; dropping the list's reference
-    // closes the fd unless a queued request still holds the connection.
-    std::erase_if(conns_, [](const std::shared_ptr<Connection>& done) {
-      if (!done->finished.load()) return false;
-      done->reader.join();
-      return true;
-    });
+    reap_finished();
     conn->id = next_conn_id_++;
     conn->reader = std::thread([this, conn] { reader_loop(conn); });
     conns_.push_back(conn);

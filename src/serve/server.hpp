@@ -3,8 +3,9 @@
 // Threading model (DESIGN.md §7):
 //   - one accept thread hands each connection to a reader thread; a reader
 //     marks its connection finished as its last act, and the accept thread
-//     joins and drops finished connections before it adds a new one (the
-//     fd closes with the last shared_ptr, which a queued request may hold);
+//     joins and drops finished connections before it adds a new one and
+//     after a failed accept (the fd closes with the last shared_ptr, which
+//     a queued request may hold);
 //   - readers decode + admission-validate requests and enqueue them
 //     (malformed requests fail individually, before batching);
 //   - ONE batch worker owns the metrics Registry and the inference hot
@@ -134,7 +135,13 @@ class Server {
 
   std::shared_ptr<const Snapshot> snapshot() const;
 
+  /// Pause after a failed accept (e.g. EMFILE at the fd limit), so the
+  /// accept thread waits for fds to free instead of spinning a core.
+  static constexpr std::chrono::milliseconds kAcceptRetryDelay{10};
+
   void accept_loop();
+  /// Join and drop every finished connection.  Caller holds conns_mutex_.
+  void reap_finished();
   void reader_loop(const std::shared_ptr<Connection>& conn);
   void handle_request(const std::shared_ptr<Connection>& conn,
                       const mp::transport::FrameHeader& h,

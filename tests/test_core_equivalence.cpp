@@ -215,23 +215,6 @@ TEST(Equivalence, MoreRanksThanItemsStillWorks) {
   EXPECT_TRUE(std::isfinite(parallel.search.top().cs_score));
 }
 
-TEST(Equivalence, KahanReductionsStayClose) {
-  const data::LabeledDataset ld = data::paper_dataset(2000, 88);
-  const ac::Model model = ac::Model::default_model(ld.dataset);
-  ac::SearchConfig config = small_search();
-  config.start_j_list = {4};
-  config.max_tries = 1;
-
-  mp::World::Config cfg = ideal_world(6);
-  mp::World plain_world(cfg);
-  cfg.kahan_reductions = true;
-  mp::World kahan_world(cfg);
-  const ParallelOutcome plain = run_parallel_search(plain_world, model, config);
-  const ParallelOutcome kahan = run_parallel_search(kahan_world, model, config);
-  expect_close(plain.search.top().cs_score, kahan.search.top().cs_score,
-               1e-9);
-}
-
 TEST(Equivalence, WtsOnlyUnevenPartitionsPadCorrectly) {
   // N not divisible by P exercises the padded Allgather of the weight
   // matrix in the WtsOnly baseline.

@@ -124,7 +124,7 @@ std::string registry_blob() {
   metrics::Registry reg;
   reg.counter("mp.allreduce.calls").add(860);
   reg.counter("mp.send.bytes").add(4096);
-  reg.counter("mp.wait.calls");
+  reg.counter("mp.recv.calls");
   for (const double v : {1e-6, 2e-5, 0.003, 0.5})
     reg.histogram("mp.allreduce.seconds").observe(v);
   reg.histogram("mp.recv.seconds");

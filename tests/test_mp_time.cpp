@@ -99,8 +99,8 @@ TEST(VirtualTime, EveryCollectiveKindLeavesAtLatestArrivalPlusCost) {
   // booked as idle time (evaluated as done - arrival - cost).
   const net::Machine machine = flat_machine();
   constexpr int kRanks = 4;
-  for (std::size_t k = 0; k < net::kNumCollectiveKinds; ++k) {
-    const auto kind = static_cast<net::CollectiveKind>(k);
+  for (const net::CollectiveKind kind : testutil::kMinimpiKinds) {
+    const auto k = static_cast<std::size_t>(kind);
     SCOPED_TRACE(net::to_string(kind));
     std::vector<std::size_t> bytes(kRanks);
     std::vector<double> left(kRanks);
@@ -132,8 +132,8 @@ TEST(VirtualTime, EveryCollectiveKindLeavesAtLatestArrivalPlusCost) {
 TEST(VirtualTime, EveryCollectiveKindOnSplitLeavesAtLatestArrivalPlusCost) {
   const net::Machine machine = flat_machine();
   constexpr int kRanks = 4;
-  for (std::size_t k = 0; k < net::kNumCollectiveKinds; ++k) {
-    const auto kind = static_cast<net::CollectiveKind>(k);
+  for (const net::CollectiveKind kind : testutil::kMinimpiKinds) {
+    const auto k = static_cast<std::size_t>(kind);
     SCOPED_TRACE(net::to_string(kind));
     std::vector<double> left(kRanks), done(kRanks), comm_time(kRanks),
         idle(kRanks), kind_seconds(kRanks);
@@ -178,8 +178,8 @@ TEST(VirtualTime, EmptyCollectivesChargeZeroByteCost) {
   // still one collective per rank, charged the zero-byte cost.
   const net::Machine machine = flat_machine();
   for (const int p : {1, 2, 4}) {
-    for (std::size_t k = 0; k < net::kNumCollectiveKinds; ++k) {
-      const auto kind = static_cast<net::CollectiveKind>(k);
+    for (const net::CollectiveKind kind : testutil::kMinimpiKinds) {
+      const auto k = static_cast<std::size_t>(kind);
       SCOPED_TRACE(std::string(net::to_string(kind)) + " on " +
                    std::to_string(p) + " ranks");
       World world(config_with(machine, p));

@@ -181,6 +181,60 @@ TEST(SmpCluster, PresetResolvesAndScalesMonotonically) {
   }
 }
 
+TEST(SmpCluster, MultiNodeCollectiveTimesArePinned) {
+  // The smp-cluster preset (4 ranks per node) at P >= 5 spans several
+  // nodes, so every time below is an in-node phase plus the leader phase.
+  // The values are the model's exact output, as hex floats; a change to any
+  // formula, or to the order it adds its phases in, shows here.
+  struct Pinned {
+    CollectiveKind kind;
+    int nprocs;
+    double seconds[3];  // for 0, 918 and 65536 bytes
+  };
+  const std::size_t bytes[3] = {0, 918, 65536};
+  const Pinned pinned[] = {
+      {CollectiveKind::kBarrier, 5,
+       {0x1.3660e51d25aacp-13, 0x1.3660e51d25aacp-13, 0x1.3660e51d25aacp-13}},
+      {CollectiveKind::kBarrier, 8,
+       {0x1.3660e51d25aacp-13, 0x1.3660e51d25aacp-13, 0x1.3660e51d25aacp-13}},
+      {CollectiveKind::kBarrier, 16,
+       {0x1.2dfd694ccab3fp-12, 0x1.2dfd694ccab3fp-12, 0x1.2dfd694ccab3fp-12}},
+      {CollectiveKind::kBarrier, 33,
+       {0x1.29cbab649d389p-11, 0x1.29cbab649d389p-11, 0x1.29cbab649d389p-11}},
+      {CollectiveKind::kBcast, 5,
+       {0x1.3660e51d25aacp-13, 0x1.da04eea73d1b4p-13, 0x1.76c5842e227d3p-8}},
+      {CollectiveKind::kBcast, 8,
+       {0x1.3660e51d25aacp-13, 0x1.da04eea73d1b4p-13, 0x1.76c5842e227d3p-8}},
+      {CollectiveKind::kBcast, 16,
+       {0x1.2dfd694ccab3fp-12, 0x1.ccd15470f0831p-12, 0x1.6bc5a0de875f6p-7}},
+      {CollectiveKind::kBcast, 33,
+       {0x1.29cbab649d389p-11, 0x1.c6378755ca37p-11, 0x1.6645af36b9d08p-6}},
+      {CollectiveKind::kAllreduce, 5,
+       {0x1.3660e51d25aabp-12, 0x1.da04eea73d1b4p-12, 0x1.76c5842e227d3p-7}},
+      {CollectiveKind::kAllreduce, 8,
+       {0x1.3660e51d25aabp-12, 0x1.da04eea73d1b4p-12, 0x1.76c5842e227d3p-7}},
+      {CollectiveKind::kAllreduce, 16,
+       {0x1.2dfd694ccab3fp-11, 0x1.ccd15470f0832p-11, 0x1.6bc5a0de875f7p-6}},
+      {CollectiveKind::kAllreduce, 33,
+       {0x1.29cbab649d389p-10, 0x1.c6378755ca37p-10, 0x1.6645af36b9d07p-5}},
+      {CollectiveKind::kAllgather, 5,
+       {0x1.4727dcbddb985p-13, 0x1.f6e44d71f8c0ep-12, 0x1.7d0cc60c135ebp-6}},
+      {CollectiveKind::kAllgather, 8,
+       {0x1.4727dcbddb985p-13, 0x1.02aa5451e6d29p-11, 0x1.8d27f135b7c7ep-6}},
+      {CollectiveKind::kAllgather, 16,
+       {0x1.3660e51d25aabp-12, 0x1.49ac716298d18p-10, 0x1.1a6607c6c8d1dp-4}},
+      {CollectiveKind::kAllgather, 33,
+       {0x1.2dfd694ccab3fp-11, 0x1.944876e73d109p-9, 0x1.6fedf99831e58p-3}},
+  };
+  const Machine m = smp_cluster();
+  for (const Pinned& row : pinned)
+    for (int b = 0; b < 3; ++b)
+      EXPECT_EQ(m.network->collective_time(row.kind, bytes[b], row.nprocs),
+                row.seconds[b])
+          << to_string(row.kind) << " P=" << row.nprocs
+          << " bytes=" << bytes[b];
+}
+
 TEST(SmpCluster, ValidatesNodeSize) {
   EXPECT_THROW(SmpClusterNetwork(test_link(), test_link(), 0), pac::Error);
 }

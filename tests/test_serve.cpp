@@ -6,6 +6,10 @@
 // malformed requests.
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,10 +17,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -727,10 +733,10 @@ TEST(Server, AdmissionErrorsFailOneRequestNotTheConnection) {
   EXPECT_EQ(client.predict(good, false).labels.size(), 3u);
 }
 
-std::size_t open_fd_count() {
+std::size_t open_fd_count(const std::string& fd_dir = "/proc/self/fd") {
   std::size_t n = 0;
   for ([[maybe_unused]] const auto& entry :
-       std::filesystem::directory_iterator("/proc/self/fd"))
+       std::filesystem::directory_iterator(fd_dir))
     ++n;
   return n;
 }
@@ -758,6 +764,143 @@ TEST(Server, FinishedConnectionsAreReaped) {
     client.info();
   }
   EXPECT_LE(open_fd_count(), before + 2);
+}
+
+// ---- a server child process under a lowered RLIMIT_NOFILE ----
+
+/// Set in the environment of a re-exec'd copy of this binary: main() then
+/// runs serve_child_main instead of the tests.
+constexpr const char* kServeChildEnv = "PAC_SERVE_TEST_CHILD";
+/// The child writes its bound address to this fd, then closes it.
+constexpr int kChildAddressFd = 3;
+
+/// Child mode: serve the fixture model on an ephemeral port until killed.
+[[noreturn]] void serve_child_main() {
+  ServeFixture f;
+  const std::string& address = f.server.bound_address();
+  const bool sent = ::write(kChildAddressFd, address.data(), address.size()) ==
+                    static_cast<ssize_t>(address.size());
+  ::close(kChildAddressFd);
+  if (!sent) std::_Exit(1);
+  for (;;) ::pause();
+}
+
+/// A server child; SIGKILLed and reaped when it goes out of scope.
+struct ServerChild {
+  pid_t pid = -1;
+  std::string address;
+
+  ServerChild() = default;
+  ServerChild(const ServerChild&) = delete;
+  ServerChild& operator=(const ServerChild&) = delete;
+  ~ServerChild() { kill_and_reap(); }
+
+  void kill_and_reap() {
+    if (pid <= 0) return;
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, nullptr, 0);
+    pid = -1;
+  }
+};
+
+/// Re-exec this binary as a server child whose RLIMIT_NOFILE is lowered to
+/// `max_fds` between fork and exec, and wait for its bound address.
+void spawn_server_child(ServerChild& child, rlim_t max_fds) {
+  const std::string self = std::filesystem::read_symlink("/proc/self/exe");
+  // Everything the child needs is built before the fork: between fork and
+  // exec only async-signal-safe calls run.
+  std::string self_arg = self;
+  std::string mode = std::string(kServeChildEnv) + "=1";
+  std::vector<char*> envp;
+  for (char** e = environ; *e != nullptr; ++e) envp.push_back(*e);
+  envp.push_back(mode.data());
+  envp.push_back(nullptr);
+  char* argv[] = {self_arg.data(), nullptr};
+  const rlimit limit{max_fds, max_fds};
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  child.pid = ::fork();
+  ASSERT_GE(child.pid, 0);
+  if (child.pid == 0) {
+    if (::dup2(pipe_fds[1], kChildAddressFd) < 0) ::_exit(126);
+    // Inherited fds would count against the limit: keep stdio and the
+    // address pipe only.
+    for (int fd = kChildAddressFd + 1; fd < 1024; ++fd) ::close(fd);
+    if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(126);
+    ::execve(self.c_str(), argv, envp.data());
+    ::_exit(127);
+  }
+  ::close(pipe_fds[1]);
+  // Read to EOF, so the child has closed its end before its fds are
+  // counted.  It trains the fixture model first.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  char buf[256];
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd pfd{pipe_fds[0], POLLIN, 0};
+    if (left.count() <= 0 ||
+        ::poll(&pfd, 1, static_cast<int>(left.count())) <= 0)
+      break;
+    const ssize_t n = ::read(pipe_fds[0], buf, sizeof buf);
+    if (n <= 0) break;
+    child.address.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(pipe_fds[0]);
+  ASSERT_FALSE(child.address.empty()) << "server child sent no address";
+}
+
+TEST(Server, RecoversAfterFdExhaustion) {
+  // At its fd limit a server can accept nothing, so it must free the fds
+  // of finished connections without waiting for an accept to succeed.
+  // Hold more connections than the limit allows, close them all, and a
+  // fresh client must be served again with the fds back near the start.
+  if (!std::filesystem::is_directory("/proc/self/fd"))
+    GTEST_SKIP() << "no /proc/self/fd";
+  constexpr rlim_t kMaxFds = 32;
+  constexpr int kHeld = 60;
+  ServerChild child;
+  ASSERT_NO_FATAL_FAILURE(spawn_server_child(child, kMaxFds));
+  const std::string fd_dir = "/proc/" + std::to_string(child.pid) + "/fd";
+  const std::size_t start = open_fd_count(fd_dir);
+  const mt::Endpoint ep = mt::parse_endpoint(child.address);
+  {
+    std::vector<mt::Fd> held;
+    for (int i = 0; i < kHeld; ++i) held.push_back(mt::connect_to(ep, 5.0));
+    // The kernel completes every handshake into the listen backlog; the
+    // server accepts until its descriptor table is full.
+    for (int i = 0; i < 500 && open_fd_count(fd_dir) < kMaxFds; ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ASSERT_EQ(open_fd_count(fd_dir), kMaxFds);
+  }  // every held connection closes here
+
+  // Client has no read timeout: probe under a deadline, and on expiry kill
+  // the child, which fails the probe's read instead of hanging the test.
+  auto probe = std::async(std::launch::async, [&child] {
+    Client client(child.address, 5.0);
+    return client.info().generation;
+  });
+  if (probe.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+    child.kill_and_reap();
+    ADD_FAILURE() << "a fresh client was not served within 5 s of the held "
+                     "connections closing";
+    try {
+      probe.get();
+    } catch (const std::exception&) {
+    }
+    return;
+  }
+  EXPECT_EQ(probe.get(), 1u);
+  // The server drains its backlog of closed connections in a burst, and
+  // reaps on its next accept: readers still running at the last accept
+  // keep their fds until then.  Spaced-out connections that close at once
+  // let it catch up, as in FinishedConnectionsAreReaped.
+  for (int i = 0; i < 100 && open_fd_count(fd_dir) > start + 4; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    mt::connect_to(ep, 5.0);
+  }
+  EXPECT_LE(open_fd_count(fd_dir), start + 4);
 }
 
 TEST(Server, StatsExposeLatencyHistogramAndGeneration) {
@@ -881,3 +1024,10 @@ TEST(HistogramQuantile, OrderedAcrossProbabilities) {
 
 }  // namespace
 }  // namespace pac::serve
+
+int main(int argc, char** argv) {
+  if (std::getenv(pac::serve::kServeChildEnv) != nullptr)
+    pac::serve::serve_child_main();
+  ::testing::InitGoogleTest(&argc, argv);
+  return RUN_ALL_TESTS();
+}

@@ -137,7 +137,7 @@ TEST(TransportHybrid, CollectivesBitIdenticalThroughTinyRings) {
       [&](Comm& comm) {
         collective_suite(comm, tiny_sink[static_cast<std::size_t>(comm.rank())]);
       },
-      /*kahan_reductions=*/false, /*ring_bytes=*/4096);
+      /*ring_bytes=*/4096);
   World::Config cfg;
   cfg.num_ranks = kRanks;
   cfg.machine = net::ideal_machine();

@@ -291,6 +291,21 @@ TEST(KahanSum, ResetClears) {
   EXPECT_EQ(k.value(), 0.0);
 }
 
+TEST(Kahan, CompensatedSumIsMoreAccurate) {
+  // 1e16 and then seven 1.0 addends: each 1.0 is half an ulp of 1e16 and
+  // rounds to even, so a plain fold loses every one of them.
+  KahanSum compensated;
+  double plain = 0.0;
+  for (const double x : {1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0}) {
+    compensated.add(x);
+    plain += x;
+  }
+  const double exact = 1e16 + 7.0;  // the correctly rounded sum
+  EXPECT_EQ(compensated.value(), exact);
+  EXPECT_EQ(plain, 1e16);
+  EXPECT_LT(std::abs(compensated.value() - exact), std::abs(plain - exact));
+}
+
 TEST(Digamma, MatchesKnownValues) {
   // psi(1) = -gamma, psi(2) = 1 - gamma, psi(1/2) = -gamma - 2 ln 2.
   const double euler_gamma = 0.5772156649015329;
