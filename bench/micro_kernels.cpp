@@ -311,11 +311,14 @@ BENCHMARK(BM_UpdateWtsMixed);
 
 /// One full M-step per iteration from a fixed post-E-step state.  `scalar`
 /// selects the per-item virtual accumulate chain instead of the
-/// accumulate_batch kernels; `threads` sizes the intra-rank pool.  The
-/// M-step fold is order-pinned and has no vector form, so no SIMD level is
-/// pinned here.
+/// accumulate_batch kernels; `threads` sizes the intra-rank pool.  `level`
+/// pins the SIMD dispatch for the whole measurement: the default measures
+/// the lanes = classes kernels at the host's best level, and the *Portable
+/// variants their per-class portable loops (the two are bit-identical).
 void run_update_params(benchmark::State& state, const ac::Model& model,
-                       std::size_t j, bool scalar, int threads = 1) {
+                       std::size_t j, bool scalar, int threads = 1,
+                       simd::Level level = simd::Level::kAvx2) {
+  const simd::ScopedForceLevel pin(level);
   const std::size_t n = model.dataset().num_items();
   ac::Reducer identity;
   ac::EmWorker worker(model, data::ItemRange{0, n}, identity);
@@ -341,6 +344,29 @@ void BM_UpdateParamsGaussian(benchmark::State& state) {
   run_update_params(state, ac::Model::default_model(ld.dataset), 8, false);
 }
 BENCHMARK(BM_UpdateParamsGaussian);
+
+void BM_UpdateParamsGaussianPortable(benchmark::State& state) {
+  // The same kernels forced to the portable per-class loops: the
+  // mstep-lanes gate pair measures lanes = classes against this.
+  const data::LabeledDataset ld = gaussian_heavy_dataset(4000);
+  run_update_params(state, ac::Model::default_model(ld.dataset), 8, false, 1,
+                    simd::Level::kScalar);
+}
+BENCHMARK(BM_UpdateParamsGaussianPortable);
+
+void BM_UpdateParamsGaussianJ16(benchmark::State& state) {
+  // The search's top J: four full class vectors per stats slot.
+  const data::LabeledDataset ld = gaussian_heavy_dataset(4000);
+  run_update_params(state, ac::Model::default_model(ld.dataset), 16, false);
+}
+BENCHMARK(BM_UpdateParamsGaussianJ16);
+
+void BM_UpdateParamsGaussianPortableJ16(benchmark::State& state) {
+  const data::LabeledDataset ld = gaussian_heavy_dataset(4000);
+  run_update_params(state, ac::Model::default_model(ld.dataset), 16, false,
+                    1, simd::Level::kScalar);
+}
+BENCHMARK(BM_UpdateParamsGaussianPortableJ16);
 
 void BM_UpdateParamsScalarGaussian(benchmark::State& state) {
   // The oracle on the identical workload: the kernel acceptance bar is
@@ -619,9 +645,13 @@ bool check_mstep_kernel_equality() {
   struct Variant {
     bool scalar;
     int threads;
+    simd::Level level;
   };
-  for (const Variant v :
-       {Variant{false, 1}, Variant{true, 1}, Variant{false, 4}}) {
+  for (const Variant v : {Variant{false, 1, simd::Level::kAvx2},
+                          Variant{true, 1, simd::Level::kAvx2},
+                          Variant{false, 4, simd::Level::kAvx2},
+                          Variant{false, 1, simd::Level::kScalar}}) {
+    const simd::ScopedForceLevel pin(v.level);
     ac::Reducer identity;
     ac::EmWorker worker(model, data::ItemRange{0, 1000}, identity);
     ac::Classification c(model, 6);

@@ -49,6 +49,11 @@ PAIRS = [
     # (bit-identical output).
     ("estep-normalize-lanes", "BM_NormalizeRowsScalar/4", "BM_NormalizeRowsLanes/4"),
     ("mstep-batch-kernel", "BM_UpdateParamsScalarGaussian", "BM_UpdateParamsGaussian"),
+    # M-step statistics of the same workload with the lanes = classes
+    # kernels forced to their per-class portable loops, over the host's
+    # vector level (bit-identical output), at J=8 and the search's J=16.
+    ("mstep-lanes", "BM_UpdateParamsGaussianPortable", "BM_UpdateParamsGaussian"),
+    ("mstep-lanes-j16", "BM_UpdateParamsGaussianPortableJ16", "BM_UpdateParamsGaussianJ16"),
     # One EM cycle (update_parameters + update_wts, five term families,
     # J=8, 2 pool threads) on resident data vs the same values streamed
     # from a .pacb under an evicting chunk budget.  Below 1x by design; a

@@ -262,10 +262,12 @@ if [ "$DISTRIBUTED" = 1 ]; then
   # chunk-backed under a 1 MB budget (the 1.28 MB of column data cannot all
   # fit, so chunks really evict mid-E-step), then once more chunk-backed on
   # 2 real socket-backend processes.  All three checkpoints must be
-  # byte-identical — same trajectories, same leaderboard, same bits.
+  # byte-identical — same trajectories, same leaderboard, same bits.  J = 5
+  # runs one full 4-class vector of the lanes = classes M-step plus a
+  # remainder class.
   echo "== out-of-core smoke: pac_convert + budgeted runs =="
   tmp=$(mktemp -d)
-  ooc_args="--jlist 3 --tries 1 --max-cycles 5 --procs 2"
+  ooc_args="--jlist 5 --tries 1 --max-cycles 5 --procs 2"
   # shellcheck disable=SC2086  # intentional word splitting of $ooc_args
   if "$BUILD_DIR"/examples/pautoclass_cli --generate "$tmp/ooc" \
         --items 80000 >/dev/null &&

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 
 #include "autoclass/report.hpp"
 #include "util/error.hpp"
@@ -115,11 +116,24 @@ EmWorker::~EmWorker() = default;
 void EmWorker::run_blocks(
     std::size_t blocks,
     const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (pool_ != nullptr) {
-    pool_->run_slotted(blocks, fn);
+  if (pool_ == nullptr) {
+    // In block order, the first error thrown is the lowest-indexed block's.
+    for (std::size_t b = 0; b < blocks; ++b) fn(b, 0);
     return;
   }
-  for (std::size_t b = 0; b < blocks; ++b) fn(b, 0);
+  // A pool thread must not let an exception escape: each block's error is
+  // captured where it is thrown, and after the join the lowest-indexed one
+  // is rethrown — whichever thread hit it, as without the pool.
+  std::vector<std::exception_ptr> block_error(blocks);
+  pool_->run_slotted(blocks, [&](std::size_t b, std::size_t slot) {
+    try {
+      fn(b, slot);
+    } catch (...) {
+      block_error[b] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& error : block_error)
+    if (error) std::rethrow_exception(error);
 }
 
 void EmWorker::random_init(Classification& c, std::uint64_t seed,
@@ -155,6 +169,10 @@ void EmWorker::random_init(Classification& c, std::uint64_t seed,
   const std::size_t n = data_->num_items();
   const std::vector<std::size_t> seeds =
       detail::draw_seed_items(rng, n, j, try_index);
+  // The J seed rows, read through the store once per try: every block's
+  // distances then read them from this resident copy, not through a locked
+  // (and on the chunked backend often loading) lookup per term and block.
+  const data::Dataset seed_rows = data_->gather(seeds);
 
   // Blocked nearest-seed assignment: per block, each term accumulates its
   // distances to all J seeds across the whole item block in one call — the
@@ -165,34 +183,26 @@ void EmWorker::random_init(Classification& c, std::uint64_t seed,
   // scalar loop — and, like the E-step, a pure function of kEStepBlock,
   // never of the thread count.
   const std::size_t blocks = block_count(range_.begin, range_.end);
-  std::vector<std::exception_ptr> block_error(blocks);
   run_blocks(blocks, [&](std::size_t b, std::size_t) {
     const data::ItemRange block = block_range(range_.begin, range_.end, b);
-    try {
-      std::vector<double> dist(block.size() * j, 0.0);
-      for (std::size_t t = 0; t < model_->num_terms(); ++t)
-        model_->term(t).seed_distance_batch(block, seeds, dist.data());
-      for (std::size_t r = 0; r < block.size(); ++r) {
-        const double* row_dist = dist.data() + r * j;
-        std::size_t home_class = 0;
-        double best = std::numeric_limits<double>::infinity();
-        for (std::size_t k = 0; k < j; ++k) {
-          if (row_dist[k] < best) {
-            best = row_dist[k];
-            home_class = k;
-          }
+    std::vector<double> dist(block.size() * j, 0.0);
+    for (std::size_t t = 0; t < model_->num_terms(); ++t)
+      model_->term(t).seed_distance_batch(block, seed_rows, dist.data());
+    for (std::size_t r = 0; r < block.size(); ++r) {
+      const double* row_dist = dist.data() + r * j;
+      std::size_t home_class = 0;
+      double best = std::numeric_limits<double>::infinity();
+      for (std::size_t k = 0; k < j; ++k) {
+        if (row_dist[k] < best) {
+          best = row_dist[k];
+          home_class = k;
         }
-        double* row =
-            weights_.data() + (block.begin - range_.begin + r) * j;
-        for (std::size_t k = 0; k < j; ++k) row[k] = rest;
-        row[home_class] = home;
       }
-    } catch (...) {
-      block_error[b] = std::current_exception();
+      double* row = weights_.data() + (block.begin - range_.begin + r) * j;
+      for (std::size_t k = 0; k < j; ++k) row[k] = rest;
+      row[home_class] = home;
     }
   });
-  for (std::size_t b = 0; b < blocks; ++b)
-    if (block_error[b]) std::rethrow_exception(block_error[b]);
 
   // W_j fold in plain item order over the filled rows — the same sequential
   // additions the old per-item loop performed.
@@ -282,13 +292,13 @@ double EmWorker::update_wts_blocked(Classification& c, FillBlock&& fill,
   scratch_.resize(threads_ * slot_size);
 
   // Per-block partials: one W_j row and one compensated log-likelihood per
-  // block, plus the block's deferred error.  Each block folds in locals and
-  // stores its partials once, so blocks on different threads never write
-  // one cache line item by item.  Blocks are claimed by whatever thread is
-  // free; determinism comes from the block-ordered fold below.
+  // block.  Each block folds in locals and stores its partials once, so
+  // blocks on different threads never write one cache line item by item.
+  // Blocks are claimed by whatever thread is free; determinism comes from
+  // the block-ordered fold below, and run_blocks rethrows the
+  // lowest-indexed block's error (whatever thread found it).
   std::vector<double> block_wj(blocks * j, 0.0);
   std::vector<double> block_loglike(blocks, 0.0);
-  std::vector<std::exception_ptr> block_error(blocks);
   run_blocks(blocks, [&](std::size_t b, std::size_t slot) {
     const data::ItemRange block = block_range(range_.begin, range_.end, b);
     const std::size_t n = block.size();
@@ -297,40 +307,33 @@ double EmWorker::update_wts_blocked(Classification& c, FillBlock&& fill,
     double* norm_scratch = lse + kEStepBlock;
     const std::span<double> wj(norm_scratch + 2 * kEStepBlock, j);
     double* rows = weights_.data() + (block.begin - range_.begin) * j;
-    try {
-      fill(block, lj);
-      std::fill(wj.begin(), wj.end(), 0.0);
-      KahanSum loglike;
-      if (lanes) {
-        // Lanes = items: every item runs normalize_row's op sequence, so
-        // the weights, the lse fold and the W_j fold (item order per class)
-        // are bit-identical to the per-row oracle.
-        normalize_log_joint(lj, n, j, rows, lse, norm_scratch);
-        for (std::size_t r = 0; r < n; ++r) {
-          if (!std::isfinite(lse[r]))
-            throw_degenerate_row(block.begin + r, lse[r], lj + r, j, n);
-          loglike.add(lse[r]);
-          for (std::size_t k = 0; k < j; ++k) wj[k] += rows[r * j + k];
-        }
-      } else {
-        for (std::size_t r = 0; r < n; ++r) {
-          double* row = rows + r * j;
-          for (std::size_t k = 0; k < j; ++k) row[k] = lj[k * n + r];
-          normalize_row(block.begin + r, row, j, wj, loglike);
-        }
+    fill(block, lj);
+    std::fill(wj.begin(), wj.end(), 0.0);
+    KahanSum loglike;
+    if (lanes) {
+      // Lanes = items: every item runs normalize_row's op sequence, so the
+      // weights, the lse fold and the W_j fold (item order per class) are
+      // bit-identical to the per-row oracle.
+      normalize_log_joint(lj, n, j, rows, lse, norm_scratch);
+      for (std::size_t r = 0; r < n; ++r) {
+        if (!std::isfinite(lse[r]))
+          throw_degenerate_row(block.begin + r, lse[r], lj + r, j, n);
+        loglike.add(lse[r]);
+        for (std::size_t k = 0; k < j; ++k) wj[k] += rows[r * j + k];
       }
-      std::copy(wj.begin(), wj.end(), block_wj.begin() + b * j);
-      block_loglike[b] = loglike.value();
-    } catch (...) {
-      block_error[b] = std::current_exception();
+    } else {
+      for (std::size_t r = 0; r < n; ++r) {
+        double* row = rows + r * j;
+        for (std::size_t k = 0; k < j; ++k) row[k] = lj[k * n + r];
+        normalize_row(block.begin + r, row, j, wj, loglike);
+      }
     }
+    std::copy(wj.begin(), wj.end(), block_wj.begin() + b * j);
+    block_loglike[b] = loglike.value();
   });
 
-  // Block-ordered fold: the lowest-indexed block error wins (whatever
-  // thread hit it), then W_j and the log-likelihood fold block by block —
-  // a pure function of kEStepBlock, bit-identical for any thread count.
-  for (std::size_t b = 0; b < blocks; ++b)
-    if (block_error[b]) std::rethrow_exception(block_error[b]);
+  // Block-ordered fold: W_j and the log-likelihood fold block by block — a
+  // pure function of kEStepBlock, bit-identical for any thread count.
   std::vector<double> wj_and_loglike(j + 1, 0.0);
   KahanSum loglike;
   for (std::size_t b = 0; b < blocks; ++b) {
@@ -409,13 +412,13 @@ void EmWorker::accumulate_statistics(const Classification& c) {
   accumulate_statistics_blocked(
       c, [&](data::ItemRange block, const double* weights,
              std::span<double> stats) {
-        // (term, class)-major: one Term::accumulate_batch call per term
-        // folds every class's weight column over the whole block — one
-        // column fetch per term and block, the virtual dispatch, column
-        // pointers, and moment registers hoisted out of the item loop.
-        // (term, class) slots are disjoint, and within every slot the items
-        // still fold in increasing order, so the block partial is
-        // bit-identical to the scalar chain's.
+        // Term-major: one Term::accumulate_batch call per term folds every
+        // class's weight column over the whole block — one column fetch per
+        // term and block, the virtual dispatch, column pointers, and moment
+        // registers hoisted out of the item loop, and the classes side by
+        // side in vector lanes.  (term, class) slots are disjoint, and
+        // within every slot the items still fold in increasing order, so
+        // the block partial is bit-identical to the scalar chain's.
         for (std::size_t t = 0; t < model_->num_terms(); ++t)
           model_->term(t).accumulate_batch(
               block, weights, j, stats.data() + model_->stats_offset(t), spc);

@@ -219,12 +219,13 @@ class EmWorker {
   /// reduction protocol and results (bit-for-bit) as update_wts.
   double update_wts_scalar(Classification& c);
 
-  /// M-step: accumulate local statistics — blocked, (term, class)-major
-  /// over the membership matrix via one Term::accumulate_batch call per
-  /// (term, block) covering all J classes, work-shared
-  /// across the thread pool with per-block partial statistics folded in
-  /// block-index order — make them global, and recompute every class's
-  /// parameters and mixing weight.
+  /// M-step: accumulate local statistics — blocked, term-major over the
+  /// membership matrix via one Term::accumulate_batch call per (term,
+  /// block) covering all J classes (lanes = classes: 4 classes' slots per
+  /// vector, each slot folding its items in order, bit-identical to the
+  /// scalar chain), work-shared across the thread pool with per-block
+  /// partial statistics folded in block-index order — make them global,
+  /// and recompute every class's parameters and mixing weight.
   void update_parameters(Classification& c);
 
   /// Reference M-step: the per-item x per-class x per-term virtual
@@ -285,7 +286,10 @@ class EmWorker {
                            std::span<double> wj_and_loglike);
   /// Run fn(b, slot) for every block index in [0, blocks): through the
   /// pool when one is configured, inline otherwise; `slot` names the
-  /// running thread's scratch (ThreadPool::run_slotted).  fn must not throw.
+  /// running thread's scratch (ThreadPool::run_slotted).  If blocks throw,
+  /// the lowest-indexed block's exception is rethrown on the calling
+  /// thread: the pool captures each block's error and rethrows after the
+  /// join, so the error reported never depends on the thread count.
   void run_blocks(std::size_t blocks,
                   const std::function<void(std::size_t, std::size_t)>& fn);
 

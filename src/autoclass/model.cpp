@@ -43,12 +43,12 @@ void Term::accumulate_batch(data::ItemRange range, const double* weights,
 }
 
 void Term::seed_distance_batch(data::ItemRange range,
-                               std::span<const std::size_t> seeds,
+                               const data::Dataset& seeds,
                                double* out) const {
-  const std::size_t s = seeds.size();
+  const std::size_t s = seeds.num_items();
   for (std::size_t i = range.begin; i < range.end; ++i)
     for (std::size_t q = 0; q < s; ++q)
-      out[(i - range.begin) * s + q] += seed_distance(i, seeds[q]);
+      out[(i - range.begin) * s + q] += seed_distance(i, seeds, q);
 }
 
 std::unique_ptr<Term> Term::rebind(const data::Dataset&) const {

@@ -130,11 +130,15 @@ class Term {
   /// work (column pointers, parameter-table loads, running moment
   /// registers, the virtual dispatch itself) but must not reassociate the
   /// per-item floating-point expression or reorder items within a slot.
-  /// The scalar accumulate stays the oracle the equality tests diff
-  /// against; the default implementation loops over it, so new term
-  /// families are correct before they are fast.  This is the only M-step
-  /// kernel: no setting selects a reassociated fold, so the statistics are
-  /// the same bits at every SIMD level, thread count and transport.
+  /// Different classes' slots are disjoint, so the overrides fold classes
+  /// side by side: the simd::*_accumulate kernels put 4 classes in the
+  /// lanes of a vector (lanes = classes), each lane one class's slot in
+  /// item order, with an exact skip mask.  The scalar accumulate stays the
+  /// oracle the equality tests diff against; the default implementation
+  /// loops over it, so new term families are correct before they are fast.
+  /// This is the only M-step kernel: no setting selects a reassociated
+  /// fold, so the statistics are the same bits at every SIMD level, thread
+  /// count and transport.
   virtual void accumulate_batch(data::ItemRange range, const double* weights,
                                 std::size_t num_classes, double* stats,
                                 std::size_t stats_stride) const;
@@ -159,26 +163,29 @@ class Term {
   /// Human-readable one-line parameter summary for reports.
   virtual std::string describe(std::span<const double> params) const = 0;
 
-  /// Normalized dissimilarity between two items over this term's
-  /// attributes, used by seed-item initialization (reals: squared z-score
-  /// distance; discretes: 0/1 mismatch; missing values count as half a
-  /// mismatch).  Pure function of the two items — partition-invariant.
-  virtual double seed_distance(std::size_t item,
-                               std::size_t seed_item) const = 0;
+  /// Normalized dissimilarity between `item` and row `q` of `seeds` over
+  /// this term's attributes, used by seed-item initialization (reals:
+  /// squared z-score distance; discretes: 0/1 mismatch; missing values
+  /// count as half a mismatch).  `seeds` has the training schema —
+  /// random_init passes the seed items' rows gathered once per try
+  /// (Dataset::gather) — so the distance is a pure function of the two
+  /// rows' values: partition-invariant and backend-invariant.
+  virtual double seed_distance(std::size_t item, const data::Dataset& seeds,
+                               std::size_t q) const = 0;
 
   /// Batched seed-distance kernel, one call per (term, item block) covering
-  /// every seed: for every item i in `range` and seed q, *accumulate* this
-  /// term's seed_distance(i, seeds[q]) into
-  /// out[(i - range.begin) * seeds.size() + q] — a row-major item x seed
-  /// buffer.
+  /// every seed row: for every item i in `range` and seed q, *accumulate*
+  /// this term's seed_distance(i, seeds, q) into
+  /// out[(i - range.begin) * seeds.num_items() + q] — a row-major
+  /// item x seed buffer.
   ///
   /// Contract: the value added per (item, seed) cell must be bit-identical
-  /// to seed_distance(item, seeds[q]).  Overrides may hoist the column
-  /// fetch and the seed items' values out of the loop but must not
+  /// to seed_distance(item, seeds, q).  Overrides may hoist the column
+  /// fetch and the seed rows' values out of the loop but must not
   /// rearrange the per-item floating-point expression.  The default loops
   /// over seed_distance.
   virtual void seed_distance_batch(data::ItemRange range,
-                                   std::span<const std::size_t> seeds,
+                                   const data::Dataset& seeds,
                                    double* out) const;
 
   /// Clone this term with its data access repointed at `target` (a dataset

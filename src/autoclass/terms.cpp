@@ -38,35 +38,12 @@
 
 namespace pac::ac::detail {
 
-// See simd.cpp's multinomial_log_prob_portable: the batch kernels test
-// `v < 0` where log_prob tests this sentinel.
+// See simd.cpp's multinomial_log_prob_portable: the batch kernels (and
+// simd::multinomial_accumulate) test `v < 0` where log_prob and accumulate
+// test this sentinel.
 static_assert(data::kMissingDiscrete == -1);
 
 namespace {
-
-// Per-class loops shared by the normal and log-normal kernels.  Each takes
-// one class's weights or seed, so a term's batched override is the column
-// fetch (or log transform) once, then one of these per class.
-
-/// stats[0..2] += (sum w, sum w*x, sum w*x*x) in item order over the items
-/// with w > 0 and a known x, the weights strided by `wstride`.  The moments
-/// fold in registers instead of through memory; the per-item additions are
-/// the scalar accumulate's, so the result is bit-identical to its chain.
-void moment_fold(const double* x, std::size_t n, const double* weights,
-                 std::size_t wstride, double* stats) {
-  double sw = stats[0], swx = stats[1], swx2 = stats[2];
-  for (std::size_t r = 0; r < n; ++r) {
-    const double w = weights[r * wstride];
-    if (w <= 0.0) continue;
-    if (data::is_missing_real(x[r])) continue;
-    sw += w;
-    swx += w * x[r];
-    swx2 += w * x[r] * x[r];
-  }
-  stats[0] = sw;
-  stats[1] = swx;
-  stats[2] = swx2;
-}
 
 /// out[r * ostride] += seed_distance's real-valued expression between x[r]
 /// and the seed value b: 0.5 if either is missing, else (x - b)^2 / var.
@@ -144,13 +121,12 @@ class SingleNormalTerm final : public Term {
   void accumulate_batch(data::ItemRange range, const double* weights,
                         std::size_t num_classes, double* stats,
                         std::size_t stats_stride) const override {
-    // One block fetch for all classes; per class the three weighted moments
-    // fold in registers (moment_fold), in item order, so every class's
-    // slots are bit-identical to the scalar chain.
+    // One block fetch for all classes; the three weighted moments of every
+    // class fold in registers, lanes = classes, each slot in item order, so
+    // every class's slots are bit-identical to the scalar chain.
     const auto view = block(range);
-    for (std::size_t k = 0; k < num_classes; ++k)
-      moment_fold(view.data(), view.size(), weights + k, num_classes,
-                  stats + k * stats_stride);
+    simd::moment_accumulate(view.data(), view.size(), weights, num_classes,
+                            stats, stats_stride);
   }
 
   void update_params(std::span<const double> stats,
@@ -219,22 +195,24 @@ class SingleNormalTerm final : public Term {
     return os.str();
   }
 
-  double seed_distance(std::size_t item, std::size_t seed_item) const override {
+  double seed_distance(std::size_t item, const data::Dataset& seeds,
+                       std::size_t q) const override {
     const double a = value(item);
-    const double b = value(seed_item);
+    const double b = seeds.real_value(q, spec_.attributes[0]);
     if (data::is_missing_real(a) || data::is_missing_real(b)) return 0.5;
     return sq(a - b) / prior_var_;
   }
 
-  void seed_distance_batch(data::ItemRange range,
-                           std::span<const std::size_t> seeds,
+  void seed_distance_batch(data::ItemRange range, const data::Dataset& seeds,
                            double* out) const override {
     // Hoists the block fetch and each seed's value; the per-item expression
     // is seed_distance's, so every cell stays bit-identical.
     const auto view = block(range);
-    for (std::size_t q = 0; q < seeds.size(); ++q)
-      squared_distance_column(view.data(), view.size(), value(seeds[q]),
-                              prior_var_, out + q, seeds.size());
+    const std::size_t s = seeds.num_items();
+    for (std::size_t q = 0; q < s; ++q)
+      squared_distance_column(view.data(), view.size(),
+                              seeds.real_value(q, spec_.attributes[0]),
+                              prior_var_, out + q, s);
   }
 
   std::unique_ptr<Term> rebind(const data::Dataset& target) const override {
@@ -345,26 +323,14 @@ class SingleMultinomialTerm final : public Term {
   void accumulate_batch(data::ItemRange range, const double* weights,
                         std::size_t num_classes, double* stats,
                         std::size_t stats_stride) const override {
-    // A weighted bincount per class over the same symbol indices the param
-    // table uses, from one block fetch, with the missing policy and the
-    // counts pointer hoisted out of the item loop.  Each count slot
-    // receives accumulate's additions in item order.
+    // A weighted bincount of every class over the same symbol indices the
+    // param table uses, from one block fetch, with the missing policy
+    // hoisted out of the item loop.  Each count slot receives accumulate's
+    // additions in item order.
     const auto view = block(range);
-    const std::int32_t* v = view.data();
-    for (std::size_t k = 0; k < num_classes; ++k) {
-      double* counts = stats + k * stats_stride;
-      double* missing_slot =
-          missing_as_value_ ? counts + num_values_ - 1 : nullptr;
-      for (std::size_t r = 0; r < view.size(); ++r) {
-        const double w = weights[r * num_classes + k];
-        if (w <= 0.0) continue;
-        if (v[r] == data::kMissingDiscrete) {
-          if (missing_slot != nullptr) *missing_slot += w;
-          continue;
-        }
-        counts[static_cast<std::size_t>(v[r])] += w;
-      }
-    }
+    simd::multinomial_accumulate(view.data(), view.size(), weights,
+                                 num_classes, num_values_, missing_as_value_,
+                                 stats, stats_stride);
   }
 
   void update_params(std::span<const double> stats,
@@ -415,21 +381,21 @@ class SingleMultinomialTerm final : public Term {
     return os.str();
   }
 
-  double seed_distance(std::size_t item, std::size_t seed_item) const override {
+  double seed_distance(std::size_t item, const data::Dataset& seeds,
+                       std::size_t q) const override {
     const std::int32_t a = value(item);
-    const std::int32_t b = value(seed_item);
+    const std::int32_t b = seeds.discrete_value(q, spec_.attributes[0]);
     if (a == data::kMissingDiscrete || b == data::kMissingDiscrete) return 0.5;
     return a == b ? 0.0 : 1.0;
   }
 
-  void seed_distance_batch(data::ItemRange range,
-                           std::span<const std::size_t> seeds,
+  void seed_distance_batch(data::ItemRange range, const data::Dataset& seeds,
                            double* out) const override {
     const auto view = block(range);
     const std::int32_t* v = view.data();
-    const std::size_t s = seeds.size();
+    const std::size_t s = seeds.num_items();
     for (std::size_t q = 0; q < s; ++q) {
-      const std::int32_t b = value(seeds[q]);
+      const std::int32_t b = seeds.discrete_value(q, spec_.attributes[0]);
       for (std::size_t r = 0; r < view.size(); ++r) {
         const std::int32_t a = v[r];
         out[r * s + q] +=
@@ -565,32 +531,18 @@ class MultiNormalTerm final : public Term {
                         std::size_t num_classes, double* stats,
                         std::size_t stats_stride) const override {
     // Weighted outer-product accumulation with the view indirections
-    // hoisted: the d column windows fetched once for all classes, then per
-    // class the item's row cached and the same lower-triangle additions as
-    // accumulate, in the same order.  (w * xk) is reused across the row — a
-    // pure recomputation hoist; the per-slot expression (w * xk) * xl is
+    // hoisted: the d column windows fetched once for all classes, then the
+    // same lower-triangle additions as accumulate for every class, each
+    // slot in item order.  (w * xk) is reused across the row — a pure
+    // recomputation hoist; the per-slot expression (w * xk) * xl is
     // unchanged.
     const std::size_t d = dim_;
     PAC_CHECK(d <= 32);
     data::ColumnBlockView<double> views[32];
     const double* cols[32];
-    double xs[32];
     fetch_blocks(range, views, cols);
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      double* s = stats + c * stats_stride;
-      for (std::size_t r = 0; r < range.size(); ++r) {
-        const double w = weights[r * num_classes + c];
-        if (w <= 0.0) continue;
-        s[0] += w;
-        for (std::size_t k = 0; k < d; ++k) xs[k] = cols[k][r];
-        for (std::size_t k = 0; k < d; ++k) {
-          const double wxk = w * xs[k];
-          s[1 + k] += wxk;
-          double* row = s + 1 + d + k * d;
-          for (std::size_t l = 0; l <= k; ++l) row[l] += wxk * xs[l];
-        }
-      }
-    }
+    simd::multinormal_accumulate(cols, d, range.size(), weights, num_classes,
+                                 stats, stats_stride);
   }
 
   void update_params(std::span<const double> stats,
@@ -740,25 +692,27 @@ class MultiNormalTerm final : public Term {
     return os.str();
   }
 
-  double seed_distance(std::size_t item, std::size_t seed_item) const override {
+  double seed_distance(std::size_t item, const data::Dataset& seeds,
+                       std::size_t q) const override {
     double d2 = 0.0;
     for (std::size_t k = 0; k < dim_; ++k)
-      d2 += sq(value(k, item) - value(k, seed_item)) / prior_var_[k];
+      d2 += sq(value(k, item) - seeds.real_value(q, spec_.attributes[k])) /
+            prior_var_[k];
     return d2;
   }
 
-  void seed_distance_batch(data::ItemRange range,
-                           std::span<const std::size_t> seeds,
+  void seed_distance_batch(data::ItemRange range, const data::Dataset& seeds,
                            double* out) const override {
     const std::size_t d = dim_;
     PAC_CHECK(d <= 32);
     data::ColumnBlockView<double> views[32];
     const double* cols[32];
     fetch_blocks(range, views, cols);
-    const std::size_t s = seeds.size();
+    const std::size_t s = seeds.num_items();
     double seed_vals[32];
     for (std::size_t q = 0; q < s; ++q) {
-      for (std::size_t k = 0; k < d; ++k) seed_vals[k] = value(k, seeds[q]);
+      for (std::size_t k = 0; k < d; ++k)
+        seed_vals[k] = seeds.real_value(q, spec_.attributes[k]);
       for (std::size_t r = 0; r < range.size(); ++r) {
         double d2 = 0.0;
         for (std::size_t k = 0; k < d; ++k)
@@ -883,14 +837,12 @@ class SingleLognormalTerm final : public Term {
   void accumulate_batch(data::ItemRange range, const double* weights,
                         std::size_t num_classes, double* stats,
                         std::size_t stats_stride) const override {
-    // Same register fold as the normal kernel, per class, over one log x
-    // block.
+    // Same register fold as the normal kernel over one log x block.
     double scratch[kScratchBlock];
     std::vector<double> heap;
     const double* lx = log_block(range, scratch, heap);
-    for (std::size_t k = 0; k < num_classes; ++k)
-      moment_fold(lx, range.size(), weights + k, num_classes,
-                  stats + k * stats_stride);
+    simd::moment_accumulate(lx, range.size(), weights, num_classes, stats,
+                            stats_stride);
   }
 
   void update_params(std::span<const double> stats,
@@ -957,22 +909,24 @@ class SingleLognormalTerm final : public Term {
     return os.str();
   }
 
-  double seed_distance(std::size_t item, std::size_t seed_item) const override {
+  double seed_distance(std::size_t item, const data::Dataset& seeds,
+                       std::size_t q) const override {
     const double a = log_value(item);
-    const double b = log_value(seed_item);
+    const double b = log_of(seeds.real_value(q, spec_.attributes[0]));
     if (data::is_missing_real(a) || data::is_missing_real(b)) return 0.5;
     return sq(a - b) / prior_var_;
   }
 
-  void seed_distance_batch(data::ItemRange range,
-                           std::span<const std::size_t> seeds,
+  void seed_distance_batch(data::ItemRange range, const data::Dataset& seeds,
                            double* out) const override {
     double scratch[kScratchBlock];
     std::vector<double> heap;
     const double* lx = log_block(range, scratch, heap);
-    for (std::size_t q = 0; q < seeds.size(); ++q)
-      squared_distance_column(lx, range.size(), log_value(seeds[q]),
-                              prior_var_, out + q, seeds.size());
+    const std::size_t s = seeds.num_items();
+    for (std::size_t q = 0; q < s; ++q)
+      squared_distance_column(lx, range.size(),
+                              log_of(seeds.real_value(q, spec_.attributes[0])),
+                              prior_var_, out + q, s);
   }
 
   std::unique_ptr<Term> rebind(const data::Dataset& target) const override {
@@ -1033,16 +987,18 @@ class SingleLognormalTerm final : public Term {
       heap.resize(view.size());
       dst = heap.data();
     }
-    for (std::size_t r = 0; r < view.size(); ++r)
-      dst[r] = data::is_missing_real(view[r]) ? data::missing_real()
-                                              : std::log(view[r]);
+    for (std::size_t r = 0; r < view.size(); ++r) dst[r] = log_of(view[r]);
     return dst;
+  }
+
+  /// log v, the value the log cache holds: missing stays missing.
+  static double log_of(double v) {
+    return data::is_missing_real(v) ? data::missing_real() : std::log(v);
   }
 
   double log_value(std::size_t item) const {
     if (!log_column_.empty()) return log_column_[item];
-    const double v = data_->real_value(item, spec_.attributes[0]);
-    return data::is_missing_real(v) ? data::missing_real() : std::log(v);
+    return log_of(data_->real_value(item, spec_.attributes[0]));
   }
 
   const data::Dataset* data_ = nullptr;
@@ -1102,7 +1058,8 @@ class IgnoreTerm final : public Term {
   std::string describe(std::span<const double>) const override {
     return "(ignored)";
   }
-  double seed_distance(std::size_t, std::size_t) const override {
+  double seed_distance(std::size_t, const data::Dataset&,
+                       std::size_t) const override {
     return 0.0;
   }
   std::unique_ptr<Term> rebind(const data::Dataset&) const override {

@@ -148,6 +148,23 @@ Dataset Dataset::slice(std::size_t begin, std::size_t end) const {
   return out;
 }
 
+Dataset Dataset::gather(std::span<const std::size_t> items) const {
+  Dataset out(schema(), items.size());
+  auto& dst = static_cast<ResidentStore&>(*out.store_);
+  for (std::size_t a = 0; a < schema().size(); ++a) {
+    if (schema().at(a).kind == AttributeKind::kReal) {
+      const std::span<double> col = dst.mutable_real(a);
+      for (std::size_t q = 0; q < items.size(); ++q)
+        col[q] = real_value(items[q], a);
+    } else {
+      const std::span<std::int32_t> col = dst.mutable_discrete(a);
+      for (std::size_t q = 0; q < items.size(); ++q)
+        col[q] = discrete_value(items[q], a);
+    }
+  }
+  return out;
+}
+
 ItemRange block_partition(std::size_t n, int p, int rank) {
   PAC_REQUIRE(p >= 1);
   PAC_REQUIRE(rank >= 0 && rank < p);

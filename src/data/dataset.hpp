@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 
 #include "data/column_store.hpp"
 
@@ -89,6 +90,10 @@ class Dataset {
 
   /// Copy rows [begin, end) into a new resident Dataset.
   Dataset slice(std::size_t begin, std::size_t end) const;
+
+  /// Copy the listed rows, in list order (repeats allowed), into a new
+  /// resident Dataset: row q of the result is row items[q] of this one.
+  Dataset gather(std::span<const std::size_t> items) const;
 
  private:
   void check_attr(std::size_t attr, AttributeKind kind, const char* what) const;

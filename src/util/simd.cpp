@@ -1,8 +1,9 @@
 // Runtime dispatch plus the portable (and NEON) kernel implementations.
 //
-// The portable `*_log_prob` bodies are the terms' scalar batch loops: every
-// Term::log_prob_batch calls its kernel unconditionally, so a host with no
-// vector unit — or a PAC_SIMD=0 run — produces the oracle's bits here.
+// The portable bodies are the terms' scalar batch loops: every
+// Term::log_prob_batch and accumulate_batch calls its kernel
+// unconditionally, so a host with no vector unit — or a PAC_SIMD=0 run —
+// produces the oracle's bits here.
 #include "util/simd.hpp"
 
 #include <atomic>
@@ -165,6 +166,87 @@ void multinormal_log_prob_portable(const double* const* cols, std::size_t d,
   }
 }
 
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Portable M-step kernels: per class, the scalar chain's additions in item
+// order (the moments fold in registers instead of through memory).
+// ---------------------------------------------------------------------------
+
+void portable::moment_accumulate(const double* x, std::size_t n,
+                                 const double* weights,
+                                 std::size_t weight_stride,
+                                 std::size_t num_classes, double* stats,
+                                 std::size_t stats_stride) noexcept {
+  for (std::size_t k = 0; k < num_classes; ++k) {
+    double* s = stats + k * stats_stride;
+    double sw = s[0], swx = s[1], swx2 = s[2];
+    for (std::size_t r = 0; r < n; ++r) {
+      const double w = weights[r * weight_stride + k];
+      if (w <= 0.0) continue;
+      if (std::isnan(x[r])) continue;
+      sw += w;
+      swx += w * x[r];
+      swx2 += w * x[r] * x[r];
+    }
+    s[0] = sw;
+    s[1] = swx;
+    s[2] = swx2;
+  }
+}
+
+void portable::multinomial_accumulate(const std::int32_t* v, std::size_t n,
+                                      const double* weights,
+                                      std::size_t weight_stride,
+                                      std::size_t num_classes,
+                                      std::size_t num_slots,
+                                      bool missing_to_last_slot, double* stats,
+                                      std::size_t stats_stride) noexcept {
+  for (std::size_t k = 0; k < num_classes; ++k) {
+    double* counts = stats + k * stats_stride;
+    double* missing_slot =
+        missing_to_last_slot ? counts + num_slots - 1 : nullptr;
+    for (std::size_t r = 0; r < n; ++r) {
+      const double w = weights[r * weight_stride + k];
+      if (w <= 0.0) continue;
+      if (v[r] < 0) {
+        if (missing_slot != nullptr) *missing_slot += w;
+        continue;
+      }
+      counts[static_cast<std::size_t>(v[r])] += w;
+    }
+  }
+}
+
+void portable::multinormal_accumulate(const double* const* cols,
+                                      std::size_t d, std::size_t n,
+                                      const double* weights,
+                                      std::size_t weight_stride,
+                                      std::size_t num_classes, double* stats,
+                                      std::size_t stats_stride) noexcept {
+  // The item's row is cached and (w * x_a) reused across its row of the
+  // triangle — a pure recomputation hoist; each slot's expression is the
+  // scalar accumulate's (w * x_a) * x_b.
+  double xs[32];
+  for (std::size_t c = 0; c < num_classes; ++c) {
+    double* s = stats + c * stats_stride;
+    for (std::size_t r = 0; r < n; ++r) {
+      const double w = weights[r * weight_stride + c];
+      if (w <= 0.0) continue;
+      s[0] += w;
+      for (std::size_t a = 0; a < d; ++a) xs[a] = cols[a][r];
+      for (std::size_t a = 0; a < d; ++a) {
+        const double wxa = w * xs[a];
+        s[1 + a] += wxa;
+        double* row = s + 1 + d + a * d;
+        for (std::size_t b = 0; b <= a; ++b) row[b] += wxa * xs[b];
+      }
+    }
+  }
+}
+
+namespace {
+
 // ---------------------------------------------------------------------------
 // NEON (aarch64): 2-lane elementwise kernels for the normal families.  The
 // table walk and the lane-wise solve gain little at 2 lanes, so they stay on
@@ -311,6 +393,50 @@ void log_lanes(const double* x, double* y, std::size_t n) noexcept {
   }
 #endif
   for (std::size_t i = 0; i < n; ++i) y[i] = pac::log(x[i]);
+}
+
+void moment_accumulate(const double* x, std::size_t n, const double* weights,
+                       std::size_t num_classes, double* stats,
+                       std::size_t stats_stride) noexcept {
+#if PAC_SIMD_HAVE_X86
+  if (level() == Level::kAvx2) {
+    avx2::moment_accumulate(x, n, weights, num_classes, stats, stats_stride);
+    return;
+  }
+#endif
+  portable::moment_accumulate(x, n, weights, num_classes, num_classes, stats,
+                              stats_stride);
+}
+
+void multinomial_accumulate(const std::int32_t* v, std::size_t n,
+                            const double* weights, std::size_t num_classes,
+                            std::size_t num_slots, bool missing_to_last_slot,
+                            double* stats, std::size_t stats_stride) {
+#if PAC_SIMD_HAVE_X86
+  if (level() == Level::kAvx2) {
+    avx2::multinomial_accumulate(v, n, weights, num_classes, num_slots,
+                                 missing_to_last_slot, stats, stats_stride);
+    return;
+  }
+#endif
+  portable::multinomial_accumulate(v, n, weights, num_classes, num_classes,
+                                   num_slots, missing_to_last_slot, stats,
+                                   stats_stride);
+}
+
+void multinormal_accumulate(const double* const* cols, std::size_t d,
+                            std::size_t n, const double* weights,
+                            std::size_t num_classes, double* stats,
+                            std::size_t stats_stride) {
+#if PAC_SIMD_HAVE_X86
+  if (level() == Level::kAvx2) {
+    avx2::multinormal_accumulate(cols, d, n, weights, num_classes, stats,
+                                 stats_stride);
+    return;
+  }
+#endif
+  portable::multinormal_accumulate(cols, d, n, weights, num_classes,
+                                   num_classes, stats, stats_stride);
 }
 
 }  // namespace pac::simd

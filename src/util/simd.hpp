@@ -2,18 +2,21 @@
 //
 // Two tiers (DESIGN.md §5):
 //
-//   1. *Scalar oracle* — the per-item virtual chains and the scalar batch
-//      kernels in terms.cpp.  Always available; the thing every other tier
-//      is tested against.
-//   2. *Bit-identical SIMD* (this layer's `*_log_prob` kernels) — explicit
+//   1. *Scalar oracle* — the per-item virtual chains (Term::log_prob,
+//      Term::accumulate) and this layer's portable loops.  Always
+//      available; the thing every other tier is tested against.
+//   2. *Bit-identical SIMD* (this layer's vector kernels) — explicit
 //      vector lanes over the column-major 256-item blocks.  Legal because
 //      the E-step per-item expression is *elementwise*: every lane performs
 //      the scalar oracle's operation sequence on its own item, with IEEE
 //      add/sub/mul/div semantics, so each output double is memcmp-equal to
 //      the scalar path.  No FMA, no reassociation (the whole project builds
 //      with -ffp-contract=off so the scalar oracle cannot silently contract
-//      either).  The M-step moment folds are order-pinned reductions and
-//      therefore have no vector form over items.
+//      either).  The M-step folds are order-pinned reductions over items,
+//      so their lanes are *classes* instead (lanes = classes): one vector
+//      holds 4 consecutive classes' weights of one item, and each lane is
+//      one class's statistics slot, still folding its items in increasing
+//      order — memcmp-equal to the scalar chain as well.
 //
 // No environment variable or config field selects another numeric tier:
 // the SIMD level, like the thread count, the transport and the data
@@ -126,5 +129,46 @@ void multinormal_log_prob(const double* const* cols, std::size_t d,
 
 void exp_lanes(const double* x, double* y, std::size_t n) noexcept;
 void log_lanes(const double* x, double* y, std::size_t n) noexcept;
+
+// ---------------------------------------------------------------------------
+// Exact M-step block kernels, lanes = classes (tier 2).  Each folds one item
+// block into every class's statistics: `weights` is the block's row-major
+// item x class membership matrix (class k of in-block item r at
+// weights[r * num_classes + k]) and class k's slots start at
+// stats + k * stats_stride.  Per slot, the additions are the scalar
+// Term::accumulate's, in increasing item order, and a class skips an item
+// exactly when the scalar M-step does (w <= 0 — so a NaN weight is added).
+//
+// The vector bodies load 4 contiguous class weights per item; the lane mask
+// is !(w <= 0) (_CMP_NLE_UQ, true for NaN), and a skipped lane keeps its old
+// sum through a blend (adding +0.0 instead would turn a -0.0 sum into
+// +0.0).  An item the term skips whole (a missing x, or a missing symbol
+// with no extra slot) is skipped for every lane, as the scalar `continue`
+// does.  Per slot the expressions stay w, w*x and (w*x)*x, with no FMA.
+// Classes past the last full vector run the portable per-class loop, which
+// is also the whole kernel at the scalar (and NEON) level.
+// ---------------------------------------------------------------------------
+
+/// Normal / log-normal moments: class k's slots (sw, swx, swx2) receive
+/// (w, w*x, (w*x)*x) for every item with a known (non-NaN) x.
+void moment_accumulate(const double* x, std::size_t n, const double* weights,
+                       std::size_t num_classes, double* stats,
+                       std::size_t stats_stride) noexcept;
+
+/// Weighted bincount over `num_slots` count slots per class: slot v[r]
+/// receives w.  A missing symbol (v < 0) adds to the last slot when
+/// `missing_to_last_slot`, and skips the item otherwise.
+void multinomial_accumulate(const std::int32_t* v, std::size_t n,
+                            const double* weights, std::size_t num_classes,
+                            std::size_t num_slots, bool missing_to_last_slot,
+                            double* stats, std::size_t stats_stride);
+
+/// Multivariate normal over `d` column pointers (complete rows, d <= 32):
+/// class k's slot 0 receives w, slot 1 + a receives w*x_a, and slot
+/// 1 + d + a*d + b (b <= a, the lower triangle) receives (w*x_a)*x_b.
+void multinormal_accumulate(const double* const* cols, std::size_t d,
+                            std::size_t n, const double* weights,
+                            std::size_t num_classes, double* stats,
+                            std::size_t stats_stride);
 
 }  // namespace pac::simd

@@ -7,7 +7,8 @@
 // association, no FMA intrinsics, and the build keeps -ffp-contract=off so
 // the compiler cannot contract either side.  The exp/log lane kernels
 // follow the scalar pac::exp / pac::log of math.cpp the same way, reading
-// the same constants from exp_log_data.hpp.
+// the same constants from exp_log_data.hpp.  The M-step kernels put
+// classes in the lanes and keep the scalar chain's per-slot item order.
 #include "util/simd_internal.hpp"
 
 #if PAC_SIMD_HAVE_X86
@@ -18,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "util/exp_log_data.hpp"
 #include "util/math.hpp"
@@ -334,6 +336,206 @@ void log_lanes(const double* x, double* y, std::size_t n) noexcept {
     _mm256_storeu_pd(y + i, res);
   }
   for (; i < n; ++i) y[i] = pac::log(x[i]);
+}
+
+// ---------------------------------------------------------------------------
+// M-step, lanes = classes.  One vector holds 4 consecutive classes' weights
+// of one item, and lane l folds into class (k + l)'s slot, so every slot
+// sees the scalar chain's additions in item order.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Lanes the scalar M-step adds: !(w <= 0), which is also true for NaN.
+inline __m256d kept_lanes(__m256d w) noexcept {
+  return _mm256_cmp_pd(w, _mm256_setzero_pd(), _CMP_NLE_UQ);
+}
+
+/// sum + add in the kept lanes; a skipped lane keeps its sum's bits.
+inline __m256d add_kept(__m256d sum, __m256d add, __m256d keep) noexcept {
+  return _mm256_blendv_pd(sum, _mm256_add_pd(sum, add), keep);
+}
+
+/// Slot 0 of 4 classes' statistics blocks, `stride` apart.
+inline __m256d load_classes(const double* s, std::size_t stride) noexcept {
+  return _mm256_set_pd(s[3 * stride], s[2 * stride], s[stride], s[0]);
+}
+
+inline void store_classes(__m256d v, double* s, std::size_t stride) noexcept {
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, v);
+  for (std::size_t l = 0; l < 4; ++l) s[l * stride] = lanes[l];
+}
+
+/// The three moment sums of 4 classes, held in registers.
+struct Moments4 {
+  __m256d sw, swx, swx2;
+
+  Moments4(const double* s, std::size_t stride) noexcept
+      : sw(load_classes(s, stride)),
+        swx(load_classes(s + 1, stride)),
+        swx2(load_classes(s + 2, stride)) {}
+
+  void add(const double* w, __m256d x) noexcept {
+    const __m256d wv = _mm256_loadu_pd(w);
+    const __m256d keep = kept_lanes(wv);
+    const __m256d wx = _mm256_mul_pd(wv, x);
+    sw = add_kept(sw, wv, keep);
+    swx = add_kept(swx, wx, keep);
+    swx2 = add_kept(swx2, _mm256_mul_pd(wx, x), keep);
+  }
+
+  void store(double* s, std::size_t stride) const noexcept {
+    store_classes(sw, s, stride);
+    store_classes(swx, s + 1, stride);
+    store_classes(swx2, s + 2, stride);
+  }
+};
+
+/// Class-major statistics of the first `classes` (a multiple of 4) classes,
+/// transposed to slot-major t[s * classes + k] for `num_slots` slots, so 4
+/// classes' copies of one slot are contiguous; and back.
+void transpose_in(const double* stats, std::size_t stride,
+                  std::size_t classes, std::size_t num_slots,
+                  double* t) noexcept {
+  for (std::size_t k = 0; k < classes; ++k)
+    for (std::size_t s = 0; s < num_slots; ++s)
+      t[s * classes + k] = stats[k * stride + s];
+}
+
+void transpose_out(const double* t, std::size_t classes,
+                   std::size_t num_slots, double* stats,
+                   std::size_t stride) noexcept {
+  for (std::size_t k = 0; k < classes; ++k)
+    for (std::size_t s = 0; s < num_slots; ++s)
+      stats[k * stride + s] = t[s * classes + k];
+}
+
+/// t[0..3] += add in the kept lanes.
+inline void add_kept_at(double* t, __m256d add, __m256d keep) noexcept {
+  _mm256_storeu_pd(t, add_kept(_mm256_loadu_pd(t), add, keep));
+}
+
+/// Slot-major scratch for the transposed statistics: on the stack for the
+/// usual sizes, on the heap beyond.
+class SlotScratch {
+ public:
+  explicit SlotScratch(std::size_t size) {
+    if (size > kStack) heap_.resize(size);
+  }
+  double* data() noexcept { return heap_.empty() ? stack_ : heap_.data(); }
+
+ private:
+  static constexpr std::size_t kStack = 1024;
+  double stack_[kStack];  // written by transpose_in before any read
+  std::vector<double> heap_;
+};
+
+}  // namespace
+
+void moment_accumulate(const double* x, std::size_t n, const double* weights,
+                       std::size_t num_classes, double* stats,
+                       std::size_t stats_stride) noexcept {
+  const std::size_t full = num_classes & ~std::size_t{3};
+  std::size_t k = 0;
+  // Two vectors of classes per pass over the items: six independent sums
+  // hide the add latency that one class group's chains would expose.
+  for (; k + 8 <= full; k += 8) {
+    double* s0 = stats + k * stats_stride;
+    double* s1 = s0 + 4 * stats_stride;
+    Moments4 m0(s0, stats_stride), m1(s1, stats_stride);
+    for (std::size_t r = 0; r < n; ++r) {
+      if (std::isnan(x[r])) continue;  // missing: the whole item is skipped
+      const __m256d xv = _mm256_set1_pd(x[r]);
+      const double* w = weights + r * num_classes + k;
+      m0.add(w, xv);
+      m1.add(w + 4, xv);
+    }
+    m0.store(s0, stats_stride);
+    m1.store(s1, stats_stride);
+  }
+  for (; k < full; k += 4) {
+    double* s0 = stats + k * stats_stride;
+    Moments4 m0(s0, stats_stride);
+    for (std::size_t r = 0; r < n; ++r) {
+      if (std::isnan(x[r])) continue;
+      m0.add(weights + r * num_classes + k, _mm256_set1_pd(x[r]));
+    }
+    m0.store(s0, stats_stride);
+  }
+  if (k < num_classes)
+    portable::moment_accumulate(x, n, weights + k, num_classes,
+                                num_classes - k, stats + k * stats_stride,
+                                stats_stride);
+}
+
+void multinomial_accumulate(const std::int32_t* v, std::size_t n,
+                            const double* weights, std::size_t num_classes,
+                            std::size_t num_slots, bool missing_to_last_slot,
+                            double* stats, std::size_t stats_stride) {
+  const std::size_t full = num_classes & ~std::size_t{3};
+  if (full > 0) {
+    // The counts of the full class vectors, slot-major: one item's symbol
+    // row holds its count for every class contiguously.
+    SlotScratch scratch(num_slots * full);
+    double* t = scratch.data();
+    transpose_in(stats, stats_stride, full, num_slots, t);
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::int32_t symbol = v[r];
+      if (symbol < 0 && !missing_to_last_slot) continue;  // every class skips
+      const std::size_t slot =
+          symbol < 0 ? num_slots - 1 : static_cast<std::size_t>(symbol);
+      const double* w = weights + r * num_classes;
+      double* row = t + slot * full;
+      for (std::size_t k = 0; k < full; k += 4) {
+        const __m256d wv = _mm256_loadu_pd(w + k);
+        add_kept_at(row + k, wv, kept_lanes(wv));
+      }
+    }
+    transpose_out(t, full, num_slots, stats, stats_stride);
+  }
+  if (full < num_classes)
+    portable::multinomial_accumulate(
+        v, n, weights + full, num_classes, num_classes - full, num_slots,
+        missing_to_last_slot, stats + full * stats_stride, stats_stride);
+}
+
+void multinormal_accumulate(const double* const* cols, std::size_t d,
+                            std::size_t n, const double* weights,
+                            std::size_t num_classes, double* stats,
+                            std::size_t stats_stride) {
+  const std::size_t full = num_classes & ~std::size_t{3};
+  if (full > 0) {
+    // Slot-major sw | swx | swxx of the full class vectors; the strict
+    // upper triangle is carried through untouched.
+    const std::size_t num_slots = 1 + d + d * d;
+    SlotScratch scratch(num_slots * full);
+    double* t = scratch.data();
+    transpose_in(stats, stats_stride, full, num_slots, t);
+    __m256d xs[32];  // d <= 32, enforced by the term
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t a = 0; a < d; ++a) xs[a] = _mm256_set1_pd(cols[a][r]);
+      const double* w = weights + r * num_classes;
+      for (std::size_t k = 0; k < full; k += 4) {
+        const __m256d wv = _mm256_loadu_pd(w + k);
+        const __m256d keep = kept_lanes(wv);
+        add_kept_at(t + k, wv, keep);
+        for (std::size_t a = 0; a < d; ++a) {
+          const __m256d wxa = _mm256_mul_pd(wv, xs[a]);
+          add_kept_at(t + (1 + a) * full + k, wxa, keep);
+          double* row = t + (1 + d + a * d) * full + k;
+          for (std::size_t b = 0; b <= a; ++b)
+            add_kept_at(row + b * full, _mm256_mul_pd(wxa, xs[b]), keep);
+        }
+      }
+    }
+    transpose_out(t, full, num_slots, stats, stats_stride);
+  }
+  if (full < num_classes)
+    portable::multinormal_accumulate(cols, d, n, weights + full, num_classes,
+                                     num_classes - full,
+                                     stats + full * stats_stride,
+                                     stats_stride);
 }
 
 }  // namespace pac::simd::avx2

@@ -19,6 +19,31 @@
 #define PAC_SIMD_HAVE_NEON 0
 #endif
 
+namespace pac::simd::portable {
+
+// The portable M-step kernels, one class at a time: the whole kernel at the
+// scalar and NEON levels, and the remainder classes of the AVX2 bodies.
+// Class k's weight of item r is weights[r * weight_stride + k], so a caller
+// can start at any class of the membership rows.
+
+void moment_accumulate(const double* x, std::size_t n, const double* weights,
+                       std::size_t weight_stride, std::size_t num_classes,
+                       double* stats, std::size_t stats_stride) noexcept;
+
+void multinomial_accumulate(const std::int32_t* v, std::size_t n,
+                            const double* weights, std::size_t weight_stride,
+                            std::size_t num_classes, std::size_t num_slots,
+                            bool missing_to_last_slot, double* stats,
+                            std::size_t stats_stride) noexcept;
+
+void multinormal_accumulate(const double* const* cols, std::size_t d,
+                            std::size_t n, const double* weights,
+                            std::size_t weight_stride,
+                            std::size_t num_classes, double* stats,
+                            std::size_t stats_stride) noexcept;
+
+}  // namespace pac::simd::portable
+
 #if PAC_SIMD_HAVE_X86
 
 namespace pac::simd::avx2 {
@@ -41,6 +66,20 @@ void multinormal_log_prob(const double* const* cols, std::size_t d,
 
 void exp_lanes(const double* x, double* y, std::size_t n) noexcept;
 void log_lanes(const double* x, double* y, std::size_t n) noexcept;
+
+void moment_accumulate(const double* x, std::size_t n, const double* weights,
+                       std::size_t num_classes, double* stats,
+                       std::size_t stats_stride) noexcept;
+
+void multinomial_accumulate(const std::int32_t* v, std::size_t n,
+                            const double* weights, std::size_t num_classes,
+                            std::size_t num_slots, bool missing_to_last_slot,
+                            double* stats, std::size_t stats_stride);
+
+void multinormal_accumulate(const double* const* cols, std::size_t d,
+                            std::size_t n, const double* weights,
+                            std::size_t num_classes, double* stats,
+                            std::size_t stats_stride);
 
 }  // namespace pac::simd::avx2
 

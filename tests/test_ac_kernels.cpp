@@ -47,9 +47,11 @@ void expect_bit_identical(std::span<const double> a,
 //
 // Every batched kernel covers all J classes of one item block in one call,
 // addressing class k's parameter / statistics block through the model's
-// real interleaved strides.  The checks run at J = 3 classes with distinct
-// parameters, over the resident dataset and over a chunk-backed copy whose
-// 256-item blocks straddle chunk borders under an evicting budget.
+// real interleaved strides.  The E-step checks run at J = 3 classes with
+// distinct parameters, the M-step checks at every J of kMStepClassCounts
+// and at both SIMD levels, over the resident dataset and over a
+// chunk-backed copy whose 256-item blocks straddle chunk borders under an
+// evicting budget.
 
 constexpr std::size_t kClasses = 3;
 
@@ -226,9 +228,10 @@ std::vector<TermSpec> five_family_terms() {
 
 TEST(TermKernels, SeedDistanceBatchMatchesScalar) {
   // One seed_distance_batch call per (term, block) accumulates the
-  // distances to every seed into a row-major item x seed buffer; each cell
-  // must equal the scalar seed_distance bit for bit, for all five
-  // families, with missing values on both the item and the seed side.
+  // distances to every gathered seed row into a row-major item x seed
+  // buffer; each cell must equal the scalar seed_distance bit for bit, for
+  // all five families, with missing values on both the item and the seed
+  // side.
   const Dataset ds = data::five_family_mixture(700, 27, 0.08).dataset;
   on_both_backends(Model(ds, five_family_terms()), [](const Model& m) {
     const std::size_t n = m.dataset().num_items();
@@ -240,6 +243,8 @@ TEST(TermKernels, SeedDistanceBatchMatchesScalar) {
       while (!m.dataset().is_missing(i, a)) ++i;
       seeds.push_back(i);
     }
+    // The seed rows as random_init reads them: gathered once, resident.
+    const Dataset seed_rows = m.dataset().gather(seeds);
     for (const data::ItemRange range : kernel_ranges(n)) {
       const std::size_t q = seeds.size();
       for (std::size_t t = 0; t < m.num_terms(); ++t) {
@@ -251,8 +256,9 @@ TEST(TermKernels, SeedDistanceBatchMatchesScalar) {
         std::vector<double> batch = scalar;
         for (std::size_t r = 0; r < range.size(); ++r)
           for (std::size_t s = 0; s < q; ++s)
-            scalar[r * q + s] += term.seed_distance(range.begin + r, seeds[s]);
-        term.seed_distance_batch(range, seeds, batch.data());
+            scalar[r * q + s] +=
+                term.seed_distance(range.begin + r, seed_rows, s);
+        term.seed_distance_batch(range, seed_rows, batch.data());
         expect_bit_identical(batch, scalar);
       }
     }
@@ -260,17 +266,27 @@ TEST(TermKernels, SeedDistanceBatchMatchesScalar) {
 }
 
 /// Synthetic row-major item x J membership block: varied magnitudes that
-/// differ per class, with exact zeros and negatives sprinkled in (the
-/// w <= 0 entries the scalar M-step skips) at class-dependent items.
+/// differ per class, with the entries the scalar M-step skips (exact 0,
+/// -0.0, negatives) sprinkled in at class-dependent items, and the ones it
+/// keeps at the edges of the number line (subnormals, NaN).  Class 2 is
+/// skipped at every item, an emptied class whose -0.0 base slots must
+/// survive lanes that are skipped while their neighbours add.
 std::vector<double> synthetic_weights(std::size_t n, std::size_t j) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kDenormMin = std::numeric_limits<double>::denorm_min();
   std::vector<double> w(n * j);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t k = 0; k < j; ++k) {
       double v = 0.05 + 0.9 * static_cast<double>((i * 37 + k * 53) % 101) /
                             101.0;
-      if ((i + k) % 5 == 0) v = 0.0;       // skipped
+      if ((i + k) % 5 == 0) v = 0.0;         // skipped
+      if ((i + 3 * k) % 13 == 4) v = -0.0;   // skipped
       if ((i + 2 * k) % 11 == 3) v = -0.25;  // skipped
-      if ((i + k) % 7 == 2) v = 1e-12;     // kept: tiny but positive
+      if ((i + k) % 7 == 2) v = 1e-12;       // kept: tiny but positive
+      if ((i + k) % 17 == 6) v = 1e-310;     // kept: subnormal
+      if ((i + 5 * k) % 19 == 8) v = kDenormMin;  // kept: subnormal
+      if (k == 2) v = -std::abs(v);          // emptied class: all skipped
+      if (i * j + k == n * j / 2 && k != 2) v = kNaN;  // kept: NaN
       w[i * j + k] = v;
     }
   }
@@ -278,53 +294,72 @@ std::vector<double> synthetic_weights(std::size_t n, std::size_t j) {
 }
 
 /// Per-class scalar chain into a J x stats_per_class() buffer: for each
-/// class, accumulate every item of `range` with w > 0 into this term's
-/// slots, in item order.
+/// class, accumulate every item of `range` with w > 0 (or NaN, which
+/// `w <= 0` does not skip) into this term's slots, in item order.
 void scalar_accumulate(const Model& model, std::size_t t,
-                       data::ItemRange range, const std::vector<double>& w,
+                       data::ItemRange range, std::size_t j,
+                       const std::vector<double>& w,
                        std::vector<double>& stats) {
   const Term& term = model.term(t);
   const std::size_t spc = model.stats_per_class();
-  for (std::size_t k = 0; k < kClasses; ++k) {
+  for (std::size_t k = 0; k < j; ++k) {
     const std::span<double> s(stats.data() + k * spc + model.stats_offset(t),
                               term.stats_size());
     for (std::size_t i = range.begin; i < range.end; ++i) {
-      const double wi = w[(i - range.begin) * kClasses + k];
+      const double wi = w[(i - range.begin) * j + k];
       if (wi <= 0.0) continue;
       term.accumulate(i, wi, s);
     }
   }
 }
 
+/// Class counts the term-level M-step checks run at: below, at, and just
+/// past one and two full 4-lane vectors, and the search's top J = 16.
+constexpr std::size_t kMStepClassCounts[] = {1, 3, 4, 5, 8, 9, 16};
+
 /// accumulate_batch over all J classes, with the real interleaved
 /// stats_per_class() stride, must match the per-class scalar chain
-/// bit-for-bit — including the w <= 0 skips and every other term's slots
-/// left untouched.
+/// bit-for-bit — including the skips, -0.0 base slots, and every other
+/// term's slots left untouched — at every class count of
+/// kMStepClassCounts, so both the full vectors and the scalar remainder
+/// of the lanes = classes kernels are reached.
 void expect_term_accumulate_matches_scalar_on(const Model& model) {
   const std::size_t n = model.dataset().num_items();
   const std::size_t spc = model.stats_per_class();
-  for (const data::ItemRange range : kernel_ranges(n)) {
-    const std::vector<double> w = synthetic_weights(range.size(), kClasses);
-    for (std::size_t t = 0; t < model.num_terms(); ++t) {
-      SCOPED_TRACE(testing::Message() << "term " << t << " range ["
-                                      << range.begin << ", " << range.end
-                                      << ")");
-      // Non-zero base stats so additions (not overwrites) are checked.
-      std::vector<double> scalar(kClasses * spc, 0.125);
-      std::vector<double> batch = scalar;
-      scalar_accumulate(model, t, range, w, scalar);
-      model.term(t).accumulate_batch(range, w.data(), kClasses,
-                                     batch.data() + model.stats_offset(t),
-                                     spc);
-      expect_bit_identical(batch, scalar);
+  for (const std::size_t j : kMStepClassCounts) {
+    for (const data::ItemRange range : kernel_ranges(n)) {
+      const std::vector<double> w = synthetic_weights(range.size(), j);
+      for (std::size_t t = 0; t < model.num_terms(); ++t) {
+        SCOPED_TRACE(testing::Message() << "J " << j << " term " << t
+                                        << " range [" << range.begin << ", "
+                                        << range.end << ")");
+        // Non-zero base stats so additions (not overwrites) are checked,
+        // and -0.0 slots, which an added +0.0 would flip to +0.0.
+        std::vector<double> scalar(j * spc);
+        for (std::size_t c = 0; c < scalar.size(); ++c)
+          scalar[c] = c % 3 == 0 ? -0.0 : 0.125 * static_cast<double>(c % 5);
+        std::vector<double> batch = scalar;
+        scalar_accumulate(model, t, range, j, w, scalar);
+        model.term(t).accumulate_batch(range, w.data(), j,
+                                       batch.data() + model.stats_offset(t),
+                                       spc);
+        expect_bit_identical(batch, scalar);
+      }
     }
   }
 }
 
+/// The term-level M-step check on both backends, with the kernels forced
+/// to the portable loop and at the host's detected level.
 void expect_term_accumulate_matches_scalar(const Model& model) {
-  on_both_backends(model, [](const Model& m) {
-    expect_term_accumulate_matches_scalar_on(m);
-  });
+  for (const simd::Level level :
+       {simd::Level::kScalar, simd::detected_level()}) {
+    const simd::ScopedForceLevel pin(level);
+    SCOPED_TRACE(simd::to_string(level));
+    on_both_backends(model, [](const Model& m) {
+      expect_term_accumulate_matches_scalar_on(m);
+    });
+  }
 }
 
 TEST(TermMStepKernels, SingleNormalWithMissing) {
@@ -584,6 +619,16 @@ TEST(UpdateParamsKernel, MixedModelWithIgnoreBitEqualsScalar) {
       {TermKind::kSingleMultinomial, {2}},
   };
   expect_mstep_bit_equal(Model(ld.dataset, std::move(specs)), 3, 105);
+}
+
+TEST(UpdateParamsKernel, SixteenClassesBitEqualScalar) {
+  // The search's top J: four full class vectors per stats slot, for the
+  // Gaussian model the search fits and for all five term families.
+  data::LabeledDataset ld = data::paper_dataset(1100, 36);
+  data::inject_missing(ld.dataset, 0.15, 13);
+  expect_mstep_bit_equal(Model::default_model(ld.dataset), 16, 106);
+  const Dataset mixed = data::five_family_mixture(900, 37, 0.08).dataset;
+  expect_mstep_bit_equal(Model(mixed, five_family_terms()), 16, 107);
 }
 
 TEST(UpdateParamsKernel, PartitionedRanksBitEqualScalarRanks) {
@@ -1017,19 +1062,19 @@ Model mixed_five_family_model(data::LabeledDataset& ld) {
 
 /// Per-family kernel outputs must be memcmp-equal between the forced-scalar
 /// tier and the host's best vector tier.  Runs the term batch oracles under
-/// both forced levels; on scalar-only hosts the two runs coincide and the
-/// test degenerates to the plain kernel-equality check.
+/// both forced levels (the M-step check pins both levels itself); on
+/// scalar-only hosts the two runs coincide and the test degenerates to the
+/// plain kernel-equality check.
 void expect_simd_matches_forced_scalar(const Model& model) {
   {
     simd::ScopedForceLevel vec(simd::Level::kAvx2);  // clamps to detected
     expect_term_batch_matches_scalar(model);
-    expect_term_accumulate_matches_scalar(model);
   }
   {
     simd::ScopedForceLevel scalar(simd::Level::kScalar);
     expect_term_batch_matches_scalar(model);
-    expect_term_accumulate_matches_scalar(model);
   }
+  expect_term_accumulate_matches_scalar(model);
 }
 
 TEST(SimdKernels, GaussianWithMissingMatchesOracleAtBothLevels) {

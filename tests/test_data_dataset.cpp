@@ -1,6 +1,8 @@
 // Tests for Schema, Dataset storage, column statistics, and partitioners.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "data/dataset.hpp"
 #include "util/error.hpp"
 
@@ -143,6 +145,31 @@ TEST(Dataset, SliceCopiesRows) {
   EXPECT_EQ(s.discrete_value(1, 1), 2);
   EXPECT_THROW(d.slice(3, 2), pac::Error);
   EXPECT_THROW(d.slice(0, 6), pac::Error);
+}
+
+TEST(Dataset, GatherCopiesListedRowsInOrder) {
+  Dataset d(two_attr_schema(), 5);
+  for (std::size_t i = 0; i < 5; ++i) {
+    d.set_real(i, 0, static_cast<double>(i) - 0.5);
+    d.set_discrete(i, 1, static_cast<std::int32_t>(i % 3));
+  }
+  d.set_missing(3, 0);
+  d.set_missing(4, 1);
+  const std::vector<std::size_t> rows = {4, 0, 3, 0};
+  const Dataset g = d.gather(rows);
+  ASSERT_EQ(g.num_items(), 4u);
+  EXPECT_TRUE(g.resident());
+  EXPECT_EQ(g.schema(), d.schema());
+  for (std::size_t q = 0; q < rows.size(); ++q) {
+    EXPECT_EQ(g.is_missing(q, 0), d.is_missing(rows[q], 0)) << q;
+    if (!d.is_missing(rows[q], 0)) {
+      EXPECT_EQ(g.real_value(q, 0), d.real_value(rows[q], 0)) << q;
+    }
+    EXPECT_EQ(g.discrete_value(q, 1), d.discrete_value(rows[q], 1)) << q;
+  }
+  EXPECT_EQ(d.gather({}).num_items(), 0u);
+  const std::vector<std::size_t> past_end = {5};
+  EXPECT_THROW(d.gather(past_end), pac::Error);
 }
 
 // ---- partitioners ----

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -188,6 +189,54 @@ TEST(OutOfCore, TransportsSeeIdenticalTrajectories) {
     mp::testutil::expect_bit_identical(
         transport_trajectories(pair.chunked, ranks, /*hybrid=*/true),
         reference);
+  }
+}
+
+TEST(OutOfCore, MStepChunkErrorIsTypedOnPoolThreads) {
+  // A chunk that fails its checksum when the M-step reloads it must reach
+  // the caller as the typed FormatError naming it, on the pool as without
+  // one — an exception escaping a pool thread would terminate the process.
+  // 256-row chunks under a 2 KiB budget hold one chunk column at a time,
+  // so chunk 9 is evicted by the time random_init returns and the M-step
+  // reads it back from the corrupted file.
+  const data::Dataset source = data::paper_dataset(4096, 57).dataset;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const std::string path = "/tmp/pac_ooc_" + std::to_string(::getpid()) +
+                             "_mstep_crc_" + std::to_string(threads) +
+                             ".pacb";
+    data::format::write_pacb_file(path, source, /*chunk_rows=*/256);
+    const data::Dataset chunked(data::ChunkedStore::open(path, 2048));
+    const ac::Model model = ac::Model::default_model(chunked);
+    ac::Reducer identity;
+    ac::EmWorker worker(model, data::ItemRange{0, chunked.num_items()},
+                        identity);
+    ac::Classification c(model, 4);
+    ac::EmConfig config;
+    config.threads = threads;
+    worker.random_init(c, 58, 0, config);
+    {
+      const data::format::PacbLayout layout = data::format::read_layout(path);
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(static_cast<std::streamoff>(layout.column_data_offset(9, 0) + 5));
+      char byte = 0;
+      f.read(&byte, 1);
+      f.seekp(-1, std::ios::cur);
+      byte = static_cast<char>(byte ^ 0x40);
+      f.write(&byte, 1);
+    }
+    try {
+      worker.update_parameters(c);
+      ADD_FAILURE() << "the corrupt chunk reload did not throw";
+    } catch (const data::format::FormatError& e) {
+      EXPECT_EQ(e.chunk(), 9);
+      EXPECT_EQ(e.column(), 0);
+      EXPECT_NE(std::string(e.what()).find("checksum mismatch in chunk 9, "
+                                           "column 0"),
+                std::string::npos)
+          << e.what();
+    }
+    std::remove(path.c_str());
   }
 }
 
