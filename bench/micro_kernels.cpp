@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -161,13 +162,19 @@ data::LabeledDataset gaussian_heavy_dataset(std::size_t n) {
 /// benches keep scalar-batch-kernel semantics on vector-capable hosts and
 /// the *Simd variants measure the vector tier (clamped to what the host
 /// supports, so they degenerate to the scalar numbers on scalar-only CPUs).
+/// The worker is WtsOnly (partition_params = false): the default worker's
+/// E-step also accumulates the next M-step's statistics, which the
+/// BM_UpdateParams* gates time on their own, while the WtsOnly E-step only
+/// adds one copy of the rows into its full weight matrix (on one rank the
+/// same rows).  BM_EmBaseCycle and BM_OocCycle* time the one-pass cycle.
 void run_update_wts(benchmark::State& state, const ac::Model& model,
                     std::size_t j, bool scalar,
                     simd::Level level = simd::Level::kScalar) {
   const simd::ScopedForceLevel pin(level);
   const std::size_t n = model.dataset().num_items();
   ac::Reducer identity;
-  ac::EmWorker worker(model, data::ItemRange{0, n}, identity);
+  ac::EmWorker worker(model, data::ItemRange{0, n}, identity,
+                      /*partition_params=*/false);
   ac::Classification c(model, j);
   worker.random_init(c, 7, 0, ac::EmConfig{});
   worker.update_parameters(c);
@@ -309,19 +316,26 @@ BENCHMARK(BM_UpdateWtsMixed);
 
 // ---- M-step kernel benches: batched update_parameters vs the oracle ----
 
-/// One full M-step per iteration from a fixed post-E-step state.  `scalar`
-/// selects the per-item virtual accumulate chain instead of the
-/// accumulate_batch kernels; `threads` sizes the intra-rank pool.  `level`
-/// pins the SIMD dispatch for the whole measurement: the default measures
-/// the lanes = classes kernels at the host's best level, and the *Portable
-/// variants their per-class portable loops (the two are bit-identical).
+/// One full M-step accumulation per iteration from a fixed post-E-step
+/// state.  The default worker accumulates its statistics inside the E-step
+/// and its update_parameters only folds them, so these benches use the
+/// WtsOnly worker (partition_params = false), whose M-step keeps the
+/// standalone pass: on one rank its gathered weight matrix is the local
+/// one, so each iteration runs accumulate_batch over every block, the
+/// block-ordered fold and the MAP update.  `scalar` selects the per-item
+/// virtual accumulate chain instead of the accumulate_batch kernels;
+/// `threads` sizes the intra-rank pool.  `level` pins the SIMD dispatch
+/// for the whole measurement: the default measures the lanes = classes
+/// kernels at the host's best level, and the *Portable variants their
+/// per-class portable loops (the two are bit-identical).
 void run_update_params(benchmark::State& state, const ac::Model& model,
                        std::size_t j, bool scalar, int threads = 1,
                        simd::Level level = simd::Level::kAvx2) {
   const simd::ScopedForceLevel pin(level);
   const std::size_t n = model.dataset().num_items();
   ac::Reducer identity;
-  ac::EmWorker worker(model, data::ItemRange{0, n}, identity);
+  ac::EmWorker worker(model, data::ItemRange{0, n}, identity,
+                      /*partition_params=*/false);
   ac::Classification c(model, j);
   ac::EmConfig config;
   config.threads = threads;
@@ -522,6 +536,69 @@ void BM_OocCycleChunked(benchmark::State& state) {
   run_ooc_cycle(state, true);
 }
 BENCHMARK(BM_OocCycleChunked);
+
+/// The data path alone: every 256-item block of every column of the
+/// five-family data, block-major as the EM passes read them, each value
+/// summed once and no E/M work.  Resident, a block is a span into memory;
+/// chunked under the evicting budget, every pass looks up, reads and
+/// CRC-checks each chunk column again.
+void run_ooc_scan(benchmark::State& state, bool chunked) {
+  const OocData data(chunked);
+  const data::Dataset& dataset = data.dataset();
+  const std::size_t n = dataset.num_items();
+  const std::size_t attrs = dataset.num_attributes();
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (std::size_t begin = 0; begin < n; begin += 256) {
+      const data::ItemRange block{begin, std::min(begin + 256, n)};
+      for (std::size_t a = 0; a < attrs; ++a) {
+        if (dataset.schema().at(a).kind == data::AttributeKind::kReal) {
+          const auto view = dataset.real_block(a, block);
+          for (std::size_t i = 0; i < view.size(); ++i) sum += view[i];
+        } else {
+          const auto view = dataset.discrete_block(a, block);
+          for (std::size_t i = 0; i < view.size(); ++i) sum += view[i];
+        }
+      }
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * n * attrs);
+}
+
+void BM_OocScanResident(benchmark::State& state) {
+  run_ooc_scan(state, false);
+}
+BENCHMARK(BM_OocScanResident);
+
+void BM_OocScanChunked(benchmark::State& state) {
+  run_ooc_scan(state, true);
+}
+BENCHMARK(BM_OocScanChunked);
+
+// ---- chunk checksums: slicing-by-8 vs the PCLMULQDQ fold ----
+
+/// CRC-32 of one 16 KiB buffer, a 2048-row chunk column of doubles, at the
+/// pinned dispatch level: the scalar level runs slicing-by-8, AVX2 the
+/// carry-less-multiplication fold (same value).
+void run_crc32(benchmark::State& state, simd::Level level) {
+  const simd::ScopedForceLevel pin(level);
+  std::vector<unsigned char> buf(16 << 10);
+  Xoshiro256ss rng(16);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng() >> 56);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(data::format::crc32(buf.data(), buf.size()));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(buf.size()));
+}
+
+void BM_Crc32Portable(benchmark::State& state) {
+  run_crc32(state, simd::Level::kScalar);
+}
+BENCHMARK(BM_Crc32Portable);
+
+void BM_Crc32(benchmark::State& state) { run_crc32(state, simd::Level::kAvx2); }
+BENCHMARK(BM_Crc32);
 
 void BM_EmBaseCycle(benchmark::State& state) {
   // Host throughput of one full base_cycle (sequential), items x classes.

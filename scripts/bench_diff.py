@@ -60,6 +60,15 @@ PAIRS = [
     # drop means the chunked data path (lookups, pread, CRC, per-block
     # transforms) grew a cost.
     ("ooc-chunked-vs-resident", "BM_OocCycleResident", "BM_OocCycleChunked"),
+    # The data path alone: every block of every column of the same data
+    # summed once per pass, no E/M kernels, resident vs chunked under the
+    # evicting budget.  Below 1x by design; unlike the cycle pair, a kernel
+    # speedup cannot move it, so a drop means the chunk path itself (lookup,
+    # pread, CRC) grew a cost.
+    ("ooc-scan-chunked-vs-resident", "BM_OocScanResident", "BM_OocScanChunked"),
+    # Chunk checksum of a 16 KiB chunk column: slicing-by-8 (the scalar
+    # level) vs the PCLMULQDQ fold at the host's level (same value).
+    ("crc-fold", "BM_Crc32Portable", "BM_Crc32"),
     # Serving path (bench/serve_latency): micro-batched predict_batch vs
     # the per-request rowwise path and the per-row scalar oracle.
     ("serve-batched-vs-rowwise", "BM_ServePredictRowwise", "BM_ServePredictBatched"),

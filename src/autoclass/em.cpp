@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 
 #include "autoclass/report.hpp"
 #include "util/error.hpp"
@@ -121,19 +120,35 @@ void EmWorker::run_blocks(
     for (std::size_t b = 0; b < blocks; ++b) fn(b, 0);
     return;
   }
-  // A pool thread must not let an exception escape: each block's error is
-  // captured where it is thrown, and after the join the lowest-indexed one
-  // is rethrown — whichever thread hit it, as without the pool.
-  std::vector<std::exception_ptr> block_error(blocks);
-  pool_->run_slotted(blocks, [&](std::size_t b, std::size_t slot) {
-    try {
-      fn(b, slot);
-    } catch (...) {
-      block_error[b] = std::current_exception();
-    }
-  });
-  for (const std::exception_ptr& error : block_error)
-    if (error) std::rethrow_exception(error);
+  // The pool runs every block and rethrows the lowest-indexed block's
+  // error after the join, whichever thread hit it.
+  pool_->run_slotted(blocks, fn);
+}
+
+void EmWorker::accumulate_block(data::ItemRange block, const double* weights,
+                                double* stats) const {
+  const std::size_t j = num_classes_;
+  const std::size_t spc = model_->stats_per_class();
+  std::fill_n(stats, j * spc, 0.0);
+  // Term-major: one Term::accumulate_batch call per term folds every
+  // class's weight column over the whole block — one column fetch per term
+  // and block, the virtual dispatch, column pointers, and moment registers
+  // hoisted out of the item loop, and the classes side by side in vector
+  // lanes.  (term, class) slots are disjoint, and within every slot the
+  // items still fold in increasing order, so the block partial is
+  // bit-identical to the scalar chain's.
+  for (std::size_t t = 0; t < model_->num_terms(); ++t)
+    model_->term(t).accumulate_batch(block, weights, j,
+                                     stats + model_->stats_offset(t), spc);
+}
+
+void EmWorker::fold_statistics(std::span<const double> partials) {
+  // Block-ordered fold: a pure function of kEStepBlock, bit-identical for
+  // any thread count.
+  const std::size_t size = num_classes_ * model_->stats_per_class();
+  stats_.assign(size, 0.0);
+  for (std::size_t at = 0; at < partials.size(); at += size)
+    for (std::size_t s = 0; s < size; ++s) stats_[s] += partials[at + s];
 }
 
 void EmWorker::random_init(Classification& c, std::uint64_t seed,
@@ -182,12 +197,17 @@ void EmWorker::random_init(Classification& c, std::uint64_t seed,
   // the first minimum, so the assignment is bit-identical to a per-item
   // scalar loop — and, like the E-step, a pure function of kEStepBlock,
   // never of the thread count.
+  // The first M-step's partials are accumulated in the same block pass,
+  // from the rows just written (see update_wts_blocked).
   const std::size_t blocks = block_count(range_.begin, range_.end);
+  const std::size_t partial_size = j * model_->stats_per_class();
+  if (partition_params_) block_stats_.resize(blocks * partial_size);
   run_blocks(blocks, [&](std::size_t b, std::size_t) {
     const data::ItemRange block = block_range(range_.begin, range_.end, b);
     std::vector<double> dist(block.size() * j, 0.0);
     for (std::size_t t = 0; t < model_->num_terms(); ++t)
       model_->term(t).seed_distance_batch(block, seed_rows, dist.data());
+    double* rows = weights_.data() + (block.begin - range_.begin) * j;
     for (std::size_t r = 0; r < block.size(); ++r) {
       const double* row_dist = dist.data() + r * j;
       std::size_t home_class = 0;
@@ -198,10 +218,12 @@ void EmWorker::random_init(Classification& c, std::uint64_t seed,
           home_class = k;
         }
       }
-      double* row = weights_.data() + (block.begin - range_.begin + r) * j;
+      double* row = rows + r * j;
       for (std::size_t k = 0; k < j; ++k) row[k] = rest;
       row[home_class] = home;
     }
+    if (partition_params_)
+      accumulate_block(block, rows, block_stats_.data() + b * partial_size);
   });
 
   // W_j fold in plain item order over the filled rows — the same sequential
@@ -287,18 +309,22 @@ double EmWorker::update_wts_blocked(Classification& c, FillBlock&& fill,
   const std::size_t blocks = block_count(range_.begin, range_.end);
 
   // One scratch slot per pool thread: the class-major log-joint block, the
-  // per-item lse, the normalizer's scratch, and the block's W_j partial.
+  // per-item lse, the scalar-level normalizer's scratch, and the block's
+  // W_j partial.
   const std::size_t slot_size = (j + 3) * kEStepBlock + j;
   scratch_.resize(threads_ * slot_size);
 
   // Per-block partials: one W_j row and one compensated log-likelihood per
-  // block.  Each block folds in locals and stores its partials once, so
-  // blocks on different threads never write one cache line item by item.
-  // Blocks are claimed by whatever thread is free; determinism comes from
-  // the block-ordered fold below, and run_blocks rethrows the
-  // lowest-indexed block's error (whatever thread found it).
+  // block, and (unless the M-step spans the gathered full matrix) the
+  // block's M-step statistics.  Each block folds in locals and stores its
+  // partials once, so blocks on different threads never write one cache
+  // line item by item.  Blocks are claimed by whatever thread is free;
+  // determinism comes from the block-ordered folds, and run_blocks
+  // rethrows the lowest-indexed block's error (whatever thread found it).
   std::vector<double> block_wj(blocks * j, 0.0);
   std::vector<double> block_loglike(blocks, 0.0);
+  const std::size_t partial_size = j * model_->stats_per_class();
+  if (partition_params_) block_stats_.resize(blocks * partial_size);
   run_blocks(blocks, [&](std::size_t b, std::size_t slot) {
     const data::ItemRange block = block_range(range_.begin, range_.end, b);
     const std::size_t n = block.size();
@@ -314,12 +340,11 @@ double EmWorker::update_wts_blocked(Classification& c, FillBlock&& fill,
       // Lanes = items: every item runs normalize_row's op sequence, so the
       // weights, the lse fold and the W_j fold (item order per class) are
       // bit-identical to the per-row oracle.
-      normalize_log_joint(lj, n, j, rows, lse, norm_scratch);
+      normalize_log_joint(lj, n, j, rows, lse, norm_scratch, wj.data());
       for (std::size_t r = 0; r < n; ++r) {
         if (!std::isfinite(lse[r]))
           throw_degenerate_row(block.begin + r, lse[r], lj + r, j, n);
         loglike.add(lse[r]);
-        for (std::size_t k = 0; k < j; ++k) wj[k] += rows[r * j + k];
       }
     } else {
       for (std::size_t r = 0; r < n; ++r) {
@@ -330,6 +355,10 @@ double EmWorker::update_wts_blocked(Classification& c, FillBlock&& fill,
     }
     std::copy(wj.begin(), wj.end(), block_wj.begin() + b * j);
     block_loglike[b] = loglike.value();
+    // The next M-step's partial, from the rows just stored and the columns
+    // just fetched, while both are still in cache.
+    if (partition_params_)
+      accumulate_block(block, rows, block_stats_.data() + b * partial_size);
   });
 
   // Block-ordered fold: W_j and the log-likelihood fold block by block — a
@@ -377,60 +406,33 @@ double EmWorker::update_wts_scalar(Classification& c) {
 }
 
 template <typename AccumulateBlock>
-void EmWorker::accumulate_statistics_blocked(const Classification& c,
-                                             AccumulateBlock&& accumulate) {
-  const std::size_t j = c.num_classes();
-  const std::size_t spc = model_->stats_per_class();
+void EmWorker::accumulate_statistics_blocked(AccumulateBlock&& accumulate) {
+  const std::size_t j = num_classes_;
   const bool full = !partition_params_;
   const std::size_t begin = full ? 0 : range_.begin;
   const std::size_t end = full ? data_->num_items() : range_.end;
   const double* weights = full ? full_weights_.data() : weights_.data();
   const std::size_t weight_base = full ? 0 : range_.begin;
 
-  // Per-block J x stats_per_class partials, folded below in block-index
-  // order — the same determinism structure as the E-step.
+  // Per-block J x stats_per_class partials of its own, folded in
+  // block-index order — the structure of the fused pass, which these
+  // partials never replace.
+  const std::size_t partial_size = j * model_->stats_per_class();
   const std::size_t blocks = block_count(begin, end);
-  block_stats_.assign(blocks * j * spc, 0.0);
+  std::vector<double> partials(blocks * partial_size, 0.0);
   run_blocks(blocks, [&](std::size_t b, std::size_t) {
     const data::ItemRange block = block_range(begin, end, b);
-    const double* block_weights = weights + (block.begin - weight_base) * j;
-    accumulate(block, block_weights,
-               std::span<double>(block_stats_.data() + b * j * spc,
-                                 j * spc));
+    accumulate(block, weights + (block.begin - weight_base) * j,
+               partials.data() + b * partial_size);
   });
-
-  stats_.assign(j * spc, 0.0);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const double* partial = block_stats_.data() + b * j * spc;
-    for (std::size_t s = 0; s < j * spc; ++s) stats_[s] += partial[s];
-  }
+  fold_statistics(partials);
 }
 
-void EmWorker::accumulate_statistics(const Classification& c) {
-  const std::size_t j = c.num_classes();
+void EmWorker::accumulate_statistics_scalar() {
+  const std::size_t j = num_classes_;
   const std::size_t spc = model_->stats_per_class();
   accumulate_statistics_blocked(
-      c, [&](data::ItemRange block, const double* weights,
-             std::span<double> stats) {
-        // Term-major: one Term::accumulate_batch call per term folds every
-        // class's weight column over the whole block — one column fetch per
-        // term and block, the virtual dispatch, column pointers, and moment
-        // registers hoisted out of the item loop, and the classes side by
-        // side in vector lanes.  (term, class) slots are disjoint, and
-        // within every slot the items still fold in increasing order, so
-        // the block partial is bit-identical to the scalar chain's.
-        for (std::size_t t = 0; t < model_->num_terms(); ++t)
-          model_->term(t).accumulate_batch(
-              block, weights, j, stats.data() + model_->stats_offset(t), spc);
-      });
-}
-
-void EmWorker::accumulate_statistics_scalar(const Classification& c) {
-  const std::size_t j = c.num_classes();
-  const std::size_t spc = model_->stats_per_class();
-  accumulate_statistics_blocked(
-      c, [&](data::ItemRange block, const double* weights,
-             std::span<double> stats) {
+      [&](data::ItemRange block, const double* weights, double* stats) {
         // The reference chain: item-major, per-class w <= 0 skip, one
         // virtual accumulate per (item, class, term).
         for (std::size_t i = block.begin; i < block.end; ++i) {
@@ -438,7 +440,7 @@ void EmWorker::accumulate_statistics_scalar(const Classification& c) {
           for (std::size_t k = 0; k < j; ++k) {
             const double w = row[k];
             if (w <= 0.0) continue;
-            double* class_stats = stats.data() + k * spc;
+            double* class_stats = stats + k * spc;
             for (std::size_t t = 0; t < model_->num_terms(); ++t)
               model_->term(t).accumulate(
                   i, w,
@@ -476,7 +478,17 @@ void EmWorker::update_parameters(Classification& c) {
   PAC_TRACE_SCOPE(reducer_->recorder(), "em", "update_parameters");
   PAC_CHECK_MSG(c.num_classes() == num_classes_,
                 "call random_init before update_parameters");
-  accumulate_statistics(c);
+  if (partition_params_) {
+    // The partials of the block pass that wrote the current weights.
+    fold_statistics(block_stats_);
+  } else {
+    // WtsOnly: the statistics span the gathered full weight matrix, which
+    // no local block pass covers.
+    accumulate_statistics_blocked(
+        [&](data::ItemRange block, const double* weights, double* stats) {
+          accumulate_block(block, weights, stats);
+        });
+  }
   finish_update_parameters(c);
 }
 
@@ -484,7 +496,7 @@ void EmWorker::update_parameters_scalar(Classification& c) {
   PAC_TRACE_SCOPE(reducer_->recorder(), "em", "update_parameters_scalar");
   PAC_CHECK_MSG(c.num_classes() == num_classes_,
                 "call random_init before update_parameters");
-  accumulate_statistics_scalar(c);
+  accumulate_statistics_scalar();
   finish_update_parameters(c);
 }
 

@@ -22,6 +22,14 @@
 // accumulators, which the owner folds in block-index order — so every
 // result is a pure function of the block size, bit-identical across 1/2/N
 // threads and across both transport backends (DESIGN.md §5).
+//
+// One block pass per cycle: whoever writes the weights (random_init and
+// the E-step) also accumulates the next M-step's per-block statistics from
+// the rows it just stored, so update_parameters only folds those partials,
+// reduces them and runs the MAP update.  The partials stay valid until the
+// weights change.  Only the WtsOnly strategy, whose M-step spans the
+// gathered full weight matrix, and the scalar oracle keep a standalone
+// accumulation pass.
 #pragma once
 
 #include <cstdint>
@@ -192,7 +200,8 @@ class EmWorker {
   data::ItemRange range() const noexcept { return range_; }
 
   /// Draw the initial membership weights for try `try_index` from the
-  /// counter-based RNG (partition-invariant) and make W_j global.
+  /// counter-based RNG (partition-invariant) and make W_j global; each
+  /// block also accumulates the first M-step's statistics partial.
   void random_init(Classification& c, std::uint64_t seed,
                    std::uint64_t try_index, const EmConfig& config);
 
@@ -201,10 +210,12 @@ class EmWorker {
   /// (returned and stored in c.log_likelihood).  Each block is filled
   /// class-major by fill_log_joint (the term-major batch kernels; per item
   /// log pi_j then terms in index order) and normalized with lanes = items
-  /// (normalize_log_joint) — per item the same operations as
-  /// update_wts_scalar, so both paths are bit-identical on every transport
-  /// backend.  Blocks are work-shared across the configured thread pool and
-  /// the per-block (W_j, log-likelihood) partials are folded in block-index
+  /// (normalize_log_joint, which folds W_j in the same pass) — per item the
+  /// same operations as update_wts_scalar, so both paths are bit-identical
+  /// on every transport backend.  In the same visit each block accumulates
+  /// the next M-step's statistics from the rows it just stored (unless the
+  /// M-step is WtsOnly).  Blocks are work-shared across the configured
+  /// thread pool and the per-block partials are folded in block-index
   /// order, so every result is a pure function of the block size —
   /// bit-identical across thread counts.  Throws DegenerateRowError if any
   /// item's row is -inf under every class (the lowest-indexed offending
@@ -216,23 +227,26 @@ class EmWorker {
   /// replaced, run through the identical blocked reduction structure
   /// (per-block partials, block-ordered fold).  Kept as the oracle the
   /// kernel-equality tests and BM_UpdateWts benches diff against; identical
-  /// reduction protocol and results (bit-for-bit) as update_wts.
+  /// reduction protocol and results (bit-for-bit) as update_wts.  Like every
+  /// weight writer it also leaves the next M-step's partials.
   double update_wts_scalar(Classification& c);
 
-  /// M-step: accumulate local statistics — blocked, term-major over the
-  /// membership matrix via one Term::accumulate_batch call per (term,
-  /// block) covering all J classes (lanes = classes: 4 classes' slots per
-  /// vector, each slot folding its items in order, bit-identical to the
-  /// scalar chain), work-shared across the thread pool with per-block
-  /// partial statistics folded in block-index order — make them global,
-  /// and recompute every class's parameters and mixing weight.
+  /// M-step: fold the per-block statistics that the last weight pass
+  /// (random_init or update_wts) accumulated — one Term::accumulate_batch
+  /// call per (term, block) covering all J classes, lanes = classes, each
+  /// slot folding its items in order, bit-identical to the scalar chain —
+  /// in block-index order, make them global, and recompute every class's
+  /// parameters and mixing weight.  Reads no data, so calling it twice
+  /// without an E-step in between gives the same result.  A WtsOnly worker
+  /// accumulates here instead, over the gathered full weight matrix.
   void update_parameters(Classification& c);
 
-  /// Reference M-step: the per-item x per-class x per-term virtual
-  /// accumulate chain the batch kernels replaced, through the identical
-  /// blocked partial fold (accumulate_statistics_scalar).  The oracle the
-  /// M-step equality tests and BM_UpdateParams benches diff against;
-  /// bit-identical results to update_parameters.
+  /// Reference M-step: a standalone pass of the per-item x per-class x
+  /// per-term virtual accumulate chain the batch kernels replaced, through
+  /// the identical blocked partial fold (accumulate_statistics_scalar).
+  /// The oracle the M-step equality tests and BM_UpdateParams benches diff
+  /// against; bit-identical results to update_parameters.  It never touches
+  /// the weight pass's partials.
   void update_parameters_scalar(Classification& c);
 
   /// Score bookkeeping: Cheeseman-Stutz and BIC scores from the current
@@ -252,27 +266,35 @@ class EmWorker {
   std::span<const double> local_weights() const noexcept { return weights_; }
 
   /// Global statistics matrix (J x stats_per_class) from the last
-  /// update_parameters / random_init.
+  /// update_parameters.
   std::span<const double> statistics() const noexcept { return stats_; }
 
  private:
-  /// Batched statistics accumulation (Term::accumulate_batch) and its
-  /// per-item virtual oracle.  Both are blocked with per-block partials
-  /// folded in block-index order, so they are bit-identical to each other
-  /// and invariant in thread count.
-  void accumulate_statistics(const Classification& c);
-  void accumulate_statistics_scalar(const Classification& c);
-  /// Shared M-step scaffolding around the two accumulation paths.
+  /// One block's M-step partial: zero `stats` (J x stats_per_class) and
+  /// fold the block's item-major weight rows into it with one
+  /// Term::accumulate_batch call per term (lanes = classes, each slot in
+  /// item order — bit-identical to the scalar chain).
+  void accumulate_block(data::ItemRange block, const double* weights,
+                        double* stats) const;
+  /// stats_ = the per-block partials summed in block-index order.
+  void fold_statistics(std::span<const double> partials);
+  /// The standalone accumulation pass, for the two M-steps the weight
+  /// pass does not feed — WtsOnly over the gathered full matrix, and the
+  /// scalar oracle: per-block partials of its own from
+  /// accumulate(block, weights, stats), work-shared, then folded.
   template <typename AccumulateBlock>
-  void accumulate_statistics_blocked(const Classification& c,
-                                     AccumulateBlock&& accumulate);
+  void accumulate_statistics_blocked(AccumulateBlock&& accumulate);
+  /// The scalar oracle's pass: the per-item x per-class x per-term virtual
+  /// accumulate chain.
+  void accumulate_statistics_scalar();
   /// Common epilogue of both M-step paths: charge, reduce, MAP updates.
   void finish_update_parameters(Classification& c);
   /// Shared E-step scaffolding: block the partition, run `fill` per block
   /// (work-shared) into the slot's class-major scratch, normalize it into
   /// the item-major weight rows — with lanes = items, or row by row through
-  /// normalize_row when `lanes` is false — fold per-block partials in block
-  /// order, and finish.
+  /// normalize_row when `lanes` is false — accumulate the block's M-step
+  /// partial from those rows (accumulate_block), fold the W_j and
+  /// log-likelihood partials in block order, and finish.
   template <typename FillBlock>
   double update_wts_blocked(Classification& c, FillBlock&& fill, bool lanes);
   /// The scalar oracle of the E-step tail per item: logsumexp-normalize
@@ -303,7 +325,8 @@ class EmWorker {
   std::vector<double> weights_;      // local items x J
   std::vector<double> full_weights_; // all items x J (WtsOnly only)
   std::vector<double> stats_;        // J x stats_per_class
-  std::vector<double> block_stats_;  // per-block J x stats_per_class partials
+  std::vector<double> block_stats_;  // the last weight pass's per-block
+                                     // J x stats_per_class partials
   std::vector<double> scratch_;      // per-thread E-step block scratch
   std::size_t threads_ = 1;          // resolved at random_init
   std::unique_ptr<ThreadPool> pool_; // non-null only when threads_ > 1

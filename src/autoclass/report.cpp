@@ -24,14 +24,9 @@ void fill_log_joint(const Classification& c, data::ItemRange block,
 }
 
 void normalize_log_joint(const double* lj, std::size_t n, std::size_t j,
-                         double* out, double* lse, double* scratch) {
-  logsumexp_columns(lj, n, j, lse, scratch);
-  double* t = scratch;
-  for (std::size_t k = 0; k < j; ++k) {
-    for (std::size_t r = 0; r < n; ++r) t[r] = lj[k * n + r] - lse[r];
-    simd::exp_lanes(t, t, n);
-    for (std::size_t r = 0; r < n; ++r) out[r * j + k] = t[r];
-  }
+                         double* out, double* lse, double* scratch,
+                         double* wj) {
+  simd::normalize_columns(lj, n, j, out, lse, wj, scratch);
 }
 
 std::size_t argmax_class(const double* lj, std::size_t n, std::size_t j,

@@ -34,11 +34,16 @@ void fill_log_joint(const Classification& c, data::ItemRange block,
 
 /// Normalize a class-major log-joint block (fill_log_joint's layout) into
 /// item-major membership rows with lanes = items: lse[r] is logsumexp of
-/// in-block item r's row (logsumexp_columns) and out[r * j + k] =
-/// pac::exp(lj[k * n + r] - lse[r]) — bit-identical to normalizing each row
-/// with logsumexp and pac::exp.  `scratch` holds 2 * n doubles.
+/// in-block item r's row and out[r * j + k] = pac::exp(lj[k * n + r] -
+/// lse[r]) — bit-identical to normalizing each row with logsumexp and
+/// pac::exp.  When `wj` is not null the class weight sums are folded in the
+/// same pass: wj[k] += out[r * j + k] for every item in increasing order,
+/// the E-step's W_j fold.  The vector levels dispatch through
+/// simd::normalize_columns (at AVX2 one register pass per 4-item group, no
+/// scratch); `scratch` holds 2 * n doubles for the scalar and NEON levels.
 void normalize_log_joint(const double* lj, std::size_t n, std::size_t j,
-                         double* out, double* lse, double* scratch);
+                         double* out, double* lse, double* scratch,
+                         double* wj = nullptr);
 
 /// The class of in-block item r with the largest log joint in a class-major
 /// block, first maximum winning (std::max_element's rule).

@@ -1,12 +1,13 @@
 #include "data/format.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
+
+#include "util/simd.hpp"
 
 namespace pac::data::format {
 
@@ -16,35 +17,6 @@ constexpr char kMagic[4] = {'P', 'A', 'C', 'B'};
 constexpr char kTrailerMagic[4] = {'b', 'c', 'a', 'p'};
 constexpr std::uint32_t kEndianProbe = 0x01020304u;
 constexpr std::uint32_t kMaxChunkRows = 1u << 28;
-
-/// Slicing-by-8 tables for the reflected 0xEDB88320 polynomial: table[0] is
-/// the classic bytewise table, and table[k][b] is the CRC of byte b
-/// followed by k zero bytes, so eight bytes fold in one step of eight
-/// independent lookups.
-using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
-
-CrcTables make_crc_tables() {
-  CrcTables t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k)
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    t[0][i] = c;
-  }
-  for (std::size_t k = 1; k < 8; ++k)
-    for (std::uint32_t i = 0; i < 256; ++i)
-      t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
-  return t;
-}
-
-/// Little-endian 32-bit load from any address (the CRC consumes bytes in
-/// file order whatever the host byte order).
-std::uint32_t load_le32(const unsigned char* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
 
 template <class T>
 void write_pod(std::ostream& out, const T& value) {
@@ -227,18 +199,7 @@ std::size_t chunk_header_bytes(const PacbLayout& layout) {
 
 std::uint32_t crc32(const void* data, std::size_t size,
                     std::uint32_t seed) noexcept {
-  static const CrcTables t = make_crc_tables();
-  std::uint32_t crc = seed ^ 0xFFFFFFFFu;
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (; size >= 8; size -= 8, p += 8) {
-    const std::uint32_t lo = crc ^ load_le32(p);
-    const std::uint32_t hi = load_le32(p + 4);
-    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
-          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
-          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-  }
-  for (; size > 0; --size, ++p) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
-  return crc ^ 0xFFFFFFFFu;
+  return simd::crc32(data, size, seed);
 }
 
 std::size_t PacbLayout::num_chunks() const noexcept {

@@ -35,10 +35,10 @@ namespace pac::data::format {
 inline constexpr std::uint32_t kVersion = 2;
 inline constexpr std::uint32_t kDefaultChunkRows = 8192;
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320), slicing-by-8 over eight
-/// 256-entry tables: about 5x the bytewise table loop, with the same
-/// values, so stored checksums are unchanged.  `seed` chains incremental
-/// updates: crc32(b, crc32(a)) == crc32(a+b).
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320): simd::crc32, a PCLMULQDQ
+/// fold at the AVX2 level and slicing-by-8 otherwise, with the bytewise
+/// table loop's values, so stored checksums are unchanged.  `seed` chains
+/// incremental updates: crc32(b, crc32(a)) == crc32(a+b).
 std::uint32_t crc32(const void* data, std::size_t size,
                     std::uint32_t seed = 0) noexcept;
 

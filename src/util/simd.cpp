@@ -6,6 +6,7 @@
 // produces the oracle's bits here.
 #include "util/simd.hpp"
 
+#include <array>
 #include <atomic>
 #include <cctype>
 #include <cmath>
@@ -165,6 +166,57 @@ void multinormal_log_prob_portable(const double* const* cols, std::size_t d,
     out[i] += -0.5 * (dd * kLog2Pi + logdet + maha) + log_error_sum;
   }
 }
+
+/// Slicing-by-8 tables for the reflected 0xEDB88320 polynomial: table[0] is
+/// the classic bytewise table, and table[k][b] is the CRC of byte b
+/// followed by k zero bytes, so eight bytes fold in one step of eight
+/// independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() noexcept {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::uint32_t i = 0; i < 256; ++i)
+      t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+  return t;
+}
+
+/// Little-endian 32-bit load from any address (the CRC consumes bytes in
+/// memory order whatever the host byte order).
+std::uint32_t load_le32(const unsigned char* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+/// Slicing-by-8 over the raw (uninverted) CRC register.
+std::uint32_t crc32_portable(const unsigned char* p, std::size_t size,
+                             std::uint32_t crc) noexcept {
+  static const CrcTables t = make_crc_tables();
+  for (; size >= 8; size -= 8, p += 8) {
+    const std::uint32_t lo = crc ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++p) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
+  return crc;
+}
+
+#if PAC_SIMD_HAVE_X86
+bool host_has_pclmul() noexcept {
+  static const bool has = __builtin_cpu_supports("pclmul");
+  return has;
+}
+#endif
 
 }  // namespace
 
@@ -393,6 +445,42 @@ void log_lanes(const double* x, double* y, std::size_t n) noexcept {
   }
 #endif
   for (std::size_t i = 0; i < n; ++i) y[i] = pac::log(x[i]);
+}
+
+void normalize_columns(const double* lj, std::size_t n, std::size_t j,
+                       double* out, double* lse, double* wj,
+                       double* scratch) noexcept {
+#if PAC_SIMD_HAVE_X86
+  if (level() == Level::kAvx2) {
+    avx2::normalize_columns(lj, n, j, out, lse, wj);
+    return;
+  }
+#endif
+  logsumexp_columns(lj, n, j, lse, scratch);
+  double* t = scratch;
+  for (std::size_t k = 0; k < j; ++k) {
+    for (std::size_t r = 0; r < n; ++r) t[r] = lj[k * n + r] - lse[r];
+    exp_lanes(t, t, n);
+    for (std::size_t r = 0; r < n; ++r) out[r * j + k] = t[r];
+  }
+  if (wj == nullptr) return;
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t k = 0; k < j; ++k) wj[k] += out[r * j + k];
+}
+
+std::uint32_t crc32(const void* data, std::size_t size,
+                    std::uint32_t seed) noexcept {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint32_t crc = ~seed;
+#if PAC_SIMD_HAVE_X86
+  if (size >= 64 && level() == Level::kAvx2 && host_has_pclmul()) {
+    const std::size_t folded = size & ~std::size_t{15};
+    crc = avx2::crc32_fold(p, folded, crc);
+    p += folded;
+    size -= folded;
+  }
+#endif
+  return ~crc32_portable(p, size, crc);
 }
 
 void moment_accumulate(const double* x, std::size_t n, const double* weights,

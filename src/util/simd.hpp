@@ -16,7 +16,13 @@
 //      so their lanes are *classes* instead (lanes = classes): one vector
 //      holds 4 consecutive classes' weights of one item, and each lane is
 //      one class's statistics slot, still folding its items in increasing
-//      order — memcmp-equal to the scalar chain as well.
+//      order — memcmp-equal to the scalar chain as well.  The E-step row
+//      normalizer (normalize_columns) has both: lanes = items for the
+//      logsumexp and the weights, which an in-register 4 x 4 transpose
+//      turns into item rows, and lanes = classes for the W_j fold.
+//
+// The layer also holds the .pacb chunk checksum, crc32: slicing-by-8 at
+// the scalar level, a PCLMULQDQ fold at AVX2, the same value either way.
 //
 // No environment variable or config field selects another numeric tier:
 // the SIMD level, like the thread count, the transport and the data
@@ -129,6 +135,44 @@ void multinormal_log_prob(const double* const* cols, std::size_t d,
 
 void exp_lanes(const double* x, double* y, std::size_t n) noexcept;
 void log_lanes(const double* x, double* y, std::size_t n) noexcept;
+
+/// Lanes = items normalization of a class-major log-joint block (class k of
+/// item r at lj[k * n + r]): lse[r] is logsumexp of item r's J values (-inf
+/// for an item that is -inf under every class), out[r * j + k] =
+/// pac::exp(lj[k * n + r] - lse[r]) in item-major rows, and when `wj` is
+/// not null, wj[k] += out[r * j + k] for every item in increasing order.
+/// Per item the operations are logsumexp's and the row oracle's (max and
+/// the exp sum in class order, max + log(sum), then exp(x - lse) per class),
+/// so every output is bit-identical to normalizing row by row.
+///
+/// The AVX2 body holds 4 items in the lanes and reads `lj` straight into
+/// registers, with no scratch row: per group max, exp sum, log and lse
+/// (two groups interleaved, so one group's log latency hides behind the
+/// other's exps), then per group exp(x - lse).  Each 4 classes x 4 items
+/// of weights are transposed in-register into 4 item rows, stored
+/// contiguously and added in item order into a lanes = classes W_j vector.
+/// Classes past the last full vector go lane by lane and items past the
+/// last full group run the scalar sequence.  The scalar and NEON levels run
+/// logsumexp_columns, exp_lanes per class column and a W_j loop, in
+/// `scratch` (2 * n doubles, unused by the AVX2 body).
+void normalize_columns(const double* lj, std::size_t n, std::size_t j,
+                       double* out, double* lse, double* wj,
+                       double* scratch) noexcept;
+
+// ---------------------------------------------------------------------------
+// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).  `seed` chains
+// incremental updates: crc32(b, crc32(a)) == crc32(a + b).  The scalar and
+// NEON levels run slicing-by-8 over eight 256-entry tables, the oracle.  At
+// the AVX2 level on a host with PCLMULQDQ, inputs of 64 bytes or more fold
+// their whole 16-byte blocks four 128-bit lanes at a time by carry-less
+// multiplication (Gopal et al., "Fast CRC Computation for Generic
+// Polynomials Using PCLMULQDQ Instruction", Intel 2009), then Barrett-reduce
+// to 32 bits; the last size % 16 bytes go through slicing-by-8.  Every level
+// returns the same value.
+// ---------------------------------------------------------------------------
+
+std::uint32_t crc32(const void* data, std::size_t size,
+                    std::uint32_t seed = 0) noexcept;
 
 // ---------------------------------------------------------------------------
 // Exact M-step block kernels, lanes = classes (tier 2).  Each folds one item

@@ -1,6 +1,8 @@
 // AVX2 kernel bodies.  This is the only TU compiled with -mavx2 (and it is
 // excluded from non-x86 builds); everything here is reached only through
 // the runtime dispatch in simd.cpp, after __builtin_cpu_supports("avx2").
+// It is also built with -mpclmul for the CRC fold, which the dispatch
+// reaches only after __builtin_cpu_supports("pclmul") as well.
 //
 // Bit-identity discipline for the `*_log_prob` kernels: each 4-wide vector
 // op is the scalar oracle's op applied per lane — same operand order, same
@@ -15,9 +17,11 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -298,44 +302,157 @@ inline __m256d patch_lanes(__m256d res, __m256d x, int mask) noexcept {
   return _mm256_load_pd(ys);
 }
 
+/// pac::exp of 4 lanes, bit for bit.
+inline __m256d exp4_exact(__m256d xv) noexcept {
+  const __m256d ax =
+      _mm256_and_pd(xv, _mm256_castsi256_pd(splat64(0x7fffffffffffffffLL)));
+  __m256d res = exp4(xv);
+  // |x| < 2^-54: the scalar function's 1.0 + x branch, in-vector.  Every
+  // row's max class reaches exp at exactly 0, so this lane is common.
+  res = _mm256_blendv_pd(res, _mm256_add_pd(splat(1.0), xv),
+                         _mm256_cmp_pd(ax, splat(kExpTiny), _CMP_LT_OQ));
+  // |x| >= 512, NaN or ±inf (unordered compares true): scalar fallback.
+  const int special =
+      _mm256_movemask_pd(_mm256_cmp_pd(ax, splat(kExpBig), _CMP_NLT_UQ));
+  if (special != 0) res = patch_lanes<pac::exp>(res, xv, special);
+  return res;
+}
+
+/// pac::log of 4 lanes, bit for bit.
+inline __m256d log4_exact(__m256d xv) noexcept {
+  // Positive normal finite lanes: 2^-1022 <= x < +inf as signed bits.
+  const __m256i bits = _mm256_castpd_si256(xv);
+  __m256d res = log4(bits);
+  const __m256i ok = _mm256_and_si256(
+      _mm256_cmpgt_epi64(bits, splat64(0x000fffffffffffffLL)),
+      _mm256_cmpgt_epi64(splat64(0x7ff0000000000000LL), bits));
+  const int special = _mm256_movemask_pd(_mm256_castsi256_pd(ok)) ^ 0xf;
+  if (special != 0) res = patch_lanes<pac::log>(res, xv, special);
+  return res;
+}
+
 }  // namespace
 
 void exp_lanes(const double* x, double* y, std::size_t n) noexcept {
-  const __m256d abs_mask = _mm256_castsi256_pd(splat64(0x7fffffffffffffffLL));
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d xv = _mm256_loadu_pd(x + i);
-    const __m256d ax = _mm256_and_pd(xv, abs_mask);
-    __m256d res = exp4(xv);
-    // |x| < 2^-54: the scalar function's 1.0 + x branch, in-vector.  Every
-    // row's max class reaches exp at exactly 0, so this lane is common.
-    res = _mm256_blendv_pd(res, _mm256_add_pd(splat(1.0), xv),
-                           _mm256_cmp_pd(ax, splat(kExpTiny), _CMP_LT_OQ));
-    // |x| >= 512, NaN or ±inf (unordered compares true): scalar fallback.
-    const int special =
-        _mm256_movemask_pd(_mm256_cmp_pd(ax, splat(kExpBig), _CMP_NLT_UQ));
-    if (special != 0) res = patch_lanes<pac::exp>(res, xv, special);
-    _mm256_storeu_pd(y + i, res);
-  }
+  for (; i + 4 <= n; i += 4)
+    _mm256_storeu_pd(y + i, exp4_exact(_mm256_loadu_pd(x + i)));
   for (; i < n; ++i) y[i] = pac::exp(x[i]);
 }
 
 void log_lanes(const double* x, double* y, std::size_t n) noexcept {
-  // Positive normal finite lanes: 2^-1022 <= x < +inf as signed bits.
-  const __m256i below = splat64(0x000fffffffffffffLL);
-  const __m256i above = splat64(0x7ff0000000000000LL);
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d xv = _mm256_loadu_pd(x + i);
-    const __m256i bits = _mm256_castpd_si256(xv);
-    __m256d res = log4(bits);
-    const __m256i ok = _mm256_and_si256(_mm256_cmpgt_epi64(bits, below),
-                                        _mm256_cmpgt_epi64(above, bits));
-    const int special = _mm256_movemask_pd(_mm256_castsi256_pd(ok)) ^ 0xf;
-    if (special != 0) res = patch_lanes<pac::log>(res, xv, special);
-    _mm256_storeu_pd(y + i, res);
-  }
+  for (; i + 4 <= n; i += 4)
+    _mm256_storeu_pd(y + i, log4_exact(_mm256_loadu_pd(x + i)));
   for (; i < n; ++i) y[i] = pac::log(x[i]);
+}
+
+// ---------------------------------------------------------------------------
+// Row normalization, lanes = items.  Each lane runs logsumexp's sequence on
+// its own item (max in class order, the exp(x - max) sum in class order,
+// max + log(sum)) and then exp(x - lse) per class, all straight from the
+// class-major block in registers.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// lse of G groups of 4 items side by side (x + 4 * g, class k at k * n):
+/// the groups' dependency chains — max, exp sum, log — interleave, so one
+/// group's log latency hides behind the other's exps.
+template <std::size_t G>
+inline void group_lse(const double* x, std::size_t n, std::size_t j,
+                      double* lse) noexcept {
+  const __m256d ninf = splat(-std::numeric_limits<double>::infinity());
+  __m256d m[G], s[G];
+  for (std::size_t g = 0; g < G; ++g) m[g] = ninf;
+  // std::max(m, x) keeps m unless m < x, so a NaN x never wins:
+  // _mm256_max_pd(x, m) = x > m ? x : m.
+  for (std::size_t k = 0; k < j; ++k)
+    for (std::size_t g = 0; g < G; ++g)
+      m[g] = _mm256_max_pd(_mm256_loadu_pd(x + 4 * g + k * n), m[g]);
+  for (std::size_t g = 0; g < G; ++g) s[g] = _mm256_setzero_pd();
+  for (std::size_t k = 0; k < j; ++k)
+    for (std::size_t g = 0; g < G; ++g)
+      s[g] = _mm256_add_pd(
+          s[g], exp4_exact(_mm256_sub_pd(
+                    _mm256_loadu_pd(x + 4 * g + k * n), m[g])));
+  // An item that is -inf under every class keeps lse = -inf, as logsumexp
+  // returns early there.
+  for (std::size_t g = 0; g < G; ++g)
+    _mm256_storeu_pd(
+        lse + 4 * g,
+        _mm256_blendv_pd(_mm256_add_pd(m[g], log4_exact(s[g])), m[g],
+                         _mm256_cmp_pd(m[g], ninf, _CMP_EQ_OQ)));
+}
+
+/// Rows i = 0..3 of a 4 x 4 tile: w[c] holds class c of items 0..3 on
+/// entry, row i of the tile (classes 0..3 of item i) on return.
+inline void transpose4(__m256d w[4]) noexcept {
+  const __m256d t0 = _mm256_unpacklo_pd(w[0], w[1]);  // a0 b0 a2 b2
+  const __m256d t1 = _mm256_unpackhi_pd(w[0], w[1]);  // a1 b1 a3 b3
+  const __m256d t2 = _mm256_unpacklo_pd(w[2], w[3]);  // c0 d0 c2 d2
+  const __m256d t3 = _mm256_unpackhi_pd(w[2], w[3]);  // c1 d1 c3 d3
+  w[0] = _mm256_permute2f128_pd(t0, t2, 0x20);         // a0 b0 c0 d0
+  w[1] = _mm256_permute2f128_pd(t1, t3, 0x20);         // a1 b1 c1 d1
+  w[2] = _mm256_permute2f128_pd(t0, t2, 0x31);         // a2 b2 c2 d2
+  w[3] = _mm256_permute2f128_pd(t1, t3, 0x31);         // a3 b3 c3 d3
+}
+
+}  // namespace
+
+void normalize_columns(const double* lj, std::size_t n, std::size_t j,
+                       double* out, double* lse, double* wj) noexcept {
+  const std::size_t groups_end = n & ~std::size_t{3};
+  std::size_t r = 0;
+  for (; r + 8 <= groups_end; r += 8) group_lse<2>(lj + r, n, j, lse + r);
+  if (r < groups_end) group_lse<1>(lj + r, n, j, lse + r);
+  const std::size_t full = j & ~std::size_t{3};
+  for (r = 0; r < groups_end; r += 4) {
+    const double* x = lj + r;  // class k of the group's items at x + k * n
+    const __m256d l = _mm256_loadu_pd(lse + r);
+    double* rows = out + r * j;
+    std::size_t k = 0;
+    for (; k < full; k += 4) {
+      __m256d w[4];
+      for (std::size_t c = 0; c < 4; ++c)
+        w[c] = exp4_exact(_mm256_sub_pd(_mm256_loadu_pd(x + (k + c) * n), l));
+      transpose4(w);
+      for (std::size_t i = 0; i < 4; ++i)
+        _mm256_storeu_pd(rows + i * j + k, w[i]);
+      if (wj != nullptr) {
+        // Lanes = classes: each class adds the group's items in order.
+        __m256d acc = _mm256_loadu_pd(wj + k);
+        for (std::size_t i = 0; i < 4; ++i) acc = _mm256_add_pd(acc, w[i]);
+        _mm256_storeu_pd(wj + k, acc);
+      }
+    }
+    for (; k < j; ++k) {
+      alignas(32) double w[4];
+      _mm256_store_pd(
+          w, exp4_exact(_mm256_sub_pd(_mm256_loadu_pd(x + k * n), l)));
+      for (std::size_t i = 0; i < 4; ++i) {
+        rows[i * j + k] = w[i];
+        if (wj != nullptr) wj[k] += w[i];
+      }
+    }
+  }
+  const double ninf = -std::numeric_limits<double>::infinity();
+  for (; r < n; ++r) {
+    double m = ninf;
+    for (std::size_t k = 0; k < j; ++k) m = std::max(m, lj[k * n + r]);
+    double l = m;
+    if (m != ninf) {
+      double s = 0.0;
+      for (std::size_t k = 0; k < j; ++k) s += pac::exp(lj[k * n + r] - m);
+      l = m + pac::log(s);
+    }
+    lse[r] = l;
+    for (std::size_t k = 0; k < j; ++k) {
+      const double w = pac::exp(lj[k * n + r] - l);
+      out[r * j + k] = w;
+      if (wj != nullptr) wj[k] += w;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -536,6 +653,65 @@ void multinormal_accumulate(const double* const* cols, std::size_t d,
                                      num_classes - full,
                                      stats + full * stats_stride,
                                      stats_stride);
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32 by carry-less multiplication (PCLMULQDQ), the generic-polynomial
+// folding method of Gopal et al. (Intel, 2009) in the bit-reflected domain
+// of 0xEDB88320.  Four 128-bit accumulators each fold 16 bytes forward by
+// 512 bits per step (x^(4*128+32) and x^(4*128-32) mod P), then fold into
+// one lane, take the remaining 16-byte blocks one at a time, fold 128 to 64
+// bits and Barrett-reduce to the 32-bit register.  The constants are the
+// published ones for this polynomial (as in zlib's crc32_simd and Linux's
+// crc32-pclmul).
+// ---------------------------------------------------------------------------
+
+std::uint32_t crc32_fold(const unsigned char* p, std::size_t size,
+                         std::uint32_t crc) noexcept {
+  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+  const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i mask32 = _mm_setr_epi32(~0, 0, ~0, 0);
+  const auto load = [](const unsigned char* q) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(q));
+  };
+  // a * x^k fold: a.lo * k.lo ^ a.hi * k.hi, plus the next 16 bytes.
+  const auto fold = [](__m128i a, __m128i k, __m128i next) {
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(a, k, 0x00),
+                                       _mm_clmulepi64_si128(a, k, 0x11)),
+                         next);
+  };
+
+  __m128i x1 =
+      _mm_xor_si128(load(p), _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x2 = load(p + 16);
+  __m128i x3 = load(p + 32);
+  __m128i x4 = load(p + 48);
+  p += 64;
+  size -= 64;
+  for (; size >= 64; p += 64, size -= 64) {
+    x1 = fold(x1, k1k2, load(p));
+    x2 = fold(x2, k1k2, load(p + 16));
+    x3 = fold(x3, k1k2, load(p + 32));
+    x4 = fold(x4, k1k2, load(p + 48));
+  }
+  x1 = fold(x1, k3k4, x2);
+  x1 = fold(x1, k3k4, x3);
+  x1 = fold(x1, k3k4, x4);
+  for (; size >= 16; p += 16, size -= 16) x1 = fold(x1, k3k4, load(p));
+
+  // 128 -> 64 bits, then 64 -> 32 + 64.
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                     _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  x1 = _mm_xor_si128(
+      _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), k5, 0x00),
+      _mm_srli_si128(x1, 4));
+  // Barrett reduction to 32 bits.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), poly, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, mask32), poly, 0x00);
+  return static_cast<std::uint32_t>(
+      _mm_extract_epi32(_mm_xor_si128(x1, t), 1));
 }
 
 }  // namespace pac::simd::avx2

@@ -67,6 +67,15 @@ void multinormal_log_prob(const double* const* cols, std::size_t d,
 void exp_lanes(const double* x, double* y, std::size_t n) noexcept;
 void log_lanes(const double* x, double* y, std::size_t n) noexcept;
 
+void normalize_columns(const double* lj, std::size_t n, std::size_t j,
+                       double* out, double* lse, double* wj) noexcept;
+
+/// The PCLMULQDQ fold of `size` bytes (a multiple of 16, at least 64) into
+/// the raw, uninverted CRC register `crc`; returns the raw register.  The
+/// caller checks that the host has PCLMULQDQ.
+std::uint32_t crc32_fold(const unsigned char* p, std::size_t size,
+                         std::uint32_t crc) noexcept;
+
 void moment_accumulate(const double* x, std::size_t n, const double* weights,
                        std::size_t num_classes, double* stats,
                        std::size_t stats_stride) noexcept;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 namespace pac {
 
@@ -26,35 +27,48 @@ void ThreadPool::run(std::size_t count,
   run_slotted(count, [&task](std::size_t i, std::size_t) { task(i); });
 }
 
-void ThreadPool::run_slotted(
-    std::size_t count,
-    const std::function<void(std::size_t, std::size_t)>& task) {
+void ThreadPool::run_slotted(std::size_t count, const Task& task) {
   if (count == 0) return;
   if (workers_.empty() || count == 1) {
-    for (std::size_t i = 0; i < count; ++i) task(i, 0);
-    return;
+    for (std::size_t i = 0; i < count; ++i) run_index(task, i, 0);
+  } else {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      task_ = &task;
+      count_ = count;
+      next_.store(0, std::memory_order_relaxed);
+      active_ = workers_.size();
+      ++generation_;
+    }
+    work_cv_.notify_all();
+    // The owner is a full participant: claim indices until none are left.
+    for (std::size_t i = next_.fetch_add(1); i < count; i = next_.fetch_add(1))
+      run_index(task, i, 0);
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_cv_.wait(lock, [this] { return active_ == 0; });
+    task_ = nullptr;
   }
-  {
+  // Every index has finished and no worker touches the job any more.
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+}
+
+void ThreadPool::run_index(const Task& task, std::size_t i,
+                           std::size_t slot) noexcept {
+  try {
+    task(i, slot);
+  } catch (...) {
     std::lock_guard<std::mutex> lock(mutex_);
-    task_ = &task;
-    count_ = count;
-    next_.store(0, std::memory_order_relaxed);
-    active_ = workers_.size();
-    ++generation_;
+    if (!error_ || i < error_index_) {
+      error_ = std::current_exception();
+      error_index_ = i;
+    }
   }
-  work_cv_.notify_all();
-  // The owner is a full participant: claim indices until none are left.
-  for (std::size_t i = next_.fetch_add(1); i < count; i = next_.fetch_add(1))
-    task(i, 0);
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [this] { return active_ == 0; });
-  task_ = nullptr;
 }
 
 void ThreadPool::worker_loop(std::size_t slot) {
   std::uint64_t seen = 0;
   for (;;) {
-    const std::function<void(std::size_t, std::size_t)>* task = nullptr;
+    const Task* task = nullptr;
     std::size_t count = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
@@ -66,7 +80,7 @@ void ThreadPool::worker_loop(std::size_t slot) {
     }
     for (std::size_t i = next_.fetch_add(1); i < count;
          i = next_.fetch_add(1))
-      (*task)(i, slot);
+      run_index(*task, i, slot);
     bool last = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);

@@ -18,6 +18,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -39,9 +40,11 @@ class ThreadPool {
 
   /// Run task(i) for every i in [0, count), work-shared across the pool;
   /// the calling thread participates and the call returns only when every
-  /// index has finished.  `task` must not throw (capture errors per index
-  /// and surface them after the join, so error reporting stays
-  /// deterministic too).  Only the owning thread may call run().
+  /// index has finished.  An index that throws does not stop the others:
+  /// every index runs, and after the join the exception of the
+  /// lowest-indexed failing task is rethrown on the calling thread — the
+  /// same error whatever thread ran it, so error reporting is as
+  /// deterministic as the results.  Only the owning thread may call run().
   void run(std::size_t count, const std::function<void(std::size_t)>& task);
 
   /// run() that also passes the running thread's slot in [0, threads())
@@ -60,7 +63,12 @@ class ThreadPool {
   static constexpr std::size_t kMaxThreads = 256;
 
  private:
+  using Task = std::function<void(std::size_t, std::size_t)>;
+
   void worker_loop(std::size_t slot);
+  /// task(i, slot), keeping its exception if it is the lowest-indexed one
+  /// so far.
+  void run_index(const Task& task, std::size_t i, std::size_t slot) noexcept;
 
   std::size_t threads_ = 1;
   std::vector<std::thread> workers_;
@@ -71,9 +79,11 @@ class ThreadPool {
   std::uint64_t generation_ = 0;     // bumped per submitted job
   std::size_t active_ = 0;           // workers still inside the current job
   bool stop_ = false;
-  const std::function<void(std::size_t, std::size_t)>* task_ = nullptr;
+  const Task* task_ = nullptr;
   std::size_t count_ = 0;
   std::atomic<std::size_t> next_{0};  // next unclaimed index
+  std::exception_ptr error_;          // lowest-indexed failure of the job
+  std::size_t error_index_ = 0;       // its index (guarded by mutex_)
 };
 
 }  // namespace pac

@@ -651,6 +651,265 @@ TEST(UpdateParamsKernel, PartitionedRanksBitEqualScalarRanks) {
   }
 }
 
+// ---- one pass per cycle: whoever writes the weights writes the partials ----
+
+/// Two workers walk the same schedule of weight writers — random_init,
+/// update_wts, update_wts_scalar, prune_and_refit.  After each, A's
+/// update_parameters (the block-ordered fold of the partials the writer
+/// accumulated) must be memcmp-equal to B's update_parameters_scalar (a
+/// standalone pass of the per-item scalar chain), and a second
+/// update_parameters with no E-step in between must repeat the first.
+void expect_one_pass_mstep_matches_scalar(const Model& model, std::size_t j,
+                                          std::uint64_t seed, int threads) {
+  SCOPED_TRACE(testing::Message() << threads << " threads");
+  const data::ItemRange all{0, model.dataset().num_items()};
+  Reducer ra, rb;
+  EmWorker a(model, all, ra);
+  EmWorker b(model, all, rb);
+  EmConfig config;
+  config.threads = threads;
+  const auto m_step = [&](Classification& ca, Classification& cb,
+                          const char* after) {
+    SCOPED_TRACE(after);
+    a.update_parameters(ca);
+    b.update_parameters_scalar(cb);
+    expect_bit_identical(a.statistics(), b.statistics());
+    expect_bit_identical(ca.all_params(), cb.all_params());
+    const std::vector<double> stats(a.statistics().begin(),
+                                    a.statistics().end());
+    const std::vector<double> params(ca.all_params().begin(),
+                                     ca.all_params().end());
+    a.update_parameters(ca);
+    expect_bit_identical(a.statistics(), stats);
+    expect_bit_identical(ca.all_params(), params);
+  };
+  Classification ca(model, j), cb(model, j);
+  a.random_init(ca, seed, 0, config);
+  b.random_init(cb, seed, 0, config);
+  m_step(ca, cb, "random_init");
+  ASSERT_EQ(a.update_wts(ca), b.update_wts(cb));
+  m_step(ca, cb, "update_wts");
+  ASSERT_EQ(a.update_wts_scalar(ca), b.update_wts_scalar(cb));
+  m_step(ca, cb, "update_wts_scalar");
+  // Prune exactly the lightest class.
+  std::vector<double> w(ca.weights().begin(), ca.weights().end());
+  std::sort(w.begin(), w.end());
+  ASSERT_LT(w[0], w[1]);
+  EmConfig prune = config;
+  prune.min_class_weight = 0.5 * (w[0] + w[1]);
+  Classification pa = a.prune_and_refit(ca, prune);
+  Classification pb = b.prune_and_refit(cb, prune);
+  ASSERT_EQ(pa.num_classes(), j - 1);
+  m_step(pa, pb, "prune_and_refit");
+}
+
+TEST(UpdateParamsKernel, OnePassPartialsMatchScalarAfterEveryWeightWriter) {
+  data::LabeledDataset ld = data::paper_dataset(1100, 38);
+  data::inject_missing(ld.dataset, 0.15, 15);
+  const Model gaussian = Model::default_model(ld.dataset);
+  const Dataset mixed = data::five_family_mixture(900, 39, 0.08).dataset;
+  const Model five(mixed, five_family_terms());
+  for (const int threads : {1, 4}) {
+    on_both_backends(gaussian, [&](const Model& m) {
+      expect_one_pass_mstep_matches_scalar(m, 6, 108, threads);
+    });
+    on_both_backends(five, [&](const Model& m) {
+      expect_one_pass_mstep_matches_scalar(m, 9, 109, threads);
+    });
+  }
+}
+
+TEST(UpdateParamsKernel, WtsOnlyKeepsItsStandalonePass) {
+  // A WtsOnly worker (partition_params = false) accumulates its M-step over
+  // the gathered full weight matrix in a pass of its own, which on one
+  // rank covers exactly the local items: its statistics must equal the
+  // one-pass worker's and the scalar oracle's at every cycle.
+  const Dataset mixed = data::five_family_mixture(900, 40, 0.08).dataset;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    on_both_backends(Model(mixed, five_family_terms()), [&](const Model& m) {
+      const data::ItemRange all{0, m.dataset().num_items()};
+      Reducer r1, r2, r3;
+      EmWorker one_pass(m, all, r1);
+      EmWorker wts_only(m, all, r2, /*partition_params=*/false);
+      EmWorker scalar(m, all, r3, /*partition_params=*/false);
+      Classification c1(m, 5), c2(m, 5), c3(m, 5);
+      EmConfig config;
+      config.threads = threads;
+      one_pass.random_init(c1, 110, 0, config);
+      wts_only.random_init(c2, 110, 0, config);
+      scalar.random_init(c3, 110, 0, config);
+      for (int cycle = 0; cycle < 3; ++cycle) {
+        SCOPED_TRACE(cycle);
+        one_pass.update_parameters(c1);
+        wts_only.update_parameters(c2);
+        scalar.update_parameters_scalar(c3);
+        expect_bit_identical(wts_only.statistics(), one_pass.statistics());
+        expect_bit_identical(scalar.statistics(), one_pass.statistics());
+        expect_bit_identical(c2.all_params(), c1.all_params());
+        expect_bit_identical(c3.all_params(), c1.all_params());
+        one_pass.update_wts(c1);
+        wts_only.update_wts(c2);
+        scalar.update_wts(c3);
+        expect_bit_identical(wts_only.local_weights(),
+                             one_pass.local_weights());
+        expect_bit_identical(scalar.local_weights(), one_pass.local_weights());
+      }
+    });
+  }
+}
+
+// ---- the lane normalizer: weights, lse and the W_j fold ----
+
+/// The per-row oracle, EmWorker::normalize_row's sequence without its
+/// degenerate-row throw: lse = logsumexp(row), w = pac::exp(x - lse) per
+/// class, wj[k] += w in item order.
+void normalize_rows_oracle(const std::vector<double>& lj, std::size_t n,
+                           std::size_t j, double* out, double* lse,
+                           double* wj) {
+  std::vector<double> row(j);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t k = 0; k < j; ++k) row[k] = lj[k * n + r];
+    lse[r] = logsumexp(row);
+    for (std::size_t k = 0; k < j; ++k) {
+      out[r * j + k] = pac::exp(row[k] - lse[r]);
+      wj[k] += out[r * j + k];
+    }
+  }
+}
+
+/// What a normalizer test block holds besides values in [-40, -1].
+enum class SpecialRows {
+  kNone,
+  /// Finite rows that take every branch of the scalar functions: exp
+  /// arguments below -512, ties at the max, a -inf class, and exp
+  /// arguments with |x| < 2^-54 that are not zero.
+  kFallbackLanes,
+  /// kFallbackLanes plus NaN, +inf and all -inf rows, whose weights and
+  /// lse are NaN or -inf.
+  kDegenerate,
+};
+
+/// A class-major block of n items x j classes in [-40, -1] (a fitted
+/// mixture's spread) with `special` rows among them.
+std::vector<double> normalize_test_block(std::size_t n, std::size_t j,
+                                         SpecialRows special) {
+  Xoshiro256ss rng(n * 131 + j);
+  std::vector<double> lj(n * j);
+  for (double& x : lj) x = uniform_in(rng, -40.0, -1.0);
+  if (special == SpecialRows::kNone) return lj;
+  const bool degenerate = special == SpecialRows::kDegenerate;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto at = [&](std::size_t k) -> double& { return lj[k * n + r]; };
+    const std::size_t kind = r % 9;
+    if (!degenerate && (kind == 2 || kind == 3 || kind == 4)) continue;
+    switch (kind) {
+      case 0:
+        at(0) = 3e-18;  // the max; class 1's exp argument is -3e-18
+        if (j > 1) at(1) = 0.0;
+        break;
+      case 1:
+        at(j - 1) = -700.0;  // exp(x - lse) falls back to the scalar path
+        break;
+      case 2:
+        for (std::size_t k = 0; k < j; ++k) at(k) = -inf;
+        break;
+      case 3:
+        at(r % j) = std::numeric_limits<double>::quiet_NaN();
+        break;
+      case 4:
+        at(0) = inf;
+        break;
+      case 5:  // a tie at the max
+        at(0) = 0.5;
+        at(j / 2) = 0.5;
+        break;
+      case 6:
+        at(0) = -inf;
+        break;
+      case 7:
+        at(r % j) = 600.0;  // every other class lands below -512
+        break;
+      default:
+        break;
+    }
+  }
+  return lj;
+}
+
+/// W_j bit for bit, except that where the oracle's sum is NaN the
+/// kernel's must only be NaN: a block with NaN weights adds NaNs of
+/// different signs into one class sum, and which one a NaN + NaN returns
+/// depends on the operand order the compiler picks for a commutative add,
+/// in the oracle loop as in any other.  (The E-step throws
+/// DegenerateRowError on such a block before its W_j is used.)
+void expect_wj_matches(const std::vector<double>& got,
+                       const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    if (std::isnan(want[k])) {
+      EXPECT_TRUE(std::isnan(got[k])) << "class " << k;
+    } else {
+      EXPECT_EQ(std::memcmp(&got[k], &want[k], sizeof(double)), 0)
+          << "class " << k << ": " << got[k] << " vs " << want[k];
+    }
+  }
+}
+
+/// normalize_log_joint with and without its W_j output against the
+/// oracle, at the scalar level and at the host's detected level, with
+/// guard cells past every output.
+void expect_normalizer_matches_oracle(std::size_t n, std::size_t j,
+                                      SpecialRows special) {
+  SCOPED_TRACE(testing::Message() << "n " << n << ", J " << j
+                                  << ", special rows "
+                                  << static_cast<int>(special));
+  const std::vector<double> lj = normalize_test_block(n, j, special);
+  std::vector<double> want_out(n * j + 1, -2.5), want_lse(n + 1, -2.5),
+      want_wj(j + 1, -2.5);
+  for (std::size_t k = 0; k < j; ++k) want_wj[k] = 0.25 * double(k);
+  normalize_rows_oracle(lj, n, j, want_out.data(), want_lse.data(),
+                        want_wj.data());
+  for (const simd::Level level :
+       {simd::Level::kScalar, simd::detected_level()}) {
+    const simd::ScopedForceLevel pin(level);
+    SCOPED_TRACE(simd::to_string(pin.effective()));
+    std::vector<double> out(n * j + 1, -2.5), lse(n + 1, -2.5),
+        wj(j + 1, -2.5), scratch(2 * n);
+    for (std::size_t k = 0; k < j; ++k) wj[k] = 0.25 * double(k);
+    normalize_log_joint(lj.data(), n, j, out.data(), lse.data(),
+                        scratch.data(), wj.data());
+    expect_bit_identical(out, want_out);
+    expect_bit_identical(lse, want_lse);
+    expect_wj_matches(wj, want_wj);
+    std::fill(out.begin(), out.end(), -2.5);
+    std::fill(lse.begin(), lse.end(), -2.5);
+    normalize_log_joint(lj.data(), n, j, out.data(), lse.data(),
+                        scratch.data());
+    expect_bit_identical(out, want_out);
+    expect_bit_identical(lse, want_lse);
+  }
+}
+
+constexpr std::size_t kNormalizeClassCounts[] = {1, 2, 3, 4, 5, 8, 9, 16, 17};
+constexpr std::size_t kNormalizeItemCounts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                                255, 256};
+
+TEST(NormalizeKernel, MatchesRowOracleAtEveryShapeAndLevel) {
+  for (const std::size_t j : kNormalizeClassCounts)
+    for (const std::size_t n : kNormalizeItemCounts)
+      expect_normalizer_matches_oracle(n, j, SpecialRows::kNone);
+}
+
+TEST(NormalizeKernel, FallbackLanesDegenerateRowsAndTiesMatchRowOracle) {
+  for (const std::size_t j : kNormalizeClassCounts)
+    for (const std::size_t n : kNormalizeItemCounts)
+      for (const SpecialRows special :
+           {SpecialRows::kFallbackLanes, SpecialRows::kDegenerate})
+        expect_normalizer_matches_oracle(n, j, special);
+}
+
 // ---- thread-count invariance ----
 
 /// One converged run at a given thread count, reduced to its observable

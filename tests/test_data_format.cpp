@@ -1,9 +1,9 @@
 // Tests for the .pacb binary columnar format and the ColumnStore backends:
 // exact round trips across every term-family column type, the CRC-32
-// against its bitwise definition, corruption and truncation rejection with
-// chunk/column attribution, chunked-vs-resident block equality under
-// eviction and under concurrent readers, budget validation, and
-// open_dataset sniffing.
+// against its bitwise definition at every SIMD level, corruption and
+// truncation rejection with chunk/column attribution, chunked-vs-resident
+// block equality under eviction and under concurrent readers, budget
+// validation, and open_dataset sniffing.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -22,6 +22,7 @@
 #include "data/io.hpp"
 #include "data/synth.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace pac::data {
 namespace {
@@ -312,6 +313,91 @@ TEST(PacbFormat, Crc32MatchesBytewiseDefinition) {
     const std::uint32_t a = format::crc32(buf.data(), split);
     ASSERT_EQ(format::crc32(buf.data() + split, buf.size() - split, a), whole)
         << "split " << split;
+  }
+}
+
+// ---- the CRC kernel at both dispatch levels ----
+
+/// Run `check` at the scalar level (slicing-by-8, the oracle) and at the
+/// host's detected level (the PCLMULQDQ fold where the host has it).
+template <class Check>
+void at_both_crc_levels(Check&& check) {
+  for (const simd::Level level :
+       {simd::Level::kScalar, simd::detected_level()}) {
+    const simd::ScopedForceLevel pin(level);
+    SCOPED_TRACE(simd::to_string(pin.effective()));
+    check();
+  }
+}
+
+std::vector<unsigned char> crc_test_bytes(std::size_t n, std::uint64_t seed) {
+  std::vector<unsigned char> buf(n);
+  Xoshiro256ss rng(seed);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng() >> 56);
+  return buf;
+}
+
+TEST(Crc32Kernel, EveryLengthAndOffsetMatchesBytewiseDefinition) {
+  // Lengths 0..1100 cover the tail-only sizes below 64, the first 64-byte
+  // fold, the single 16-byte folds and every tail length after them; the
+  // offsets 0..15 every alignment of the 16-byte loads; two seeds.  The
+  // definition is advanced one byte per length, so the sweep stays cheap.
+  const std::vector<unsigned char> buf = crc_test_bytes(1100 + 16, 4321);
+  for (const std::uint32_t seed : {0u, 0x9E3779B9u}) {
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      const unsigned char* p = buf.data() + offset;
+      std::uint32_t reg = seed ^ 0xFFFFFFFFu;  // the definition's register
+      for (std::size_t len = 0; len <= 1100; ++len) {
+        const std::uint32_t want = reg ^ 0xFFFFFFFFu;
+        at_both_crc_levels([&] {
+          ASSERT_EQ(format::crc32(p, len, seed), want)
+              << "seed " << seed << ", offset " << offset << ", length "
+              << len;
+        });
+        if (len == 1100) break;
+        reg ^= p[len];
+        for (int k = 0; k < 8; ++k)
+          reg = (reg & 1u) ? (reg >> 1) ^ 0xEDB88320u : reg >> 1;
+      }
+    }
+  }
+}
+
+TEST(Crc32Kernel, SeedChainsAcrossFoldAndTail) {
+  // crc32(b, crc32(a)) == crc32(a + b) at every split of a 300-byte
+  // buffer — splits inside the first 64 bytes, on and off 16-byte
+  // boundaries, and inside the tail — and across levels: the first part at
+  // one level, the rest at the other.
+  const std::vector<unsigned char> buf = crc_test_bytes(300, 99);
+  const std::uint32_t whole = bytewise_crc32(buf.data(), buf.size());
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    const std::size_t rest = buf.size() - split;
+    at_both_crc_levels([&] {
+      const std::uint32_t a = format::crc32(buf.data(), split);
+      ASSERT_EQ(format::crc32(buf.data() + split, rest, a), whole)
+          << "split " << split;
+      std::uint32_t b = 0;
+      {
+        const simd::ScopedForceLevel other(
+            simd::level() == simd::Level::kScalar ? simd::detected_level()
+                                                  : simd::Level::kScalar);
+        b = format::crc32(buf.data() + split, rest, a);
+      }
+      ASSERT_EQ(b, whole) << "split " << split << " across levels";
+    });
+  }
+}
+
+TEST(Crc32Kernel, ChunkSizedBuffersMatchBytewiseDefinition) {
+  // The sizes chunk columns have: 16 KiB (2048 doubles) and 64 KiB, and an
+  // odd length past each.
+  constexpr std::size_t kKiB = 1024;
+  const std::vector<unsigned char> buf = crc_test_bytes(64 * kKiB + 21, 7);
+  for (const std::size_t len :
+       {16 * kKiB, 16 * kKiB + 13, 64 * kKiB, 64 * kKiB + 21}) {
+    const std::uint32_t want = bytewise_crc32(buf.data(), len);
+    at_both_crc_levels(
+        [&] { EXPECT_EQ(format::crc32(buf.data(), len), want) << len; });
   }
 }
 

@@ -193,12 +193,14 @@ TEST(OutOfCore, TransportsSeeIdenticalTrajectories) {
 }
 
 TEST(OutOfCore, MStepChunkErrorIsTypedOnPoolThreads) {
-  // A chunk that fails its checksum when the M-step reloads it must reach
-  // the caller as the typed FormatError naming it, on the pool as without
-  // one — an exception escaping a pool thread would terminate the process.
-  // 256-row chunks under a 2 KiB budget hold one chunk column at a time,
-  // so chunk 9 is evicted by the time random_init returns and the M-step
-  // reads it back from the corrupted file.
+  // A chunk that fails its checksum when the next EM pass reloads it must
+  // reach the caller as the typed FormatError naming it, on the pool as
+  // without one — an exception escaping a pool thread would terminate the
+  // process.  256-row chunks under a 2 KiB budget hold one chunk column at
+  // a time, so chunk 9 is evicted by the time random_init returns.  The
+  // M-step folds the partials random_init accumulated and reads no data;
+  // the E-step after it, which also accumulates the next M-step's
+  // statistics, reads chunk 9 back from the corrupted file.
   const data::Dataset source = data::paper_dataset(4096, 57).dataset;
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(threads);
@@ -227,6 +229,7 @@ TEST(OutOfCore, MStepChunkErrorIsTypedOnPoolThreads) {
     }
     try {
       worker.update_parameters(c);
+      worker.update_wts(c);
       ADD_FAILURE() << "the corrupt chunk reload did not throw";
     } catch (const data::format::FormatError& e) {
       EXPECT_EQ(e.chunk(), 9);
@@ -238,6 +241,45 @@ TEST(OutOfCore, MStepChunkErrorIsTypedOnPoolThreads) {
     }
     std::remove(path.c_str());
   }
+}
+
+TEST(OutOfCore, OneCycleLoadsEachChunkColumnOnce) {
+  // One thread, 4096 rows x 2 reals in 256-row chunks (one per EM block):
+  // 32 chunk columns of 2 KiB under an 8 KiB budget, far below the 64 KiB
+  // file, so every cycle must stream the file again.  The M-step folds the
+  // partials its E-step accumulated from the rows and columns that block
+  // pass had just fetched, so one cycle reads each chunk column once; a
+  // separate M-step accumulation pass would read each of them a second
+  // time.  Single-threaded, the count repeats exactly.
+  const data::Dataset source = data::paper_dataset(4096, 61).dataset;
+  const std::string path =
+      "/tmp/pac_ooc_" + std::to_string(::getpid()) + "_cycle_loads.pacb";
+  data::format::write_pacb_file(path, source, /*chunk_rows=*/256);
+  const std::size_t chunk_columns = (4096 / 256) * source.num_attributes();
+  const auto cycle_loads = [&] {
+    const auto store = data::ChunkedStore::open(path, 8192);
+    const data::Dataset chunked(store);
+    const ac::Model model = ac::Model::default_model(chunked);
+    ac::Reducer identity;
+    ac::EmWorker worker(model, data::ItemRange{0, chunked.num_items()},
+                        identity);
+    ac::Classification c(model, 4);
+    ac::EmConfig config;
+    config.threads = 1;
+    worker.random_init(c, 62, 0, config);
+    std::vector<std::size_t> loads;
+    for (int cycle = 0; cycle < 3; ++cycle) {
+      const std::size_t before = store->chunk_loads();
+      worker.update_parameters(c);
+      worker.update_wts(c);
+      loads.push_back(store->chunk_loads() - before);
+    }
+    return loads;
+  };
+  const std::vector<std::size_t> first = cycle_loads();
+  for (const std::size_t loads : first) EXPECT_EQ(loads, chunk_columns);
+  EXPECT_EQ(cycle_loads(), first);
+  std::remove(path.c_str());
 }
 
 TEST(OutOfCore, ChunkedBackendRefusesMutation) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -228,6 +231,36 @@ TEST(ThreadPool, RunSlottedNeverSharesASlotBetweenRunningIndices) {
   EXPECT_EQ(out_of_range.load(), 0);
   EXPECT_EQ(clashes.load(), 0);
   for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1);
+}
+
+TEST(ThreadPool, TaskErrorsRethrowLowestIndexAfterJoin) {
+  // Index 0 throws at once, most likely on the calling thread, while the
+  // workers are still busy with later indices; a later index throws too.
+  // Every index must still run, the job must be joined before the error
+  // leaves run(), and the error must be index 0's whichever thread ran it.
+  // The single-thread pool's inline loop follows the same rule.
+  for (const std::size_t threads : {std::size_t{4}, std::size_t{1}}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    constexpr std::size_t kCount = 64;
+    std::vector<std::atomic<int>> hits(kCount);
+    try {
+      pool.run(kCount, [&](std::size_t i) {
+        hits[i].fetch_add(1);
+        if (i == 0) throw std::runtime_error("index 0");
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        if (i == 37) throw std::runtime_error("index 37");
+      });
+      ADD_FAILURE() << "no error left run()";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 0");
+    }
+    for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+    // The error is consumed: the next job runs clean.
+    std::atomic<int> calls{0};
+    EXPECT_NO_THROW(pool.run(9, [&](std::size_t) { calls.fetch_add(1); }));
+    EXPECT_EQ(calls.load(), 9);
+  }
 }
 
 TEST(ThreadPool, DegenerateShapes) {
