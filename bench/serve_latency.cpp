@@ -2,8 +2,8 @@
 //
 // Two tiers in one binary:
 //
-//  1. Google-benchmark micros over the in-process inference path, feeding
-//     the ratio gate in scripts/bench_diff.py:
+//  1. Google-benchmark micros over the inference path and its round trip,
+//     feeding the ratio gate in scripts/bench_diff.py:
 //       BM_ServePredictScalarOracle   the scalar oracle: one Model::rebound,
 //                                     then per row log pi + the sum of
 //                                     Term::log_prob and a first-maximum
@@ -14,8 +14,15 @@
 //                                     one Model::rebound per request)
 //       BM_ServePredictBatched        predict_batch over the whole batch —
 //                                     the micro-batched serving hot path
-//     The gated ratios are batched-vs-rowwise (micro-batching win) and
-//     batched-vs-scalar-oracle (kernel-tier win); both are within-run
+//       BM_LoopbackRoundTrip          a raw frame ping-pong over loopback
+//                                     TCP through the mp/transport helpers,
+//                                     carrying a 1-row predict request
+//       BM_ServeRoundTrip             one Client sending that 1-row predict
+//                                     back to back to a live Server
+//     The gated ratios are batched-vs-rowwise (micro-batching win),
+//     batched-vs-scalar-oracle (kernel-tier win) and serve-vs-loopback
+//     round trip (what the server adds to a bare socket round trip; a
+//     batching delay on a lone request shows up here); all are within-run
 //     ratios, so they survive machine changes like the other pairs.
 //
 //  2. A socket-level latency/QPS section: an in-process Server, client
@@ -47,8 +54,10 @@
 #include "autoclass/report.hpp"
 #include "autoclass/search.hpp"
 #include "data/dataset.hpp"
+#include "mp/transport/frame.hpp"
 #include "serve/client.hpp"
 #include "serve/predictor.hpp"
+#include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -179,6 +188,95 @@ void BM_ServePredictBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_ServePredictBatched);
 
+// ---- round trips: a live Server against a bare loopback socket ----
+
+namespace mt = pac::mp::transport;
+
+/// Round trips per benchmark iteration.  The iteration's manual time is
+/// their median, so a scheduler stall on a shared host moves one sample of
+/// eight, not the figure.
+constexpr std::size_t kRoundTripBurst = 8;
+
+template <class RoundTrip>
+void time_round_trips(benchmark::State& state, RoundTrip&& round_trip) {
+  std::vector<double> samples(kRoundTripBurst);
+  for (auto _ : state) {
+    for (double& s : samples) {
+      const auto t0 = std::chrono::steady_clock::now();
+      round_trip();
+      s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        t0)
+              .count();
+    }
+    std::nth_element(samples.begin(), samples.begin() + kRoundTripBurst / 2,
+                     samples.end());
+    state.SetIterationTime(samples[kRoundTripBurst / 2]);
+  }
+}
+
+void BM_LoopbackRoundTrip(benchmark::State& state) {
+  const Dataset one = fixture().probe.slice(0, 1);
+  pac::serve::PayloadWriter w;
+  w.u8(0);
+  w.u32(1);
+  pac::serve::encode_rows(w, one, 0, 1);
+  const std::vector<std::byte>& body = w.bytes();
+  const mt::FrameLimits limits{pac::serve::kMaxRequestBytes, false};
+
+  std::string address;
+  const mt::Fd listener = mt::listen_on(mt::parse_endpoint("127.0.0.1:0"),
+                                        address);
+  // Echo every frame back until the client hangs up.
+  std::string echo_error;
+  std::thread echo([&] {
+    try {
+      const mt::Fd peer = mt::accept_from(listener);
+      mt::FrameHeader h;
+      std::vector<std::byte> payload;
+      while (mt::read_frame(peer, limits, h, payload, "loopback echo"))
+        mt::write_frame(peer, h, payload.data(), payload.size(), limits,
+                        "loopback echo");
+    } catch (const std::exception& e) {
+      echo_error = e.what();
+    }
+  });
+  {
+    const mt::Fd fd = mt::connect_to(mt::parse_endpoint(address), 5.0);
+    mt::FrameHeader h;
+    h.context = pac::serve::kProtocolVersion;
+    h.tag = static_cast<std::int32_t>(pac::serve::RequestType::kPredict);
+    h.nbytes = body.size();
+    mt::FrameHeader rh;
+    std::vector<std::byte> reply;
+    time_round_trips(state, [&] {
+      ++h.seq;
+      mt::write_frame(fd, h, body.data(), body.size(), limits,
+                      "loopback send");
+      mt::read_frame(fd, limits, rh, reply, "loopback recv");
+      benchmark::DoNotOptimize(reply.data());
+    });
+  }
+  echo.join();
+  if (!echo_error.empty()) state.SkipWithError(echo_error.c_str());
+}
+BENCHMARK(BM_LoopbackRoundTrip)->UseManualTime();
+
+void BM_ServeRoundTrip(benchmark::State& state) {
+  const ServeFixture& f = fixture();
+  const Dataset one = f.probe.slice(0, 1);
+  pac::serve::Server server(f.model, f.classification, {});
+  server.start();
+  {
+    pac::serve::Client client(server.bound_address());
+    time_round_trips(state, [&] {
+      auto resp = client.predict(one, /*want_membership=*/false);
+      benchmark::DoNotOptimize(resp.labels.data());
+    });
+  }
+  server.stop();
+}
+BENCHMARK(BM_ServeRoundTrip)->UseManualTime();
+
 // ---- socket-level latency/QPS section ----
 
 struct LatencyResult {
@@ -203,10 +301,7 @@ std::string fmt_us(double us) {
 LatencyResult run_latency_rung(const ServeFixture& f, int clients,
                                std::uint64_t requests_per_client,
                                std::size_t rows_per_request) {
-  pac::serve::ServerOptions opts;
-  opts.max_batch_rows = 256;
-  opts.max_delay_ms = 0.2;
-  pac::serve::Server server(f.model, f.classification, opts);
+  pac::serve::Server server(f.model, f.classification, {});
   server.start();
 
   const Dataset request = f.probe.slice(0, rows_per_request);

@@ -73,6 +73,12 @@ PAIRS = [
     # the per-request rowwise path and the per-row scalar oracle.
     ("serve-batched-vs-rowwise", "BM_ServePredictRowwise", "BM_ServePredictBatched"),
     ("serve-kernel-vs-scalar-oracle", "BM_ServePredictScalarOracle", "BM_ServePredictBatched"),
+    # A 1-row predict round trip to a live Server vs a bare frame ping-pong
+    # of the same request over loopback (median of each burst of 8).  Below
+    # 1x by design: the server adds its reader and worker hand-offs and the
+    # predict.  A drop means a request waits for something it should not,
+    # such as a batching delay (a 1 ms window reads about 0.02x).
+    ("serve-roundtrip-vs-loopback", "BM_LoopbackRoundTrip/manual_time", "BM_ServeRoundTrip/manual_time"),
     # Try-parallel search (bench/search_tries): G=2 sub-worlds vs the classic
     # single-group sweep at equal total ranks.  Times are *modeled* virtual
     # seconds (UseManualTime), so the ratio is machine-independent and the

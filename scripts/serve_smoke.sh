@@ -3,11 +3,13 @@
 #
 #   1. generate a dataset and fit a classification (pautoclass_cli
 #      --checkpoint writes a pac-search-result file);
-#   2. start pac_serve on an ephemeral port with the checkpoint watcher on;
-#   3. drive it with 8 concurrent pac_client --bench-predict streams;
-#   4. rewrite the checkpoint mid-run and force a hot reload, verifying the
+#   2. require pac_serve to reject a flag it does not know (the deleted
+#      --max-delay-ms) with exit code 2, naming the flag;
+#   3. start pac_serve on an ephemeral port with the checkpoint watcher on;
+#   4. drive it with 8 concurrent pac_client --bench-predict streams;
+#   5. rewrite the checkpoint mid-run and force a hot reload, verifying the
 #      served generation bumps while the streams keep flowing;
-#   5. shut the server down with SIGTERM and require a clean exit.
+#   6. shut the server down with SIGTERM and require a clean exit.
 #
 # Usage: scripts/serve_smoke.sh [--build-dir DIR]
 # Exit code 0 = every step held; anything else is a failure.
@@ -46,6 +48,20 @@ echo "== serve_smoke: generate + fit =="
 "$CLI" --generate "$TMP/d" --items 600 >/dev/null
 "$CLI" --header "$TMP/d.hd2" --data "$TMP/d.db2" \
   --jlist 3 --tries 1 --max-cycles 5 --checkpoint "$TMP/ckpt" >/dev/null
+
+echo "== serve_smoke: unknown flag is rejected =="
+# Without the check this would start a server: the timeout turns that into
+# a failure (exit 124) instead of a hang.
+status=0
+timeout 10 "$SERVE" --header "$TMP/d.hd2" --data "$TMP/d.db2" \
+  --checkpoint "$TMP/ckpt" --listen 127.0.0.1:0 --max-delay-ms 1 \
+  >"$TMP/unknown.log" 2>&1 || status=$?
+if [ "$status" -ne 2 ] || ! grep -q -- '--max-delay-ms' "$TMP/unknown.log"; then
+  echo "serve_smoke: pac_serve --max-delay-ms 1 exited $status;" \
+    "expected 2 with the flag named" >&2
+  cat "$TMP/unknown.log" >&2
+  exit 1
+fi
 
 echo "== serve_smoke: start pac_serve (watcher on) =="
 "$SERVE" --header "$TMP/d.hd2" --data "$TMP/d.db2" \

@@ -288,16 +288,10 @@ void Server::enqueue(QueueItem item) {
 }
 
 void Server::worker_loop() {
-  const auto max_delay = std::chrono::duration_cast<
-      std::chrono::steady_clock::duration>(
-      std::chrono::duration<double, std::milli>(opts_.max_delay_ms));
   while (true) {
     std::unique_lock<std::mutex> lk(queue_mutex_);
     queue_cv_.wait(lk, [this] { return stopping_.load() || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stopping_.load()) return;  // drained
-      continue;
-    }
+    if (queue_.empty()) return;  // stopping, and drained
     QueueItem first = std::move(queue_.front());
     queue_.pop_front();
     if (first.type != RequestType::kPredict) {
@@ -305,22 +299,16 @@ void Server::worker_loop() {
       handle_control(first);
       continue;
     }
-    // Micro-batch gather: take consecutive predicts until the row cap or
-    // the delay window from the first request's enqueue elapses.
+    // The consecutive predicts already queued join the batch, up to the
+    // row cap; the worker never waits for more (work-conserving).
     std::vector<QueueItem> batch;
     std::size_t rows = first.rows.num_items();
-    const auto deadline = first.enqueue_time + max_delay;
     batch.push_back(std::move(first));
-    while (rows < opts_.max_batch_rows && !stopping_.load()) {
-      if (!queue_.empty()) {
-        if (queue_.front().type != RequestType::kPredict) break;
-        rows += queue_.front().rows.num_items();
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-        continue;
-      }
-      if (queue_cv_.wait_until(lk, deadline) == std::cv_status::timeout)
-        break;
+    while (rows < opts_.max_batch_rows && !queue_.empty() &&
+           queue_.front().type == RequestType::kPredict) {
+      rows += queue_.front().rows.num_items();
+      batch.push_back(std::move(queue_.front()));
+      queue_.pop_front();
     }
     queued_rows_ -= rows;
     metrics_.histogram("serve.queue_depth_rows")

@@ -9,10 +9,13 @@
 //   - readers decode + admission-validate requests and enqueue them
 //     (malformed requests fail individually, before batching);
 //   - ONE batch worker owns the metrics Registry and the inference hot
-//     path: it gathers queued predict requests into micro-batches
-//     (max_batch_rows rows or max_delay_ms from the first enqueue,
-//     whichever comes first), runs one Model::rebound + fill_log_joint
-//     pass per micro-batch, and splits the results back per request;
+//     path.  It is work-conserving: it takes the first queued request and,
+//     if that is a predict, every consecutive predict already queued (up
+//     to max_batch_rows rows), runs one Model::rebound + fill_log_joint
+//     pass over that micro-batch at once, and splits the results back per
+//     request.  It never sleeps while it holds a request, so a batch holds
+//     what queued during the previous one, and a request that reaches an
+//     idle server runs alone at once;
 //   - an optional watcher thread polls the checkpoint path and hot-swaps
 //     the model.
 //
@@ -49,12 +52,9 @@ namespace pac::serve {
 struct ServerOptions {
   /// Listen address ("host:port", port 0 = ephemeral, or "unix:/path").
   std::string address = "127.0.0.1:0";
-  /// Micro-batch row cap: the worker stops gathering once this many rows
-  /// are in hand.
+  /// Micro-batch row cap: the worker stops taking queued predicts into a
+  /// batch once this many rows are in hand.
   std::size_t max_batch_rows = 256;
-  /// Micro-batch gather window in milliseconds, measured from the first
-  /// queued request of the batch.
-  double max_delay_ms = 1.0;
   /// Admission cap on queued-but-unserved rows; beyond it predict
   /// requests are rejected with a busy error.
   std::size_t max_queue_rows = 16384;

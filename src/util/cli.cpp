@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "util/error.hpp"
@@ -101,6 +102,15 @@ std::vector<std::string> Cli::names() const {
   std::vector<std::string> out;
   out.reserve(values_.size());
   for (const auto& [k, v] : values_) out.push_back(k);
+  return out;
+}
+
+std::vector<std::string> Cli::unknown_flags(
+    std::initializer_list<std::string_view> known) const {
+  std::vector<std::string> out;
+  for (const auto& [k, v] : values_)
+    if (std::find(known.begin(), known.end(), k) == known.end())
+      out.push_back(k);
   return out;
 }
 

@@ -1,13 +1,17 @@
 // Tiny command-line flag parser for the examples and figure harnesses.
 //
 // Supported forms: --name value, --name=value, and bare boolean --name.
-// Unknown flags are an error (typos in a sweep silently changing the
-// experiment are worse than a hard stop).
+// The parser accepts any flag name; rejecting unknown ones is the caller's
+// check (unknown_flags against the flags it reads), because a typo that
+// silently changes an experiment or a server setting is worse than a hard
+// stop.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pac {
@@ -35,6 +39,11 @@ class Cli {
 
   /// Names seen on the command line (for --help style listings).
   std::vector<std::string> names() const;
+
+  /// Names seen on the command line that are not in `known`, in name
+  /// order; empty when every flag is known.
+  std::vector<std::string> unknown_flags(
+      std::initializer_list<std::string_view> known) const;
 
  private:
   std::map<std::string, std::string> values_;

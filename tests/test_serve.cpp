@@ -6,14 +6,17 @@
 // malformed requests.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -23,6 +26,7 @@
 #include <fstream>
 #include <functional>
 #include <future>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -567,40 +571,168 @@ TEST(Server, EightConcurrentClientsBitIdentical) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+/// Append one request frame (header + body) to a byte buffer, so a test
+/// can pipeline several requests in a single write.
+void append_request(std::vector<std::byte>& out, std::int32_t request_id,
+                    RequestType type, const std::vector<std::byte>& body) {
+  mt::FrameHeader h;
+  h.context = kProtocolVersion;
+  h.source = request_id;
+  h.tag = static_cast<std::int32_t>(type);
+  h.nbytes = body.size();
+  const auto* head = reinterpret_cast<const std::byte*>(&h);
+  out.insert(out.end(), head, head + sizeof h);
+  out.insert(out.end(), body.begin(), body.end());
+}
+
+/// Holds a reload_now() blocked in the open of a FIFO checkpoint until
+/// release(), which opens and closes the FIFO's write end.  The destructor
+/// releases too, so a failing test cannot leave the worker blocked and hang
+/// Server::stop().
+class FifoGate {
+ public:
+  explicit FifoGate(std::string path) : path_(std::move(path)) {
+    ::unlink(path_.c_str());
+    created_ = ::mkfifo(path_.c_str(), 0600) == 0;
+  }
+  ~FifoGate() {
+    release();
+    ::unlink(path_.c_str());
+  }
+  FifoGate(const FifoGate&) = delete;
+  FifoGate& operator=(const FifoGate&) = delete;
+
+  bool created() const { return created_; }
+  const std::string& path() const { return path_; }
+
+  /// Open the write end once the reader is in its open (a nonblocking
+  /// write open fails with ENXIO until then), and close it at once: the
+  /// reader sees an empty checkpoint.  Gives up after 10 s.
+  void release() {
+    if (!created_ || released_) return;
+    released_ = true;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (std::chrono::steady_clock::now() < deadline) {
+      const int fd = ::open(path_.c_str(), O_WRONLY | O_NONBLOCK);
+      if (fd >= 0) {
+        ::close(fd);
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+ private:
+  std::string path_;
+  bool created_ = false;
+  bool released_ = false;
+};
+
 TEST(Server, MicroBatchingPreservesPerRequestResults) {
-  // A tiny delay window plus many single-row requests forces co-batching;
-  // each response must still carry exactly its own rows' results.
+  // Predicts that queue while the worker is busy run as one batch, and
+  // each response still carries exactly its own rows' results.  The worker
+  // is held deterministically: a kReload of a FIFO checkpoint blocks it in
+  // the file open until the gate opens the FIFO's write end.
+  constexpr std::size_t kRequests = 16;
+  FifoGate gate("/tmp/pac_serve_test_gate_" + std::to_string(::getpid()) +
+                ".fifo");
+  ASSERT_TRUE(gate.created()) << std::strerror(errno);
   ServerOptions opts;
-  opts.max_delay_ms = 5.0;
-  opts.max_batch_rows = 64;
+  opts.watch_path = gate.path();
+  opts.watch_interval_s = 10.0;  // reloads via the explicit kReload only
+  opts.max_queue_rows = kRequests;
   ServeFixture f(2, opts);
-  const Dataset probe = five_family_dataset(32, 43);
+  const Dataset probe = five_family_dataset(kRequests + 1, 43);
   const PredictOutput offline = predict_batch(f.classification, probe, false);
 
-  constexpr int kClients = 4;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kClients; ++t) {
-    threads.emplace_back([&, t] {
-      Client client(f.server.bound_address());
-      for (std::size_t i = static_cast<std::size_t>(t);
-           i < probe.num_items(); i += kClients) {
-        const Dataset one = probe.slice(i, i + 1);
-        const PredictResponse resp = client.predict(one, false);
-        if (resp.labels.size() != 1 || resp.labels[0] != offline.labels[i])
-          mismatches.fetch_add(1);
-      }
-    });
+  // One write: the kReload, K single-row predicts (ids 1..K) and one more
+  // (id K+1).  The reader queues the K predicts behind the blocked reload
+  // and rejects the (K+1)-th, because K rows fill max_queue_rows.
+  constexpr std::int32_t kReloadId = 1000;
+  std::vector<std::byte> wire;
+  {
+    PayloadWriter w;
+    w.u8(0);
+    append_request(wire, kReloadId, RequestType::kReload, w.bytes());
   }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
+  for (std::size_t i = 0; i <= kRequests; ++i) {
+    PayloadWriter w;
+    w.u8(0);
+    w.u32(1);
+    encode_rows(w, probe, i, i + 1);
+    append_request(wire, static_cast<std::int32_t>(i + 1),
+                   RequestType::kPredict, w.bytes());
+  }
+  {
+    const mt::Fd fd = mt::connect_to(
+        mt::parse_endpoint(f.server.bound_address()), 5.0);
+    mt::write_full(fd, wire.data(), wire.size(), "test pipeline");
+    const mt::FrameLimits limits{kMaxRequestBytes, false};
+    mt::FrameHeader rh;
+    std::vector<std::byte> payload;
+
+    // The busy error comes first: the worker is still held, so it proves
+    // all K predicts are queued.
+    ASSERT_TRUE(mt::read_frame(fd, limits, rh, payload, "test recv"));
+    ASSERT_EQ(rh.tag, kErrorTag);
+    EXPECT_EQ(rh.source, static_cast<std::int32_t>(kRequests + 1));
+    {
+      PayloadReader r(payload);
+      EXPECT_NE(r.str().find("server busy"), std::string::npos);
+    }
+    gate.release();
+
+    // The reload fails on the empty FIFO, then one batch answers the K
+    // predicts in order.
+    ASSERT_TRUE(mt::read_frame(fd, limits, rh, payload, "test recv"));
+    EXPECT_EQ(rh.tag, static_cast<std::int32_t>(RequestType::kReload));
+    EXPECT_EQ(rh.source, kReloadId);
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      ASSERT_TRUE(mt::read_frame(fd, limits, rh, payload, "test recv"));
+      ASSERT_EQ(rh.tag, static_cast<std::int32_t>(RequestType::kPredict));
+      EXPECT_EQ(rh.source, static_cast<std::int32_t>(i + 1));
+      PayloadReader r(payload);
+      const PredictResponse resp = decode_predict_response(r);
+      ASSERT_EQ(resp.labels.size(), 1u);
+      EXPECT_EQ(resp.labels[0], offline.labels[i]) << "request " << i + 1;
+    }
+  }
   f.server.stop();
-  // Co-batching happened at least once (not every request alone), and the
-  // batch accounting is consistent.
   const auto& m = f.server.metrics();
-  EXPECT_EQ(m.counter_value("serve.rows_predicted"), probe.num_items());
-  EXPECT_LE(m.counter_value("serve.batches"),
-            m.counter_value("serve.requests_predict"));
+  EXPECT_EQ(m.counter_value("serve.batches"), 1u);
+  EXPECT_EQ(m.counter_value("serve.requests_predict"), kRequests);
+  EXPECT_EQ(m.counter_value("serve.rows_predicted"), kRequests);
+  EXPECT_EQ(f.server.busy_rejections(), 1u);
+}
+
+TEST(Server, LoneRequestIsNotHeldForABatchWindow) {
+  // A request that reaches an idle server runs at once: nothing holds it
+  // back waiting for company, so the fastest of 20 sequential round trips
+  // stays under 0.5 ms (a 1 ms batch window would put every one above).
+  // The model is one normal term, so the round trip times the server's
+  // hand-offs rather than the kernel, with room to spare under TSan.
+  Dataset train(Schema({Attribute::real("x", 0.01)}), 200);
+  Xoshiro256ss rng(53);
+  for (std::size_t i = 0; i < train.num_items(); ++i)
+    train.set_real(i, 0, (i % 2 == 0 ? 0.0 : 6.0) + normal01(rng));
+  const ac::Model model(train, {{ac::TermKind::kSingleNormal, {0}}});
+  Server server(model, fit(model), {});
+  server.start();
+  const Dataset one = train.slice(0, 1);
+  Client client(server.bound_address());
+  double fastest = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < 20; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const PredictResponse resp = client.predict(one, false);
+    const double s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    ASSERT_EQ(resp.labels.size(), 1u);
+    fastest = std::min(fastest, s);
+  }
+  EXPECT_LT(fastest, 0.5e-3) << "fastest of 20 round trips: "
+                             << fastest * 1e6 << " us";
 }
 
 TEST(Server, HotReloadUnderLoadKeepsResponsesConsistent) {

@@ -160,6 +160,19 @@ TEST(Cli, NegativeValueAfterFlag) {
   EXPECT_EQ(cli.get_int("offset", 0), -5);
 }
 
+TEST(Cli, UnknownFlagsNamedInBothForms) {
+  const Cli cli = make_cli({"--max-batch", "64", "--max-queue=1",
+                            "--watch", "--max-batchh", "8"});
+  // "--name=value" and "--name value" are both checked; names come back in
+  // name order.
+  EXPECT_EQ(cli.unknown_flags({"max-batch", "watch"}),
+            (std::vector<std::string>{"max-batchh", "max-queue"}));
+  EXPECT_TRUE(
+      cli.unknown_flags({"max-batch", "max-batchh", "max-queue", "watch"})
+          .empty());
+  EXPECT_TRUE(make_cli({"file.db2"}).unknown_flags({}).empty());
+}
+
 // ---- error macros ----
 
 TEST(ErrorMacros, CheckThrowsWithLocation) {

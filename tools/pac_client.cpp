@@ -10,15 +10,28 @@
 //              --repeat 100       # sustained-load driver for scripts
 //
 // Rows for --predict come from the same .hd2/.db2 (or .pacb/.csv) formats
-// the training tools use; the schema must match the server's.
+// the training tools use; the schema must match the server's.  --timeout
+// bounds the connect retries (seconds, default 10).  An unknown flag
+// prints the usage and exits with code 2.
 #include <fstream>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "data/io.hpp"
 #include "serve/client.hpp"
 #include "util/cli.hpp"
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: pac_client --connect HOST:PORT [--timeout SECONDS]\n"
+    "         --info | --stats | --reload\n"
+    "       | --top-influence K\n"
+    "       | --predict ROWS.db2 --header H.hd2 [--membership]\n"
+    "         [--labels-out FILE]\n"
+    "       | --bench-predict ROWS.db2 --header H.hd2\n"
+    "         [--repeat N] [--membership]\n";
 
 pac::data::Dataset load_rows(const pac::Cli& cli, const std::string& path) {
   using namespace pac;
@@ -32,16 +45,19 @@ pac::data::Dataset load_rows(const pac::Cli& cli, const std::string& path) {
 int main(int argc, char** argv) {
   using namespace pac;
   const Cli cli(argc, argv);
+  const std::vector<std::string> unknown = cli.unknown_flags(
+      {"connect", "timeout", "info", "stats", "reload", "top-influence",
+       "predict", "bench-predict", "header", "membership", "labels-out",
+       "repeat"});
+  if (!unknown.empty()) {
+    std::cerr << "pac_client: unknown flag --" << unknown.front() << "\n"
+              << kUsage;
+    return 2;
+  }
 
   const std::string address = cli.get_string("connect", "");
   if (address.empty()) {
-    std::cerr << "usage: pac_client --connect HOST:PORT\n"
-                 "         --info | --stats | --reload\n"
-                 "       | --top-influence K\n"
-                 "       | --predict ROWS.db2 --header H.hd2 [--membership]\n"
-                 "         [--labels-out FILE]\n"
-                 "       | --bench-predict ROWS.db2 --header H.hd2\n"
-                 "         [--repeat N] [--membership]\n";
+    std::cerr << kUsage;
     return 2;
   }
 

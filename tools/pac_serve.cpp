@@ -4,22 +4,27 @@
 // pac-classification or a pac-search-result, in which case the best entry
 // serves), binds it to the training dataset's model, and answers
 // predict / membership / info / top-influence queries from concurrent
-// pac_client connections.  With --watch it polls the checkpoint file and
-// hot-swaps the model when a retrain lands, without dropping in-flight
-// requests.
+// pac_client connections.  Predicts that queue while a batch runs are
+// served together as the next batch (at most --max-batch rows); a request
+// that reaches an idle server runs at once, with no batching delay.  With
+// --watch it polls the checkpoint file and hot-swaps the model when a
+// retrain lands, without dropping in-flight requests.
 //
 //   pac_serve --header d.hd2 --data d.db2 --checkpoint best.ckpt
 //             [--listen 127.0.0.1:0] [--watch] [--max-batch 256]
-//             [--max-delay-ms 1.0] [--max-queue-rows 16384]
-//             [--watch-interval 0.25] [--address-out FILE]
+//             [--max-queue-rows 16384] [--watch-interval 0.25]
+//             [--address-out FILE]
 //
 // The concrete bound address (useful with an ephemeral port) is printed on
 // stdout and, with --address-out, written to a file for scripts to pick up.
+// An unknown flag prints the usage and exits with code 2.
 #include <csignal>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "autoclass/checkpoint.hpp"
 #include "data/io.hpp"
@@ -27,6 +32,14 @@
 #include "util/cli.hpp"
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: pac_serve --header FILE.hd2 --data FILE.db2\n"
+    "                 (or --data FILE.pacb / FILE.csv)\n"
+    "                 --checkpoint FILE [--listen HOST:PORT]\n"
+    "                 [--watch] [--watch-interval SECONDS]\n"
+    "                 [--max-batch ROWS] [--max-queue-rows ROWS]\n"
+    "                 [--address-out FILE]\n";
 
 std::atomic<bool> g_stop{false};
 
@@ -43,6 +56,14 @@ bool has_suffix(const std::string& s, const char* suffix) {
 int main(int argc, char** argv) {
   using namespace pac;
   const Cli cli(argc, argv);
+  const std::vector<std::string> unknown = cli.unknown_flags(
+      {"header", "data", "checkpoint", "listen", "watch", "watch-interval",
+       "max-batch", "max-queue-rows", "address-out"});
+  if (!unknown.empty()) {
+    std::cerr << "pac_serve: unknown flag --" << unknown.front() << "\n"
+              << kUsage;
+    return 2;
+  }
 
   const std::string header_path = cli.get_string("header", "");
   const std::string data_path = cli.get_string("data", "");
@@ -50,13 +71,7 @@ int main(int argc, char** argv) {
   if (data_path.empty() || checkpoint_path.empty() ||
       (header_path.empty() && !has_suffix(data_path, ".pacb") &&
        !has_suffix(data_path, ".csv"))) {
-    std::cerr
-        << "usage: pac_serve --header FILE.hd2 --data FILE.db2\n"
-           "                 (or --data FILE.pacb / FILE.csv)\n"
-           "                 --checkpoint FILE [--listen HOST:PORT]\n"
-           "                 [--watch] [--watch-interval SECONDS]\n"
-           "                 [--max-batch ROWS] [--max-delay-ms MS]\n"
-           "                 [--max-queue-rows ROWS] [--address-out FILE]\n";
+    std::cerr << kUsage;
     return 2;
   }
 
@@ -91,7 +106,6 @@ int main(int argc, char** argv) {
     opts.address = cli.get_string("listen", "127.0.0.1:0");
     opts.max_batch_rows =
         static_cast<std::size_t>(cli.get_int("max-batch", 256));
-    opts.max_delay_ms = cli.get_double("max-delay-ms", 1.0);
     opts.max_queue_rows =
         static_cast<std::size_t>(cli.get_int("max-queue-rows", 16384));
     if (cli.get_bool("watch", false)) {
